@@ -38,10 +38,12 @@ def parse_permutation(text: str) -> Permutation:
     text = text.strip()
     try:
         data = json.loads(text)
-        if isinstance(data, list) and all(isinstance(x, int) for x in data):
+    except json.JSONDecodeError:
+        data = None
+    if isinstance(data, list) and all(type(x) is int for x in data):  # bool is not an entry
+        try:
             return Permutation(tuple(data))
-    except (json.JSONDecodeError, ValidationError) as exc:
-        if isinstance(exc, ValidationError):
+        except ValidationError as exc:
             raise ParseError(str(exc)) from exc
     cleaned = text.replace(",", " ").split()
     if len(cleaned) > 1:
@@ -118,15 +120,14 @@ def run_ladder(args) -> tuple[dict, int]:
     ladder = lad.ladder_from_json(data)
     v, w = lad.perm_of(ladder)
     bp = lad.boundary_points(ladder)
-    bot = lad.p_bot(ladder)
-    zipped = lad.p_zip(ladder)
-    reg = len(lad.elbows(ladder, zipped))
+    reg = lad.regularity_ladder(ladder)
     wt = lad.weight(ladder)
+    cells = lad.cell_count(ladder)
     report = {
         "mode": "ladder",
-        "cells": lad.cell_count(ladder),
+        "cells": cells,
         "weight": wt,
-        "blanks_bot": len(lad.blanks(ladder, bot)),
+        "blanks_bot": cells - wt,
         "elbows": reg,
         "regularity": reg,
         "a_invariant": reg - wt,
@@ -153,7 +154,7 @@ def run_ladder(args) -> tuple[dict, int]:
         if not agree:
             code = EXIT_DISAGREE
     if args.render:
-        report["render"] = lad.render_paths(ladder, zipped)
+        report["render"] = lad.render_paths(ladder, lad.p_zip(ladder))
     if args.export_ideal:
         from .ideals import ideal_script, ladder_generators
 

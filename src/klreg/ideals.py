@@ -74,7 +74,7 @@ class Poly:
 
 
 def _det(entry, rows: tuple, cols: tuple, memo: dict) -> dict:
-    """Expanded determinant of the submatrix, entries in {0, 1, variable}."""
+    """Expanded determinant of the submatrix, entries in {0, variable}."""
     if not rows:
         return {(): 1}
     key = (rows, cols)
@@ -89,13 +89,9 @@ def _det(entry, rows: tuple, cols: tuple, memo: dict) -> dict:
             continue
         sub = _det(entry, rest, cols[:idx] + cols[idx + 1 :], memo)
         sign = -1 if idx % 2 else 1
-        if e == 1:
-            for m, coef in sub.items():
-                out[m] = out.get(m, 0) + sign * coef
-        else:
-            for m, coef in sub.items():
-                m2 = tuple(sorted(m + (e,)))
-                out[m2] = out.get(m2, 0) + sign * coef
+        for m, coef in sub.items():
+            m2 = tuple(sorted(m + (e,)))
+            out[m2] = out.get(m2, 0) + sign * coef
     out = {m: c for m, c in out.items() if c}
     memo[key] = out
     return out
@@ -109,17 +105,15 @@ def _minors(entry, all_rows, all_cols, size: int, memo: dict):
                 yield p
 
 
-def kl_generators(v: Permutation, w: Permutation, all_minors: bool = False) -> frozenset:
+def kl_generators(v: Permutation, w: Permutation) -> frozenset:
     """The (rank_w(i,j)+1)-minors of the patterned matrix of v over rows [i]
     and columns [j], for the cells (i, j) of the Rothe diagram of w.
 
-    By default each block is first fully reduced by its 1-entries, so the
-    generators are the minors of the generic part of size
-    rank_w(i,j) + 1 - rank_v(i,j); minors that use the 1-entries only
-    partially are redundant combinations of these, and keeping them would
-    break the generator-set match with ladder ideals.  With
-    all_minors=True every nonzero minor of the full patterned block is
-    returned instead.
+    Each block is first fully reduced by its 1-entries, so the generators
+    are the minors of the generic part of size rank_w(i,j) + 1 - rank_v(i,j);
+    minors that use the 1-entries only partially are redundant combinations
+    of these, and keeping them would break the generator-set match with
+    ladder ideals.
     """
     if v.n != w.n:
         raise IncomparableError("size mismatch")
@@ -130,21 +124,10 @@ def kl_generators(v: Permutation, w: Permutation, all_minors: bool = False) -> f
     def zentry(i, j):
         return (i, j) if (i, j) in dv else 0
 
-    def entry(i, j):
-        if v.word[i - 1] == j:
-            return 1
-        return zentry(i, j)
-
     memo: dict = {}
     gens = set()
     for (i, j) in rothe_diagram(w):
         size = rank(w, i, j) + 1
-        if all_minors:
-            if size <= min(i, j):
-                rows = tuple(range(1, i + 1))
-                cols = tuple(range(1, j + 1))
-                gens.update(_minors(entry, rows, cols, size, memo))
-            continue
         one_rows = tuple(r for r in range(1, i + 1) if v.word[r - 1] <= j)
         one_cols = {v.word[r - 1] for r in one_rows}
         zrows = tuple(r for r in range(1, i + 1) if r not in set(one_rows))
@@ -155,15 +138,11 @@ def kl_generators(v: Permutation, w: Permutation, all_minors: bool = False) -> f
     return frozenset(gens)
 
 
-def ladder_generators(ladder: Ladder, holes_as_zero: bool = False) -> frozenset:
+def ladder_generators(ladder: Ladder) -> frozenset:
     """For each marked point (p, r): the r-minors of the ladder matrix over
-    rows [p(1)] and columns [p(2)+1, end].
-
-    By default only minors whose entries all lie inside the ladder are taken
-    (the classical ladder-determinantal convention, and the one under which
-    the generator sets match the Kazhdan-Lusztig side).  With
-    holes_as_zero=True, absent cells are read as zeros instead and every
-    nonvanishing minor is kept.
+    rows [p(1)] and columns [p(2)+1, end] whose entries all lie inside the
+    ladder (the classical ladder-determinantal convention, and the one under
+    which the generator sets match the Kazhdan-Lusztig side).
     """
     cells = frozenset(region_of(ladder).cells())
     end_col = se_corner(ladder)[1]
@@ -180,7 +159,7 @@ def ladder_generators(ladder: Ladder, holes_as_zero: bool = False) -> frozenset:
             continue
         for rows in combinations(all_rows, r):
             for cols in combinations(all_cols, r):
-                if not holes_as_zero and any((i, j) not in cells for i in rows for j in cols):
+                if any((i, j) not in cells for i in rows for j in cols):
                     continue
                 poly = Poly.from_dict(_det(entry, rows, cols, memo))
                 if poly is not None:

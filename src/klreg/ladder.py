@@ -13,6 +13,7 @@ partition cuts the region out of the northeast.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from math import inf
@@ -24,6 +25,7 @@ from .errors import (
     InfeasibleError,
     MoveNotApplicableError,
     PairingError,
+    ResourceError,
     StructureError,
     ValidationError,
 )
@@ -35,7 +37,8 @@ from .perm import (
     is_321_avoiding,
     rank,
 )
-from .skew import PlusDiagram, SkewRegion, compress
+from .skew import PlusDiagram, SkewRegion, can_move
+from .zipdiag import ZipData, _zip_data
 
 Point = tuple[float, float]
 
@@ -435,6 +438,16 @@ def _goal_box(v: Point) -> Cell:
     return (int(v[0] + 0.5), int(v[1] + 1))
 
 
+# The tile a path lays in a box, by the edges it enters and leaves through.
+_TILE_OF = {
+    ("S", "N"): Tile.VERT,
+    ("S", "W"): Tile.ELBOW_SW,
+    ("E", "N"): Tile.ELBOW_NE,
+    ("E", "W"): Tile.HORIZ,
+}
+_EXIT_OF = {(entry, tile): exit_ for (entry, exit_), tile in _TILE_OF.items()}
+
+
 def family_from_routes(ladder: Ladder, bp: BoundaryPoints, routes) -> PathFamily:
     """Assemble tiles from per-path box routes (entered from the south,
     leaving west at the paired vertical point)."""
@@ -454,12 +467,7 @@ def family_from_routes(ladder: Ladder, bp: BoundaryPoints, routes) -> PathFamily
                     raise StructureError(f"non-monotone step {box} -> {nxt}")
             else:
                 exit_ = "W"
-            tiles[box] = {
-                ("S", "N"): Tile.VERT,
-                ("S", "W"): Tile.ELBOW_SW,
-                ("E", "N"): Tile.ELBOW_NE,
-                ("E", "W"): Tile.HORIZ,
-            }[(entry, exit_)]
+            tiles[box] = _TILE_OF[(entry, exit_)]
             entry = "S" if exit_ == "N" else "E"
     return PathFamily.make(tiles, bp.pairs())
 
@@ -560,20 +568,9 @@ def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
             if tile is None or cur in visited or cur not in lam_cells:
                 return False
             visited.add(cur)
-            if entry == "S":
-                if tile == Tile.VERT:
-                    exit_ = "N"
-                elif tile == Tile.ELBOW_SW:
-                    exit_ = "W"
-                else:
-                    return False
-            else:
-                if tile == Tile.ELBOW_NE:
-                    exit_ = "N"
-                elif tile == Tile.HORIZ:
-                    exit_ = "W"
-                else:
-                    return False
+            exit_ = _EXIT_OF.get((entry, tile))
+            if exit_ is None:
+                return False
             nxt = (cur[0], cur[1] - 1) if exit_ == "W" else (cur[0] - 1, cur[1])
             if nxt not in lam_cells:
                 if cur == goal and exit_ == "W":
@@ -630,40 +627,35 @@ def diagram_of_paths(ladder: Ladder, family: PathFamily) -> PlusDiagram:
     return PlusDiagram(region_of(ladder), frozenset(blanks(ladder, family)))
 
 
-def _check_region_matches(ladder: Ladder, v: Permutation) -> None:
-    region, _ = compress(v)
-    if region != region_of(ladder):
+def _replay_start(ladder: Ladder) -> tuple[ZipData, PathFamily]:
+    """The zip data of perm_of(ladder) and the bottom family, checked to
+    match: the start of every droop replay."""
+    data = _zip_data(*perm_of(ladder))
+    if data.region != region_of(ladder):
         raise StructureError("compressed diagram of v does not match the ladder region")
+    family = p_bot(ladder)
+    if frozenset(blanks(ladder, family)) != data.top.pluses:
+        raise StructureError("bottom family does not match the top diagram")
+    return data, family
 
 
 def paths_of_diagram(ladder: Ladder, diagram: PlusDiagram, budget: int = 1_000_000) -> PathFamily:
     """Inverse of diagram_of_paths: replay the excited moves leading from
     the top diagram to `diagram` as droops starting from the bottom family."""
-    from .skew import d_top as _d_top
-
-    v, w = perm_of(ladder)
-    _check_region_matches(ladder, v)
-    top = _d_top(v, w)
-    family = p_bot(ladder)
-    if frozenset(blanks(ladder, family)) != top.pluses:
-        raise StructureError("bottom family does not match the top diagram")
+    data, family = _replay_start(ladder)
+    top = data.top.pluses
     target = frozenset(diagram.pluses)
-    if target == top.pluses:
+    if target == top:
         return family
     # breadth-first search in the excited-move closure, tracking parents
-    from collections import deque
-
-    parents: dict = {top.pluses: None}
-    queue = deque([top.pluses])
+    parents: dict = {top: None}
+    queue = deque([top])
     found = None
     while queue and found is None:
         state = queue.popleft()
         for b in sorted(state):
-            t = (b[0] + 1, b[1] - 1)
-            s = (b[0] + 1, b[1])
-            west = (b[0], b[1] - 1)
-            if all(c in diagram.region and c not in state for c in (t, s, west)):
-                nxt = state - {b} | {t}
+            if can_move(diagram.region, state, b):
+                nxt = state - {b} | {(b[0] + 1, b[1] - 1)}
                 if nxt not in parents:
                     parents[nxt] = (state, b)
                     if nxt == target:
@@ -671,7 +663,9 @@ def paths_of_diagram(ladder: Ladder, diagram: PlusDiagram, budget: int = 1_000_0
                         break
                     queue.append(nxt)
                     if len(parents) > budget:
-                        raise ContainmentError("diagram not reached within budget")
+                        raise ResourceError(
+                            f"droop search budget {budget} exceeded", partial={"visited": len(parents)}
+                        )
     if found is None:
         raise ContainmentError("diagram is not in the excited-move closure of the top diagram")
     moves = []
@@ -686,14 +680,7 @@ def paths_of_diagram(ladder: Ladder, diagram: PlusDiagram, budget: int = 1_000_0
 
 def p_zip(ladder: Ladder) -> PathFamily:
     """The family whose blanks form the canonical slid diagram."""
-    from .zipdiag import _zip_data
-
-    v, w = perm_of(ladder)
-    _check_region_matches(ladder, v)
-    data = _zip_data(v, w)
-    family = p_bot(ladder)
-    if frozenset(blanks(ladder, family)) != data.top.pluses:
-        raise StructureError("bottom family does not match the top diagram")
+    data, family = _replay_start(ladder)
     for b in data.move_log:
         family = droop(family, b)
     if frozenset(blanks(ladder, family)) != data.zipped.pluses:
@@ -725,7 +712,6 @@ def render_paths(ladder: Ladder, family: PathFamily) -> str:
     """ASCII grid of the five tiles plus a legend of labeled endpoints."""
     tiles = family.tile_map()
     lcells = set(region_of(ladder).cells())
-    lam_cells = partition_cells(ladder)
     lines = []
     for i in range(1, ladder.n_rows + 1):
         chars = []
@@ -735,8 +721,6 @@ def render_paths(ladder: Ladder, family: PathFamily) -> str:
                 chars.append(_GLYPH[tiles[cell]])
             elif cell in lcells:
                 chars.append("·")  # ·
-            elif cell in lam_cells:
-                chars.append(" ")
             else:
                 chars.append(" ")
         lines.append("".join(chars).rstrip())

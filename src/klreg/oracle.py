@@ -20,13 +20,13 @@ from .errors import (
 from .perm import (
     Cell,
     Permutation,
-    all_permutations,
     bruhat_leq,
     coxeter_length,
     demazure_step,
     identity,
     is_321_avoiding,
     rank,
+    right_mult_s,
 )
 from .pipes import box_labels, reading_order
 from .skew import compress, d_top
@@ -176,7 +176,7 @@ def brute_earliest_subword(v: Permutation, w: Permutation, budget: int = DEFAULT
         a = labels[cell]
         if u.word[a - 1] < u.word[a]:
             taken.append(cell)
-            if rec(k + 1, _swap(u, a), taken):
+            if rec(k + 1, right_mult_s(u, a), taken):
                 return True
             taken.pop()
         return rec(k + 1, u, taken)
@@ -187,21 +187,26 @@ def brute_earliest_subword(v: Permutation, w: Permutation, budget: int = DEFAULT
     return tuple(taken)
 
 
-def _swap(u: Permutation, i: int) -> Permutation:
-    word = list(u.word)
-    word[i - 1], word[i] = word[i], word[i - 1]
-    return Permutation(tuple(word))
+def brute_minimal_w(
+    n: int, constraints: Iterable[tuple[Cell, int]], budget: int = DEFAULT_BUDGET
+) -> Permutation:
+    """First permutation of S_n in (length, word) order meeting every rank
+    equality rank(w, a, b) == c for ((a, b), c) in constraints.
 
-
-def brute_minimal_w(n: int, constraints: Iterable[tuple[Cell, int]]) -> Permutation:
-    """First permutation of S_n in length order meeting every rank equality
-    rank(w, a, b) == c for ((a, b), c) in constraints."""
-    if n > 8:
-        raise ResourceError(f"brute scan limited to n <= 8, got {n}")
+    Searches S_n level by level from the identity, each level reached from
+    the one before by ascent swaps, and stops at the first level that holds
+    a solution."""
     cons = [((a, b), c) for (a, b), c in constraints]
-    for u in all_permutations(n):
-        if all(rank(u, a, b) == c for (a, b), c in cons):
-            return u
+    level = {identity(n)}
+    visited = 0
+    while level:
+        visited += len(level)
+        if visited > budget:
+            raise ResourceError(f"brute scan budget {budget} exceeded", partial={"visited": visited})
+        hits = [u for u in level if all(rank(u, a, b) == c for (a, b), c in cons)]
+        if hits:
+            return min(hits, key=lambda u: u.word)
+        level = {right_mult_s(u, i) for u in level for i in range(1, n) if u.word[i - 1] < u.word[i]}
     raise InconsistentConstraintsError("no permutation satisfies the rank constraints")
 
 
@@ -236,16 +241,12 @@ def enumerate_nilp(ladder, budget: int = DEFAULT_BUDGET, allow_partial: bool = F
             fam = lad.family_from_routes(ladder, bp, tuple(acc))
             if lad.nilp_is_valid(ladder, fam):
                 results.append(fam)
-                if len(results) >= budget:
-                    if allow_partial:
-                        raise _Stop()
+                if allow_partial and len(results) >= budget:
+                    raise _Stop()
+                if len(results) > budget:
                     raise ResourceError(f"path enumeration budget {budget} exceeded")
             return
-        h = bp.h[i]
-        vpt = bp.v[i]
-        start = (int(h[0]), int(h[1] + 0.5))
-        goal = (int(vpt[0] + 0.5), int(vpt[1] + 1))
-        for route in routes(start, goal, used):
+        for route in routes(lad._start_box(bp.h[i]), lad._goal_box(bp.v[i]), used):
             acc.append(route)
             place(i + 1, used | frozenset(route), acc)
             acc.pop()

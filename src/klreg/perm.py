@@ -153,11 +153,6 @@ def is_grassmannian(u: Permutation) -> bool:
     return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1]) <= 1
 
 
-def descents(u: Permutation) -> tuple[int, ...]:
-    w = u.word
-    return tuple(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
 def right_mult_s(u: Permutation, i: int) -> Permutation:
     """u * s_i: swap the entries in positions i and i+1."""
     if not 1 <= i <= u.n - 1:
@@ -173,13 +168,6 @@ def left_mult_s(u: Permutation, i: int) -> Permutation:
         raise OutOfRangeError(f"generator index {i} out of range for S_{u.n}")
     w = [x if x not in (i, i + 1) else (i + 1 if x == i else i) for x in u.word]
     return Permutation(tuple(w))
-
-
-def compose(u: Permutation, v: Permutation) -> Permutation:
-    """(u v)(k) = u(v(k))."""
-    if u.n != v.n:
-        raise ValidationError("size mismatch in composition")
-    return Permutation(tuple(u.word[x - 1] for x in v.word))
 
 
 def demazure_step(u: Permutation, i: int) -> Permutation:

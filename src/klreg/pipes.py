@@ -15,6 +15,8 @@ from .perm import (
     demazure_step_left,
     identity,
     is_321_avoiding,
+    left_mult_s,
+    right_mult_s,
     rothe_diagram,
 )
 
@@ -96,11 +98,10 @@ def d_ne(v: Permutation, w: Permutation) -> tuple[Cell, ...]:
         zinv = z.inverse().word
         if zinv[a - 1] < zinv[a]:
             continue  # s_a * z not shorter: off the geodesic
-        znew = z
-        znew = _swap_values(znew, a)
+        znew = left_mult_s(z, a)
         if not bruhat_leq(znew, suffix_delta[k + 1]):
             continue  # suffix cannot complete the remainder
-        u = _swap_positions(u, a)
+        u = right_mult_s(u, a)
         z = znew
         zlen -= 1
         chosen.append(order[k])
@@ -108,13 +109,3 @@ def d_ne(v: Permutation, w: Permutation) -> tuple[Cell, ...]:
         raise StructureError("greedy subword search failed to reach w")
     return tuple(chosen)
 
-
-def _swap_positions(u: Permutation, i: int) -> Permutation:
-    w = list(u.word)
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return Permutation(tuple(w))
-
-
-def _swap_values(u: Permutation, i: int) -> Permutation:
-    w = [x if x not in (i, i + 1) else (i + 1 if x == i else i) for x in u.word]
-    return Permutation(tuple(w))

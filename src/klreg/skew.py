@@ -55,9 +55,6 @@ class SkewRegion:
         return len(self._cells)
 
 
-EMPTY_REGION = SkewRegion(())
-
-
 @dataclass(frozen=True)
 class PlusDiagram:
     """A skew region together with a set of marked cells."""
@@ -131,28 +128,28 @@ def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
     return PlusDiagram(region, maps.image(d_ne(v, w)))
 
 
-def _move_frame(region: SkewRegion, b: Cell) -> tuple[Cell, Cell, Cell]:
-    """Cells that must be inside the region and plus-free for a move at b:
-    the target b+(1,-1) plus its east and north neighbours b+(1,0), b+(0,-1)."""
+def can_move(region: SkewRegion, pluses, b: Cell) -> bool:
+    """The excited-move kernel: can a plus at b slide to b+(1,-1)?  The
+    target and its east and north neighbours b+(1,0), b+(0,-1) must lie in
+    the region and be plus-free.
+
+    >>> can_move(SkewRegion(((1, 2), (1, 2))), {(1, 2)}, (1, 2))
+    True
+    """
     i, j = b
-    return (i + 1, j - 1), (i + 1, j), (i, j - 1)
-
-
-def _movable(diagram: PlusDiagram, b: Cell) -> bool:
-    frame = _move_frame(diagram.region, b)
-    return all(c in diagram.region and c not in diagram.pluses for c in frame)
+    return all(c in region and c not in pluses for c in ((i + 1, j - 1), (i + 1, j), (i, j - 1)))
 
 
 def excited_targets(diagram: PlusDiagram) -> tuple[Cell, ...]:
     """Pluses at which an excited move currently applies."""
-    return tuple(sorted(b for b in diagram.pluses if _movable(diagram, b)))
+    return tuple(sorted(b for b in diagram.pluses if can_move(diagram.region, diagram.pluses, b)))
 
 
 def apply_excited(diagram: PlusDiagram, b: Cell) -> PlusDiagram:
     """Slide the plus at b one step to b+(1,-1)."""
     if b not in diagram.pluses:
         raise MoveNotApplicableError(f"no plus at {b}")
-    if not _movable(diagram, b):
+    if not can_move(diagram.region, diagram.pluses, b):
         raise MoveNotApplicableError(f"excited move does not apply at {b}")
     target = (b[0] + 1, b[1] - 1)
     return PlusDiagram(diagram.region, diagram.pluses - {b} | {target})
@@ -162,7 +159,7 @@ def apply_k_excited(diagram: PlusDiagram, b: Cell) -> PlusDiagram:
     """Copy the plus at b to b+(1,-1), keeping b occupied."""
     if b not in diagram.pluses:
         raise MoveNotApplicableError(f"no plus at {b}")
-    if not _movable(diagram, b):
+    if not can_move(diagram.region, diagram.pluses, b):
         raise MoveNotApplicableError(f"K-theoretic excited move does not apply at {b}")
     target = (b[0] + 1, b[1] - 1)
     return PlusDiagram(diagram.region, diagram.pluses | {target})

@@ -18,7 +18,7 @@ from .perm import (
     left_mult_s,
 )
 from .pipes import box_labels, d_ne
-from .skew import CellMaps, PlusDiagram, SkewRegion, apply_k_excited, compress, d_top
+from .skew import CellMaps, PlusDiagram, SkewRegion, apply_k_excited, can_move, compress
 
 
 def components(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
@@ -131,41 +131,27 @@ def _slide_all(region: SkewRegion, pluses: set, sources) -> list[Cell]:
     """Slide each source plus as far as possible; mutates pluses, returns
     the elementary move log."""
     log = []
-    for b in sources:
-        cur = b
-        while True:
-            t = (cur[0] + 1, cur[1] - 1)
-            s = (cur[0] + 1, cur[1])
-            w = (cur[0], cur[1] - 1)
-            ok = all(c in region and c not in pluses for c in (t, s, w))
-            if not ok:
-                break
-            pluses.remove(cur)
-            pluses.add(t)
+    for cur in sources:
+        while can_move(region, pluses, cur):
             log.append(cur)
-            cur = t
+            pluses.remove(cur)
+            cur = (cur[0] + 1, cur[1] - 1)
+            pluses.add(cur)
     return log
 
 
 def _room_of(region: SkewRegion, zipped: frozenset, b: Cell) -> int:
     k = 0
-    while True:
-        k1 = k + 1
-        cells = (
-            (b[0] + k1, b[1] - k1),
-            (b[0] + k1, b[1] - k1 + 1),
-            (b[0] + k1 - 1, b[1] - k1),
-        )
-        if all(c in region and c not in zipped for c in cells):
-            k = k1
-        else:
-            return k
+    while can_move(region, zipped, (b[0] + k, b[1] - k)):
+        k += 1
+    return k
 
 
 @lru_cache(maxsize=4096)
 def _zip_data(v: Permutation, w: Permutation) -> ZipData:
+    pipe_set = d_ne(v, w)  # validates the pair before compress does
     region, maps = compress(v)
-    top_cells = maps.image(d_ne(v, w))
+    top_cells = maps.image(pipe_set)
     top = PlusDiagram(region, top_cells)
     chains = minimizing_diag(top) if top_cells else ()
     comps = components(top)
@@ -195,15 +181,8 @@ def _zip_data(v: Permutation, w: Permutation) -> ZipData:
     return ZipData(region, maps, top, chains, zipped, tuple(log), rooms, saturated)
 
 
-def _validate_pair(v: Permutation, w: Permutation):
-    # d_ne re-validates; this gives callers a single early error point.
-    if v.n != w.n:
-        raise IncomparableError("size mismatch")
-
-
 def d_zip(v: Permutation, w: Permutation) -> PlusDiagram:
     """The canonical slid diagram; has exactly length(w) pluses."""
-    _validate_pair(v, w)
     return _zip_data(v, w).zipped
 
 
@@ -217,7 +196,6 @@ def room(v: Permutation, w: Permutation, b: Cell) -> int:
 
 def d_zip_k(v: Permutation, w: Permutation) -> PlusDiagram:
     """The slid diagram plus its full anti-diagonal K-saturation."""
-    _validate_pair(v, w)
     return _zip_data(v, w).saturated
 
 
@@ -242,7 +220,6 @@ def k_saturation_by_moves(v: Permutation, w: Permutation) -> PlusDiagram:
 
 def groth_degree(v: Permutation, w: Permutation) -> int:
     """Degree of the unspecialized Grothendieck polynomial of the pair."""
-    _validate_pair(v, w)
     return _zip_data(v, w).saturated.size()
 
 
@@ -265,7 +242,8 @@ def groth_degree_recursive(v: Permutation, w: Permutation) -> int:
     larger of the two one-box-smaller branches.  Branches whose pair is not
     Bruhat-comparable contribute minus infinity.
     """
-    _validate_pair(v, w)
+    if v.n != w.n:  # bruhat_leq would raise a different class
+        raise IncomparableError("size mismatch")
     memo: dict = {}
 
     def rec(v: Permutation, w: Permutation):
@@ -318,7 +296,6 @@ class ZipResult:
 
 
 def zip_result(v: Permutation, w: Permutation) -> ZipResult:
-    _validate_pair(v, w)
     data = _zip_data(v, w)
     deg = data.saturated.size()
     return ZipResult(

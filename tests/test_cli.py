@@ -59,6 +59,13 @@ def test_parse_errors(capsys):
     assert code == 2
 
 
+def test_boolean_entries_are_parse_errors(capsys):
+    # JSON booleans are ints to Python; they must not pass as entries 1 and 0
+    for word in ("[true]", "[2, true, 3]"):
+        code, out, err = run(capsys, ["pair", "--v", word, "--w", word])
+        assert code == 2 and "parse error" in err and out == ""
+
+
 def test_validation_error_exit(capsys):
     code, _, err = run(capsys, ["pair", "--v", "1 3 2", "--w", "2 1 3"])
     assert code == 3 and "invalid input" in err

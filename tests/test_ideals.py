@@ -60,13 +60,6 @@ def test_generator_sets_match_over_compression():
         assert ladder_side == kl_generators(v, w)
 
 
-def test_legacy_minor_conventions_differ():
-    # the literal every-minor readings produce strictly larger sets
-    v, w = perm_of(LAD_C)
-    assert kl_generators(v, w) < kl_generators(v, w, all_minors=True)
-    assert ladder_generators(LAD_C) < ladder_generators(LAD_C, holes_as_zero=True)
-
-
 def test_k_polynomial_examples():
     s1 = Permutation((2, 1))
     assert k_polynomial(s1, s1) == (1, -1)

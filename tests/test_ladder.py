@@ -1,7 +1,7 @@
 import pytest
 
 from klreg import oracle, zipdiag
-from klreg.errors import ValidationError
+from klreg.errors import ResourceError, ValidationError
 from klreg.ladder import (
     Ladder,
     Tile,
@@ -235,6 +235,18 @@ def test_paths_of_diagram_round_trip():
         fam = paths_of_diagram(LAD_C, target)
         assert nilp_is_valid(LAD_C, fam)
         assert diagram_of_paths(LAD_C, fam).pluses == frozenset(cells)
+
+
+def test_paths_of_diagram_budget_is_a_resource_error():
+    from klreg.skew import PlusDiagram
+
+    v, w = perm_of(LAD_A)
+    top_rows = sum(i for i, _ in D_TOP_LAD_A)
+    # a diagram two or more moves from the top, so the search must grow
+    far = next(d for d in oracle.closure(v, w, moves="excited").diagrams if sum(i for i, _ in d) >= top_rows + 2)
+    with pytest.raises(ResourceError) as info:
+        paths_of_diagram(LAD_A, PlusDiagram(region_of(LAD_A), frozenset(far)), budget=1)
+    assert info.value.partial["visited"] == 2
 
 
 def test_p_zip_matches_zip_diagram():

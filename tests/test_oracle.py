@@ -4,7 +4,7 @@ import pytest
 
 from klreg import oracle
 from klreg.errors import InconsistentConstraintsError, ResourceError
-from klreg.ladder import blanks, perm_of
+from klreg.ladder import blanks, perm_of, rank_constraints
 from klreg.perm import (
     Permutation,
     bruhat_leq,
@@ -13,7 +13,20 @@ from klreg.perm import (
 )
 from klreg.pipes import d_ne, delta
 
-from knowndata import D_NE_10, DEGREE10, LAD_B, LAD_C, LAD_FULL, V10, V11, W10, W11
+from knowndata import (
+    D_NE_10,
+    DEGREE10,
+    LAD_A,
+    LAD_B,
+    LAD_C,
+    LAD_FULL,
+    V10,
+    V11,
+    V_LAD_A,
+    W10,
+    W11,
+    W_LAD_A,
+)
 
 
 def test_closure_examples():
@@ -84,8 +97,13 @@ def test_brute_minimal_w():
     assert oracle.brute_minimal_w(6, cons) == identity(6)
     with pytest.raises(InconsistentConstraintsError):
         oracle.brute_minimal_w(3, [((1, 1), 1), ((1, 3), 0)])
+    assert oracle.brute_minimal_w(9, []) == identity(9)
     with pytest.raises(ResourceError):
-        oracle.brute_minimal_w(9, [])
+        oracle.brute_minimal_w(5, [((1, 1), 0)], budget=3)
+
+
+def test_brute_minimal_w_certifies_a_board_beyond_s8():
+    assert oracle.brute_minimal_w(11, rank_constraints(LAD_A, V_LAD_A)) == W_LAD_A
 
 
 def test_enumerate_nilp_counts():
@@ -96,6 +114,12 @@ def test_enumerate_nilp_counts():
     excited = oracle.closure(v, w, moves="excited")
     assert len(fams) == len(excited)
     assert {frozenset(blanks(LAD_C, f)) for f in fams} == excited.as_sets()
+
+
+def test_enumerate_nilp_budget_is_the_largest_allowed_count():
+    assert len(oracle.enumerate_nilp(LAD_A, budget=62)) == 62
+    with pytest.raises(ResourceError):
+        oracle.enumerate_nilp(LAD_A, budget=61)
 
 
 def test_enumerate_nilp_partial_on_big_ladder():
