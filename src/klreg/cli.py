@@ -120,9 +120,10 @@ def run_ladder(args) -> tuple[dict, int]:
     ladder = lad.ladder_from_json(data)
     v, w = lad.perm_of(ladder)
     bp = lad.boundary_points(ladder)
-    reg = lad.regularity_ladder(ladder)
-    wt = lad.weight(ladder)
+    fam = lad.p_zip(ladder)
+    reg = len(lad.elbows(ladder, fam))
     cells = lad.cell_count(ladder)
+    wt = cells - len(lad.blanks(ladder, fam))  # every family covers the same cells
     report = {
         "mode": "ladder",
         "cells": cells,
@@ -154,7 +155,7 @@ def run_ladder(args) -> tuple[dict, int]:
         if not agree:
             code = EXIT_DISAGREE
     if args.render:
-        report["render"] = lad.render_paths(ladder, lad.p_zip(ladder))
+        report["render"] = lad.render_paths(ladder, fam)
     if args.export_ideal:
         from .ideals import ideal_script, ladder_generators
 

@@ -183,16 +183,6 @@ def demazure_step(u: Permutation, i: int) -> Permutation:
     return u
 
 
-def demazure_step_left(u: Permutation, i: int) -> Permutation:
-    """s_i * u if that is longer than u, otherwise u."""
-    if not 1 <= i <= u.n - 1:
-        raise OutOfRangeError(f"generator index {i} out of range for S_{u.n}")
-    inv = u.inverse().word
-    if inv[i - 1] < inv[i]:
-        return left_mult_s(u, i)
-    return u
-
-
 def demazure_product(word: Iterable[int], n: int) -> Permutation:
     """Fold demazure_step over word, starting from the identity of S_n.
 
@@ -207,16 +197,30 @@ def demazure_product(word: Iterable[int], n: int) -> Permutation:
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """u <= w in Bruhat order, tested by rank dominance:
-    rank_u(i, j) >= rank_w(i, j) for all (i, j)."""
+    rank_u(i, j) >= rank_w(i, j) for all (i, j).
+
+    One pass over the rows keeps gap[j] = rank_u(i, j) - rank_w(i, j).
+    Row i changes only the columns j with min(u(i), w(i)) <= j <
+    max(u(i), w(i)), and they fall only when w(i) < u(i), so only those are
+    checked, and the first negative gap answers False.
+
+    >>> bruhat_leq(Permutation((1, 3, 2)), Permutation((3, 1, 2)))
+    True
+    >>> bruhat_leq(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
+    False
+    """
     if u.n != w.n:
         raise ValidationError("size mismatch in Bruhat comparison")
-    ru, rw = rank_matrix(u), rank_matrix(w)
-    n = u.n
-    for i in range(1, n + 1):
-        rui, rwi = ru[i], rw[i]
-        for j in range(1, n + 1):
-            if rui[j] < rwi[j]:
-                return False
+    gap = [0] * (u.n + 1)
+    for x, y in zip(u.word, w.word):
+        if x < y:
+            for j in range(x, y):
+                gap[j] += 1
+        else:
+            for j in range(y, x):
+                gap[j] -= 1
+                if gap[j] < 0:
+                    return False
     return True
 
 

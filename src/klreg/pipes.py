@@ -12,11 +12,8 @@ from .perm import (
     bruhat_leq,
     coxeter_length,
     demazure_product,
-    demazure_step_left,
-    identity,
     is_321_avoiding,
-    left_mult_s,
-    right_mult_s,
+    rank_matrix,
     rothe_diagram,
 )
 
@@ -61,12 +58,21 @@ def delta(v: Permutation, cells: Iterable[Cell]) -> Permutation:
 def d_ne(v: Permutation, w: Permutation) -> tuple[Cell, ...]:
     """The northeast-most reduced pipe set for (v, w) as a subset of D(v).
 
-    Greedy scan of the reading order: a letter a is accepted at partial
-    product u exactly when u*s_a is longer, lies on a geodesic to w, and the
-    unread suffix can still complete a reduced word for the remainder (the
-    suffix Demazure product dominates it in Bruhat order).  Returns the cells
-    in reading order; their index set is the lexicographically earliest one
-    whose reading word is a reduced word for w.
+    Greedy scan of the reading order: a letter a is accepted at remainder
+    z = u^-1 w (u the product of the accepted letters) exactly when s_a*z is
+    shorter, so u*s_a is longer and on a geodesic to w, and the unread
+    suffix can still complete a reduced word for s_a*z: s_a*z <= s in
+    Bruhat order, s the Demazure product of the unread suffix.  Returns the
+    cells in reading order; their index set is the lexicographically
+    earliest one whose reading word is a reduced word for w.
+
+    The Bruhat test reads a gap table G = r_z - r_s of rank tables, with
+    the number of its negative cells (z <= s iff there are none).  s_a
+    swaps the values a and a+1, so it changes column a of a rank table, and
+    only over the rows between the positions of those values: accepting a
+    raises column a of r_z, and reading past a letter that lengthened the
+    suffix product raises column a of r_s.  G is built once, every letter
+    costs O(n), and the whole scan O(n^2 + n*ell(v)).
     """
     if v.n != w.n:
         raise IncomparableError("size mismatch")
@@ -79,33 +85,46 @@ def d_ne(v: Permutation, w: Permutation) -> tuple[Cell, ...]:
     order = reading_order(v)
     labels = box_labels(v)
     letters = [labels[c] for c in order]
-    m = len(letters)
 
-    # suffix_delta[k] = Demazure product of letters[k:], built right to left.
-    suffix_delta = [identity(v.n)] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        suffix_delta[k] = demazure_step_left(suffix_delta[k + 1], letters[k])
+    # Inverse one-line words, 1-indexed (entry 0 unused): sinv of the suffix
+    # product, built right to left; grew[k] says letter k lengthened it.
+    sinv = list(range(v.n + 1))
+    grew = [False] * len(letters)
+    for k in range(len(letters) - 1, -1, -1):
+        a = letters[k]
+        if sinv[a] < sinv[a + 1]:
+            sinv[a], sinv[a + 1] = sinv[a + 1], sinv[a]
+            grew[k] = True
+    s = Permutation(tuple(sinv[1:])).inverse()
+    zinv = [0, *w.inverse().word]
+    # G[j][i] = r_z(i, j) - r_s(i, j), stored by column.
+    columns = zip(zip(*rank_matrix(w)), zip(*rank_matrix(s)))
+    G = [[x - y for x, y in zip(cz, cs)] for cz, cs in columns]
+    negative = sum(x < 0 for col in G for x in col)
 
     chosen: list[Cell] = []
-    u = identity(v.n)
-    z = w  # remainder: z = u^-1 w throughout
     zlen = coxeter_length(w)
     for k, a in enumerate(letters):
         if zlen == 0:
             break
-        if u.word[a - 1] > u.word[a]:
-            continue  # u * s_a not longer
-        zinv = z.inverse().word
-        if zinv[a - 1] < zinv[a]:
+        col = G[a]
+        if grew[k]:
+            # s becomes s_a * s: r_s rises on rows sinv[a+1] .. sinv[a] - 1.
+            lo, hi = sinv[a + 1], sinv[a]
+            sinv[a], sinv[a + 1] = lo, hi
+            negative += col[lo:hi].count(0)
+            col[lo:hi] = [x - 1 for x in col[lo:hi]]
+        lo, hi = zinv[a + 1], zinv[a]
+        if lo > hi:
             continue  # s_a * z not shorter: off the geodesic
-        znew = left_mult_s(z, a)
-        if not bruhat_leq(znew, suffix_delta[k + 1]):
+        # z would become s_a * z: r_z rises on rows zinv[a+1] .. zinv[a] - 1.
+        if col[lo:hi].count(-1) != negative:
             continue  # suffix cannot complete the remainder
-        u = right_mult_s(u, a)
-        z = znew
+        col[lo:hi] = [x + 1 for x in col[lo:hi]]
+        negative = 0  # every negative cell was a -1 in the raised rows
+        zinv[a], zinv[a + 1] = lo, hi
         zlen -= 1
         chosen.append(order[k])
     if zlen != 0:
         raise StructureError("greedy subword search failed to reach w")
     return tuple(chosen)
-

@@ -1,4 +1,6 @@
+import random
 from itertools import permutations
+from operator import ge
 
 import pytest
 
@@ -16,6 +18,7 @@ from klreg.perm import (
     is_grassmannian,
     lehmer_code,
     rank,
+    rank_matrix,
     right_mult_s,
     rothe_diagram,
 )
@@ -173,6 +176,43 @@ def test_bruhat_matches_cover_graph():
         for a, u in enumerate(perms):
             for b, w in enumerate(perms):
                 assert bruhat_leq(u, w) == (b in reach[a])
+
+
+def _rank_dominance(u, w):
+    """u <= w by comparing the two full rank tables cell by cell."""
+    ru, rw = rank_matrix(u), rank_matrix(w)
+    return all(a >= b for row_u, row_w in zip(ru, rw) for a, b in zip(row_u, row_w))
+
+
+def test_bruhat_matches_rank_dominance():
+    for n in range(1, 7):
+        perms = all_permutations(n)
+        flat = {u: [x for row in rank_matrix(u) for x in row] for u in perms}
+        for u in perms:
+            for w in perms:
+                assert bruhat_leq(u, w) == all(map(ge, flat[u], flat[w]))
+    # n = 40: w is u raised by transpositions that add inversions, so u <= w;
+    # half the time one transposition then removes inversions, which leaves
+    # pairs on both sides of the edge of comparability.
+    rng = random.Random(40)
+    for k in range(100):
+        u = Permutation(tuple(rng.sample(range(1, 41), 40)))
+        word = list(u.word)
+        for _ in range(rng.randint(1, 30)):
+            i, j = sorted(rng.sample(range(40), 2))
+            if word[i] < word[j]:
+                word[i], word[j] = word[j], word[i]
+        while k % 2:
+            i, j = sorted(rng.sample(range(40), 2))
+            if word[i] > word[j]:
+                word[i], word[j] = word[j], word[i]
+                break
+        w = Permutation(tuple(word))
+        assert bruhat_leq(u, w) == _rank_dominance(u, w)
+        assert bruhat_leq(w, u) == _rank_dominance(w, u)
+    w0 = Permutation(tuple(range(40, 0, -1)))
+    assert bruhat_leq(identity(40), w0) and _rank_dominance(identity(40), w0)
+    assert not bruhat_leq(w0, identity(40))
 
 
 def test_ladder_pair_is_comparable():

@@ -1,8 +1,9 @@
+import random
 from itertools import product
 
 import pytest
 
-from klreg.errors import ContainmentError, IncomparableError, PatternError
+from klreg.errors import ContainmentError, IncomparableError, PatternError, StructureError
 from klreg.perm import (
     Permutation,
     all_321_avoiding,
@@ -10,9 +11,12 @@ from klreg.perm import (
     coxeter_length,
     demazure_product,
     identity,
+    is_321_avoiding,
+    left_mult_s,
+    right_mult_s,
     rothe_diagram,
 )
-from klreg.pipes import box_labels, d_ne, delta, reading_word
+from klreg.pipes import box_labels, d_ne, delta, reading_order, reading_word
 from klreg import oracle
 
 from knowndata import D_NE_10, V10, W10, WORD_W10
@@ -95,3 +99,81 @@ def test_demazure_dominance_is_subword_feasibility():
             dp = demazure_product(word, 4)
             for z in targets:
                 assert bruhat_leq(z, dp) == _contains_reduced_word(word, z)
+
+
+def _d_ne_reference(v, w):
+    """d_ne's greedy scan with a full Bruhat test per letter: suffix
+    Demazure products as Permutations, and bruhat_leq(s_a * z, suffix)."""
+    order = reading_order(v)
+    labels = box_labels(v)
+    letters = [labels[c] for c in order]
+    m = len(letters)
+    suffix_delta = [identity(v.n)] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        s, a = suffix_delta[k + 1], letters[k]
+        inv = s.inverse().word
+        suffix_delta[k] = left_mult_s(s, a) if inv[a - 1] < inv[a] else s
+    chosen = []
+    u = identity(v.n)
+    z = w  # remainder: z = u^-1 w throughout
+    zlen = coxeter_length(w)
+    for k, a in enumerate(letters):
+        if zlen == 0:
+            break
+        if u.word[a - 1] > u.word[a]:
+            continue  # u * s_a not longer
+        zinv = z.inverse().word
+        if zinv[a - 1] < zinv[a]:
+            continue  # s_a * z not shorter: off the geodesic
+        znew = left_mult_s(z, a)
+        if not bruhat_leq(znew, suffix_delta[k + 1]):
+            continue  # suffix cannot complete the remainder
+        u = right_mult_s(u, a)
+        z = znew
+        zlen -= 1
+        chosen.append(order[k])
+    if zlen != 0:
+        raise StructureError("greedy subword search failed to reach w")
+    return tuple(chosen)
+
+
+def _walk_v(rng, n, steps):
+    """Adjacent-swap walk from the identity that lengthens v and keeps it
+    321-avoiding; it stops early when no swap qualifies."""
+    word = list(range(1, n + 1))
+    for _ in range(steps):
+        for i in rng.sample(range(n - 1), n - 1):
+            moved = word[:i] + [word[i + 1], word[i]] + word[i + 2 :]
+            if word[i] < word[i + 1] and is_321_avoiding(Permutation(tuple(moved))):
+                word = moved
+                break
+        else:
+            break
+    return Permutation(tuple(word))
+
+
+def _demazure_w(rng, v, prob):
+    """Demazure steps over v's reading word, each letter taken with
+    probability prob when it lengthens w and keeps it 321-avoiding; w is
+    the Demazure product of a subword of a reduced word for v, so w <= v."""
+    w = identity(v.n)
+    for a in reading_word(v, rothe_diagram(v)):
+        if w.word[a - 1] < w.word[a] and rng.random() < prob:
+            moved = right_mult_s(w, a)
+            if is_321_avoiding(moved):
+                w = moved
+    return w
+
+
+def test_d_ne_matches_reference_at_large_n():
+    rng = random.Random(20)
+    for n in (10, 20, 30, 40):
+        for _ in range(4):
+            v = _walk_v(rng, n, int(rng.uniform(0.3, 0.7) * n * n / 4))
+            targets = [_demazure_w(rng, v, rng.uniform(0.2, 0.8))]
+            if n == 40:
+                targets += [v, identity(n)]
+            for w in targets:
+                cells = d_ne(v, w)
+                assert cells == _d_ne_reference(v, w)
+                assert delta(v, cells) == w and len(cells) == coxeter_length(w)
