@@ -118,9 +118,8 @@ def run_ladder(args) -> tuple[dict, int]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.file} is not valid JSON: {exc}") from exc
     ladder = lad.ladder_from_json(data)
-    v, w = lad.perm_of(ladder)
+    (v, w), fam = lad._zipped(ladder)
     bp = lad.boundary_points(ladder)
-    fam = lad.p_zip(ladder)
     reg = len(lad.elbows(ladder, fam))
     cells = lad.cell_count(ladder)
     wt = cells - len(lad.blanks(ladder, fam))  # every family covers the same cells

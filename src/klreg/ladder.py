@@ -627,22 +627,23 @@ def diagram_of_paths(ladder: Ladder, family: PathFamily) -> PlusDiagram:
     return PlusDiagram(region_of(ladder), frozenset(blanks(ladder, family)))
 
 
-def _replay_start(ladder: Ladder) -> tuple[ZipData, PathFamily]:
-    """The zip data of perm_of(ladder) and the bottom family, checked to
+def _replay_start(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipData, PathFamily]:
+    """perm_of(ladder), its zip data and the bottom family, checked to
     match: the start of every droop replay."""
-    data = _zip_data(*perm_of(ladder))
+    pair = perm_of(ladder)
+    data = _zip_data(*pair)
     if data.region != region_of(ladder):
         raise StructureError("compressed diagram of v does not match the ladder region")
     family = p_bot(ladder)
     if frozenset(blanks(ladder, family)) != data.top.pluses:
         raise StructureError("bottom family does not match the top diagram")
-    return data, family
+    return pair, data, family
 
 
 def paths_of_diagram(ladder: Ladder, diagram: PlusDiagram, budget: int = 1_000_000) -> PathFamily:
     """Inverse of diagram_of_paths: replay the excited moves leading from
     the top diagram to `diagram` as droops starting from the bottom family."""
-    data, family = _replay_start(ladder)
+    _, data, family = _replay_start(ladder)
     top = data.top.pluses
     target = frozenset(diagram.pluses)
     if target == top:
@@ -678,14 +679,19 @@ def paths_of_diagram(ladder: Ladder, diagram: PlusDiagram, budget: int = 1_000_0
     return family
 
 
-def p_zip(ladder: Ladder) -> PathFamily:
-    """The family whose blanks form the canonical slid diagram."""
-    data, family = _replay_start(ladder)
+def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], PathFamily]:
+    """perm_of(ladder) and p_zip(ladder), from one run of perm_of."""
+    pair, data, family = _replay_start(ladder)
     for b in data.move_log:
         family = droop(family, b)
     if frozenset(blanks(ladder, family)) != data.zipped.pluses:
         raise StructureError("droop replay did not land on the slid diagram")
-    return family
+    return pair, family
+
+
+def p_zip(ladder: Ladder) -> PathFamily:
+    """The family whose blanks form the canonical slid diagram."""
+    return _zipped(ladder)[1]
 
 
 def regularity_ladder(ladder: Ladder) -> int:

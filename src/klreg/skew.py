@@ -10,6 +10,7 @@ anti-diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import MoveNotApplicableError, PatternError, StructureError
 from .perm import Cell, Permutation, is_321_avoiding, rothe_diagram
@@ -122,10 +123,18 @@ def region_partitions(region: SkewRegion) -> tuple[tuple[int, ...], tuple[int, .
     return lam, mu
 
 
+@lru_cache(maxsize=4096)
+def _top_data(v: Permutation, w: Permutation) -> tuple[SkewRegion, CellMaps, PlusDiagram]:
+    """compress(v) and the top diagram, computed once per pair for the zip
+    route and the closure oracle alike."""
+    pipe_set = d_ne(v, w)  # validates the pair before compress does
+    region, maps = compress(v)
+    return region, maps, PlusDiagram(region, maps.image(pipe_set))
+
+
 def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
     """Compressed image of the northeast-most reduced pipe set."""
-    region, maps = compress(v)
-    return PlusDiagram(region, maps.image(d_ne(v, w)))
+    return _top_data(v, w)[2]
 
 
 def can_move(region: SkewRegion, pluses, b: Cell) -> bool:

@@ -6,8 +6,11 @@ with an independent degree recurrence.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import IncomparableError, StructureError
 from .perm import (
@@ -18,7 +21,7 @@ from .perm import (
     left_mult_s,
 )
 from .pipes import box_labels, d_ne
-from .skew import CellMaps, PlusDiagram, SkewRegion, apply_k_excited, can_move, compress
+from .skew import CellMaps, PlusDiagram, SkewRegion, _top_data, apply_k_excited, can_move, compress
 
 
 def components(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
@@ -55,64 +58,94 @@ def psi_east(component: tuple[Cell, ...], b: Cell) -> Cell:
     return (b[0], max(j for i, j in component if i == b[0]))
 
 
-def _maximal_chains(component: tuple[Cell, ...]) -> list[tuple[Cell, ...]]:
-    """All chains of maximal length, strictly increasing in row and column."""
-    cells = sorted(component)
-    best = {}  # longest chain starting at each cell
-
-    for c in reversed(cells):
-        best[c] = 1 + max(
-            (best[d] for d in cells if d[0] > c[0] and d[1] > c[1]), default=0
-        )
-    top = max(best.values())
-    chains: list[tuple[Cell, ...]] = []
-
-    def grow(chain: list[Cell], need: int):
-        if need == 0:
-            chains.append(tuple(chain))
-            return
-        last = chain[-1] if chain else (0, 0)
-        for c in cells:
-            if c[0] > last[0] and c[1] > last[1] and best[c] >= need:
-                chain.append(c)
-                grow(chain, need - 1)
-                chain.pop()
-
-    grow([], top)
-    return chains
+def _chain_lengths(cells, ends) -> dict[Cell, int]:
+    """For each cell, the length of the longest chain from it to a cell of
+    `ends` (0 if none).  One sweep of the rows from the south; below[x] is
+    the longest chain from a swept row at column lo + x or east of it."""
+    lo = min(j for _, j in cells)
+    below = [0] * (max(j for _, j in cells) - lo + 2)
+    length = {}
+    for _, row in groupby(sorted(cells, reverse=True), key=itemgetter(0)):
+        row = list(row)  # east to west
+        for c in row:
+            longest = below[c[1] - lo + 1]
+            length[c] = longest + 1 if longest else int(c in ends)
+        for c in row:
+            below[c[1] - lo] = max(below[c[1] - lo], length[c])
+        for x in range(row[0][1] - lo - 1, -1, -1):
+            below[x] = max(below[x], below[x + 1])
+    return length
 
 
-def _chain_key(chain: tuple[Cell, ...]):
-    """Westmost then southmost: minimal column tuple, ties broken by
-    maximal row tuple."""
-    cols = tuple(j for _, j in chain)
-    rows = tuple(-i for i, _ in chain)
-    return (cols, rows)
+def _first_chain(cells, ends) -> tuple[Cell, ...]:
+    """max_diag's walk over the maximal chains that end in `ends`."""
+    length = _chain_lengths(cells, ends)
+    by_length: dict[int, list[Cell]] = {}
+    col_rows: dict[int, list[int]] = {}
+    for c in sorted(cells, key=lambda c: (c[1], c[0])):
+        by_length.setdefault(length[c], []).append(c)
+        col_rows.setdefault(c[1], []).append(c[0])
+    cols = []
+    last = (0, 0)
+    for need in range(max(length.values()), 0, -1):
+        last = next(c for c in by_length[need] if c[0] > last[0] and c[1] > last[1])
+        cols.append(last[1])
+    rows = [max(i for i in col_rows[cols[-1]] if (i, cols[-1]) in ends)]
+    for j in reversed(cols[:-1]):
+        rows.append(col_rows[j][bisect_left(col_rows[j], rows[-1]) - 1])
+    return tuple(zip(reversed(rows), cols))
 
 
 def max_diag(component: tuple[Cell, ...]) -> tuple[Cell, ...]:
-    """The westmost-then-southmost diagonal of maximal length."""
-    return min(_maximal_chains(component), key=_chain_key)
+    """The westmost-then-southmost diagonal of maximal length: of the
+    longest chains strictly increasing in row and column, the one with the
+    smallest column tuple and then the largest row tuple.
+
+    Found without listing chains (a k x 2k block has C(2k, k)).  A sweep
+    of the rows from the south, with a running maximum per column, gives
+    the longest chain from each cell.  Each step then takes the smallest
+    column that still starts a chain of the needed length, and in it the
+    smallest such row, whose continuations include those of every row
+    south of it.  With the columns fixed, each box moves south, last to
+    first, to the largest row of its column north of the next box: the
+    pointwise, so lexicographic, maximum of the row tuple.  O(c log c + r*s)
+    for c cells in r rows spanning s columns.
+
+    >>> max_diag(((1, 1), (2, 1), (3, 2)))
+    ((2, 1), (3, 2))
+    """
+    return _first_chain(component, frozenset(component))
+
+
+def _minimizing_diag(comps) -> tuple[tuple[Cell, ...], ...]:
+    chains = []
+    taken_levels: set[int] = set()
+    for comp in reversed(comps):
+        mirrored = frozenset((-i, -j) for i, j in comp)
+        ending = _chain_lengths(mirrored, mirrored)  # longest chain ending at each cell
+        top = max(ending.values())
+        score = {}  # badness of each row in which a maximal chain ends
+        for (i, j), n in ending.items():
+            if n == top and -i not in score:
+                last = psi_east(comp, (-i, -j))
+                score[-i] = sum(1 for lev in taken_levels if lev <= last[0] + last[1] + 1)
+        least = min(score.values())
+        chains.append(_first_chain(comp, frozenset(c for c in comp if score.get(c[0]) == least)))
+        taken_levels.update(i + j for i, j in chains[-1])
+    return tuple(reversed(chains))
 
 
 def minimizing_diag(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
     """Per-component diagonals, chosen from the last component backwards so
     that each minimizes the overlap of the anti-diagonal levels below its
-    eastmost endpoint with the levels already taken by later components."""
-    comps = components(diagram)
-    chains: dict[int, tuple[Cell, ...]] = {}
-    taken_levels: set[int] = set()
-    for q in range(len(comps) - 1, -1, -1):
-        comp = comps[q]
-
-        def badness(chain):
-            last = psi_east(comp, chain[-1])
-            reach = last[0] + last[1] + 1
-            return sum(1 for lev in taken_levels if lev <= reach)
-
-        chains[q] = min(_maximal_chains(comp), key=lambda ch: (badness(ch), _chain_key(ch)))
-        taken_levels.update(i + j for i, j in chains[q])
-    return tuple(chains[q] for q in range(len(comps)))
+    eastmost endpoint with the levels already taken by later components;
+    ties go to the westmost-then-southmost chain.  The overlap depends only
+    on the row of the chain's last box (through psi_east), so a
+    longest-chain sweep from the southeast finds the rows where a maximal
+    chain ends, each is scored once, and the max_diag walk runs on the
+    chains ending in a least-scored row: O(c log c + r*s) per component.
+    """
+    return _minimizing_diag(components(diagram))
 
 
 @dataclass
@@ -149,14 +182,11 @@ def _room_of(region: SkewRegion, zipped: frozenset, b: Cell) -> int:
 
 @lru_cache(maxsize=4096)
 def _zip_data(v: Permutation, w: Permutation) -> ZipData:
-    pipe_set = d_ne(v, w)  # validates the pair before compress does
-    region, maps = compress(v)
-    top_cells = maps.image(pipe_set)
-    top = PlusDiagram(region, top_cells)
-    chains = minimizing_diag(top) if top_cells else ()
+    region, maps, top = _top_data(v, w)
     comps = components(top)
+    chains = _minimizing_diag(comps)
 
-    pluses = set(top_cells)
+    pluses = set(top.pluses)
     log: list[Cell] = []
     for comp, chain in zip(comps, chains):
         chainset = set(chain)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from klreg import oracle
@@ -8,8 +10,12 @@ from klreg.perm import (
     bruhat_leq,
     coxeter_length,
     identity,
+    is_321_avoiding,
+    right_mult_s,
+    rothe_diagram,
 )
-from klreg.skew import PlusDiagram, d_top
+from klreg.pipes import reading_word
+from klreg.skew import PlusDiagram, SkewRegion, d_top
 from klreg.zipdiag import (
     a_invariant,
     components,
@@ -75,6 +81,118 @@ def test_diagonals_on_two_component_pair():
     assert chains[0] == MIN_DIAG_16_C1
     assert chains[1] == DIAG_16_C2
     assert max_diag(((5, 5),)) == ((5, 5),)
+
+
+def _maximal_chains(component):
+    """All chains of maximal length, strictly increasing in row and column."""
+    cells = sorted(component)
+    best = {}  # longest chain starting at each cell
+
+    for c in reversed(cells):
+        best[c] = 1 + max(
+            (best[d] for d in cells if d[0] > c[0] and d[1] > c[1]), default=0
+        )
+    top = max(best.values())
+    chains = []
+
+    def grow(chain, need):
+        if need == 0:
+            chains.append(tuple(chain))
+            return
+        last = chain[-1] if chain else (0, 0)
+        for c in cells:
+            if c[0] > last[0] and c[1] > last[1] and best[c] >= need:
+                chain.append(c)
+                grow(chain, need - 1)
+                chain.pop()
+
+    grow([], top)
+    return chains
+
+
+def _chain_key(chain):
+    """Westmost then southmost: minimal column tuple, ties broken by
+    maximal row tuple."""
+    cols = tuple(j for _, j in chain)
+    rows = tuple(-i for i, _ in chain)
+    return (cols, rows)
+
+
+def _max_diag_reference(component):
+    """max_diag by listing every maximal chain."""
+    return min(_maximal_chains(component), key=_chain_key)
+
+
+def _minimizing_diag_reference(diagram):
+    """minimizing_diag by listing every maximal chain of every component."""
+    comps = components(diagram)
+    chains = {}
+    taken_levels = set()
+    for q in range(len(comps) - 1, -1, -1):
+        comp = comps[q]
+
+        def badness(chain):
+            last = psi_east(comp, chain[-1])
+            reach = last[0] + last[1] + 1
+            return sum(1 for lev in taken_levels if lev <= reach)
+
+        chains[q] = min(_maximal_chains(comp), key=lambda ch: (badness(ch), _chain_key(ch)))
+        taken_levels.update(i + j for i, j in chains[q])
+    return tuple(chains[q] for q in range(len(comps)))
+
+
+def _random_pair(rng, n):
+    """v by n^2/8 adjacent swaps that lengthen it and keep it 321-avoiding;
+    w by Demazure steps over v's reading word, each letter taken with
+    probability 1/2 when it lengthens w and keeps it 321-avoiding, so that
+    w <= v."""
+    word = list(range(1, n + 1))
+    for _ in range(n * n // 8):
+        for i in rng.sample(range(n - 1), n - 1):
+            moved = word[:i] + [word[i + 1], word[i]] + word[i + 2 :]
+            if word[i] < word[i + 1] and is_321_avoiding(Permutation(tuple(moved))):
+                word = moved
+                break
+    v = Permutation(tuple(word))
+    w = identity(n)
+    for a in reading_word(v, rothe_diagram(v)):
+        if w.word[a - 1] < w.word[a] and rng.random() < 0.5 and is_321_avoiding(right_mult_s(w, a)):
+            w = right_mult_s(w, a)
+    return v, w
+
+
+def test_diagonals_match_enumeration_on_random_cell_sets():
+    rng = random.Random(6)
+    for _ in range(1500):
+        side = rng.randint(1, 7)
+        grid = [(i, j) for i in range(1, side + 1) for j in range(1, side + 1)]
+        cells = tuple(sorted(rng.sample(grid, rng.randint(1, len(grid)))))
+        assert max_diag(cells) == _max_diag_reference(cells)
+        diagram = PlusDiagram(SkewRegion(((1, side),) * side), frozenset(cells))
+        assert minimizing_diag(diagram) == _minimizing_diag_reference(diagram)
+
+
+def test_minimizing_diag_matches_enumeration_on_random_pairs():
+    rng = random.Random(11)
+    tie_breaks = 0  # multi-component tops where the overlap moves a chain
+    for n in range(10, 31, 5):
+        for _ in range(20):
+            top = d_top(*_random_pair(rng, n))
+            comps = components(top)
+            chains = minimizing_diag(top)
+            assert chains == _minimizing_diag_reference(top)
+            assert [max_diag(c) for c in comps] == [_max_diag_reference(c) for c in comps]
+            tie_breaks += len(comps) > 1 and chains != tuple(max_diag(c) for c in comps)
+    assert tie_breaks >= 10
+
+
+def test_rectangular_grassmannian_at_k20():
+    # One 20 x 40 component with C(60, 20), about 4.2e15, maximal chains.
+    k, m = 20, 40
+    v = Permutation(tuple(range(m + 1, m + k + 1)) + tuple(range(1, m + 1)))
+    res = zip_result(v, v)
+    assert (res.degree, res.regularity, res.a_invariant) == (k * m, 0, 0)
+    assert [len(chain) for chain in res.chains] == [k]
 
 
 def test_minimizing_equals_max_for_single_component():
