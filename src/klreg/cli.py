@@ -119,7 +119,6 @@ def run_ladder(args) -> tuple[dict, int]:
         raise ParseError(f"{args.file} is not valid JSON: {exc}") from exc
     ladder = lad.ladder_from_json(data)
     (v, w), fam = lad._zipped(ladder)
-    bp = lad.boundary_points(ladder)
     reg = len(lad.elbows(ladder, fam))
     cells = lad.cell_count(ladder)
     wt = cells - len(lad.blanks(ladder, fam))  # every family covers the same cells
@@ -136,15 +135,15 @@ def run_ladder(args) -> tuple[dict, int]:
         "v": list(v.word),
         "w": list(w.word),
         "boundary": {
-            "H": [list(p) for p in bp.h],
-            "V": [list(p) for p in bp.v],
+            "H": [list(h) for h, _ in fam.endpoints],
+            "V": [list(vpt) for _, vpt in fam.endpoints],
         },
         "minimal": lad.validate_minimal(ladder).passed,
     }
     code = EXIT_OK
     if args.oracle:
-        zip_reg = zipdiag.regularity(v, w)
-        zip_a = zipdiag.a_invariant(v, w)
+        res = zipdiag.zip_result(v, w)
+        zip_reg, zip_a = res.regularity, res.a_invariant
         agree = (zip_reg, zip_a) == (reg, reg - wt)
         report["oracle"] = {
             "pair_regularity": zip_reg,

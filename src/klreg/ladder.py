@@ -218,39 +218,59 @@ class MinimalityReport:
     col_offset_violations: tuple
 
 
-def _max_matching(rows, cols, present) -> int:
-    match_col: dict = {}
+def _has_matching(spans, skip_row: int, skip_col: int, need: int) -> bool:
+    """Can `need` rows of `spans`, leaving out row index skip_row and column
+    skip_col, be matched to distinct columns of their own intervals?
 
-    def augment(r, seen):
-        for c in cols:
-            if (r, c) in present and c not in seen:
-                seen.add(c)
-                if c not in match_col or augment(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-        return False
-
-    return sum(1 for r in rows if augment(r, set()))
+    spans[k] = (start, end) is row k's column interval (empty if start > end),
+    and both ends weakly increase with k.  Taking the rows in order and
+    giving each its smallest free column is then a maximum matching, and
+    that column is max(start, last + 1) stepped over skip_col.
+    """
+    if need <= 0:
+        return True
+    last = 0
+    for k, (start, end) in enumerate(spans):
+        if k == skip_row:
+            continue
+        col = max(start, last + 1)
+        if col == skip_col:
+            col += 1
+        if col <= end:
+            need -= 1
+            if not need:
+                return True
+            last = col
+    return False
 
 
 def validate_minimal(ladder: Ladder) -> MinimalityReport:
     """Check that every cell appears in some generator monomial and that the
-    marked-point offsets p(1)-r and p(2)-r strictly increase."""
+    marked-point offsets p(1)-r and p(2)-r strictly increase.
+
+    A cell of the block of mark (p, r) (rows 1..p(1), columns p(2)+1 to the
+    east edge) is in a monomial of an r-minor of the block when the block
+    less the cell's row and column holds r-1 cells in distinct rows and
+    columns.  Each ladder row is a column interval whose two ends weakly
+    increase down the rows; cutting to the block and dropping one row and
+    one column keep that, so one greedy pass down the rows finds a maximum
+    matching (`_has_matching`).  That is O(rows) per cell, O(|block| * rows)
+    per mark.
+
+    >>> rep = validate_minimal(Ladder((2, 2), (0, 0), (((1, 0), 1),)))
+    >>> rep.passed, rep.uncovered
+    (False, ((2, 1), (2, 2)))
+    """
     region = region_of(ladder)
-    cells = set(region.cells())
-    end_col = se_corner(ladder)[1]
     covered = set()
     for (p, r) in ladder.marked:
-        rows = [i for i in range(1, p[0] + 1)]
-        cols = [j for j in range(p[1] + 1, end_col + 1)]
-        block = {(i, j) for i in rows for j in cols} & cells
-        for cell in sorted(block - covered):
-            rest = {c for c in block if c[0] != cell[0] and c[1] != cell[1]}
-            sub_rows = sorted({i for i, _ in rest})
-            sub_cols = sorted({j for _, j in rest})
-            if _max_matching(sub_rows, sub_cols, rest) >= r - 1:
-                covered.add(cell)
-    uncovered = tuple(sorted(cells - covered))
+        spans = [(max(a, p[1] + 1), b) for a, b in region.rows[: p[0]]]
+        for k, (start, end) in enumerate(spans):
+            for j in range(start, end + 1):
+                cell = (k + 1, j)
+                if cell not in covered and _has_matching(spans, k, j, r - 1):
+                    covered.add(cell)
+    uncovered = tuple(c for c in region.cells() if c not in covered)
 
     row_bad = []
     col_bad = []
@@ -603,7 +623,11 @@ def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
 def droop(family: PathFamily, b: Cell) -> PathFamily:
     """Reroute the path corner southwest of the blank cell b through b,
     matching one excited move of the blank from b to b+(1,-1)."""
-    tiles = family.tile_map()
+    return _replay(family, (b,))
+
+
+def _droop_tiles(tiles: dict, b: Cell) -> None:
+    """droop on a tile map, in place."""
     s = (b[0] + 1, b[1])
     sw = (b[0] + 1, b[1] - 1)
     west = (b[0], b[1] - 1)
@@ -619,6 +643,13 @@ def droop(family: PathFamily, b: Cell) -> PathFamily:
     tiles[b] = Tile.ELBOW_SW
     tiles[s] = Tile.ELBOW_NE if ts == Tile.HORIZ else Tile.VERT
     tiles[west] = Tile.ELBOW_NE if tw == Tile.VERT else Tile.HORIZ
+
+
+def _replay(family: PathFamily, moves) -> PathFamily:
+    """Apply the droops at `moves`, in order, to one tile map."""
+    tiles = family.tile_map()
+    for b in moves:
+        _droop_tiles(tiles, b)
     return PathFamily.make(tiles, family.endpoints)
 
 
@@ -674,16 +705,13 @@ def paths_of_diagram(ladder: Ladder, diagram: PlusDiagram, budget: int = 1_000_0
     while parents[state] is not None:
         state, b = parents[state]
         moves.append(b)
-    for b in reversed(moves):
-        family = droop(family, b)
-    return family
+    return _replay(family, reversed(moves))
 
 
 def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], PathFamily]:
     """perm_of(ladder) and p_zip(ladder), from one run of perm_of."""
     pair, data, family = _replay_start(ladder)
-    for b in data.move_log:
-        family = droop(family, b)
+    family = _replay(family, data.move_log)
     if frozenset(blanks(ladder, family)) != data.zipped.pluses:
         raise StructureError("droop replay did not land on the slid diagram")
     return pair, family
@@ -700,7 +728,11 @@ def regularity_ladder(ladder: Ladder) -> int:
 
 
 def a_invariant_ladder(ladder: Ladder) -> int:
-    return regularity_ladder(ladder) - weight(ladder)
+    """Unforced elbows minus weight, both read off the zipped family."""
+    family = _zipped(ladder)[1]
+    # droops move blanks, so every family has the bottom family's weight
+    wt = cell_count(ladder) - len(blanks(ladder, family))
+    return len(elbows(ladder, family)) - wt
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from klreg import oracle, zipdiag
 from klreg.errors import ResourceError, ValidationError
 from klreg.ladder import (
     Ladder,
+    MinimalityReport,
     Tile,
+    _sw_border_points,
     a_invariant_ladder,
     blanks,
     boundary_points,
@@ -102,6 +106,101 @@ def test_validate_minimal():
     dup = Ladder((3, 3, 3), (0, 0, 0), (((2, 0), 2), ((3, 1), 3)))
     rep = validate_minimal(dup)
     assert not rep.passed and rep.row_offset_violations and rep.col_offset_violations
+
+
+def _max_matching(rows, cols, present) -> int:
+    match_col: dict = {}
+
+    def augment(r, seen):
+        for c in cols:
+            if (r, c) in present and c not in seen:
+                seen.add(c)
+                if c not in match_col or augment(match_col[c], seen):
+                    match_col[c] = r
+                    return True
+        return False
+
+    return sum(1 for r in rows if augment(r, set()))
+
+
+def _validate_minimal_reference(ladder):
+    """validate_minimal with a full augmenting-path matching on every cell's
+    block less the cell's row and column."""
+    region = region_of(ladder)
+    cells = set(region.cells())
+    end_col = se_corner(ladder)[1]
+    covered = set()
+    for (p, r) in ladder.marked:
+        rows = [i for i in range(1, p[0] + 1)]
+        cols = [j for j in range(p[1] + 1, end_col + 1)]
+        block = {(i, j) for i in rows for j in cols} & cells
+        for cell in sorted(block - covered):
+            rest = {c for c in block if c[0] != cell[0] and c[1] != cell[1]}
+            sub_rows = sorted({i for i, _ in rest})
+            sub_cols = sorted({j for _, j in rest})
+            if _max_matching(sub_rows, sub_cols, rest) >= r - 1:
+                covered.add(cell)
+    uncovered = tuple(sorted(cells - covered))
+
+    row_bad = []
+    col_bad = []
+    for m1, m2 in zip(ladder.marked, ladder.marked[1:]):
+        (p1, r1), (p2, r2) = m1, m2
+        if p1[0] - r1 >= p2[0] - r2:
+            row_bad.append((m1, m2))
+        if p1[1] - r1 >= p2[1] - r2:
+            col_bad.append((m1, m2))
+    passed = not uncovered and not row_bad and not col_bad
+    return MinimalityReport(passed, uncovered, tuple(row_bad), tuple(col_bad))
+
+
+def _random_marked_board(rng):
+    """A board of up to 7 rows and 8 columns with 1-4 marks whose r may
+    exceed what the block can hold, so many boards are not minimal."""
+    lam = [rng.randint(1, 8)]
+    for _ in range(rng.randint(0, 6)):
+        lam.append(rng.randint(1, lam[-1]))
+    mu = [0] * len(lam)
+    for i in range(len(lam) - 2, -1, -1):
+        mu[i] = rng.randint(mu[i + 1], min(lam[i + 1], lam[i] - 1))
+    cands = sorted(p for p in _sw_border_points(lam, mu) if p[0] >= 1)
+    marks = [(p, rng.randint(1, min(p[0], 5))) for p in rng.sample(cands, min(len(cands), rng.randint(1, 4)))]
+    return Ladder(tuple(lam), tuple(mu), tuple(marks))
+
+
+def _square_board(a, r):
+    return Ladder((a,) * a, (0,) * a, (((a, 0), r),))
+
+
+def test_validate_minimal_matches_reference_on_random_boards():
+    rng = random.Random(20261018)
+    partly = fully = failed = 0
+    for _ in range(3000):
+        board = _random_marked_board(rng)
+        rep = validate_minimal(board)
+        assert rep == _validate_minimal_reference(board)
+        failed += not rep.passed
+        region = region_of(board)
+        for p, r in board.marked:
+            single = Ladder(board.lam, board.mu, ((p, r),))
+            single_rep = validate_minimal(single)
+            assert single_rep == _validate_minimal_reference(single)
+            block = {c for c in region.cells() if c[0] <= p[0] and c[1] > p[1]}
+            left = block & set(single_rep.uncovered)
+            partly += 0 < len(left) < len(block)
+            fully += bool(block) and not left
+    assert partly and fully and failed
+
+
+def test_validate_minimal_matches_reference_on_square_boards():
+    for a in range(8, 25):
+        for r in range(1, a // 4 + 1):
+            board = _square_board(a, r)
+            assert validate_minimal(board) == _validate_minimal_reference(board)
+
+
+def test_square_board_at_a40():
+    assert validate_minimal(_square_board(40, 10)).passed
 
 
 def test_big_ladder_known_offset_violations():
