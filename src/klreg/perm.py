@@ -211,8 +211,13 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """
     if u.n != w.n:
         raise ValidationError("size mismatch in Bruhat comparison")
-    gap = [0] * (u.n + 1)
-    for x, y in zip(u.word, w.word):
+    return word_bruhat_leq(u.word, w.word)
+
+
+def word_bruhat_leq(u: Sequence[int], w: Sequence[int]) -> bool:
+    """bruhat_leq on one-line words of one length, without the size check."""
+    gap = [0] * (len(u) + 1)
+    for x, y in zip(u, w):
         if x < y:
             for j in range(x, y):
                 gap[j] += 1

@@ -12,16 +12,16 @@ from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
-from .errors import IncomparableError, StructureError
+from .errors import IncomparableError, PatternError, StructureError
 from .perm import (
     Cell,
     Permutation,
     bruhat_leq,
     coxeter_length,
-    left_mult_s,
+    is_321_avoiding,
+    word_bruhat_leq,
 )
-from .pipes import box_labels, d_ne
-from .skew import CellMaps, PlusDiagram, SkewRegion, _top_data, apply_k_excited, can_move, compress
+from .skew import CellMaps, PlusDiagram, SkewRegion, _top_data, apply_k_excited, can_move
 
 
 def components(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
@@ -263,6 +263,11 @@ def a_invariant(v: Permutation, w: Permutation) -> int:
     return groth_degree(v, w) - coxeter_length(v)
 
 
+def _swap(word: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
+    """The word with positions p < q (0-indexed) exchanged."""
+    return word[:p] + (word[q],) + word[p + 1 : q] + (word[p],) + word[q + 1 :]
+
+
 def groth_degree_recursive(v: Permutation, w: Permutation) -> int:
     """The degree again, via the peel-off recurrence on the northeast box.
 
@@ -271,43 +276,56 @@ def groth_degree_recursive(v: Permutation, w: Permutation) -> int:
     unchanged after deleting z' from v, and otherwise it is 1 plus the
     larger of the two one-box-smaller branches.  Branches whose pair is not
     Bruhat-comparable contribute minus infinity.
+
+    Compression keeps the (row, -column) order, so z' is the first cell of
+    v's reading order: row i, the first with v(i) != i, whose label is
+    a = i + c_i - 1 = v(i) - 1.  z = z' exactly when a is a left descent of
+    w.  Indeed v = s_a*Dem(rest) is reduced, so s_a*v < v, and by the lifting
+    property (Bjorner-Brenti, Prop. 2.2.7) s_a*w < w gives s_a*w <= s_a*v,
+    so d_ne takes its first letter, while s_a*w > w gives w <= s_a*v.  The
+    branch each case names is thus never minus infinity (a StructureError
+    if it is).  Left descents keep words 321-avoiding, so only the root is
+    validated.  A node costs O(n) on one-line words plus one Bruhat pass,
+    and the memo is evaluated on an explicit stack, not by recursion.
     """
-    if v.n != w.n:  # bruhat_leq would raise a different class
+    if v.n != w.n:
         raise IncomparableError("size mismatch")
-    memo: dict = {}
-
-    def rec(v: Permutation, w: Permutation):
-        key = (v.word, w.word)
-        if key in memo:
-            return memo[key]
-        if not bruhat_leq(w, v):
-            res = None
-        elif coxeter_length(w) == 0:
-            res = 0
-        else:
-            region, maps = compress(v)
-            top = maps.image(d_ne(v, w))
-            z = min(top, key=lambda c: (c[0], -c[1]))
-            zp = (1, region.rows[0][1])
-            labels = box_labels(v)
-            ip = labels[maps.backward[zp]]
-            v_next = left_mult_s(v, ip)
-            if z != zp:
-                res = rec(v_next, w)
-            else:
-                w_peeled = left_mult_s(w, ip)
-                if coxeter_length(w_peeled) != coxeter_length(w) - 1:
-                    raise StructureError("peeled letter did not shorten w")
-                branches = [rec(v_next, w_peeled), rec(v_next, w)]
-                best = max((x for x in branches if x is not None), default=None)
-                res = None if best is None else 1 + best
-        memo[key] = res
-        return res
-
-    out = rec(v, w)
-    if out is None:
+    for u in (v, w):
+        if not is_321_avoiding(u):
+            raise PatternError(f"{u.word} is not 321-avoiding")
+    if not bruhat_leq(w, v):
         raise IncomparableError(f"{w.word} is not below {v.word} in Bruhat order")
-    return out
+    pending = object()  # the memo value of a node whose branches are not done
+    memo: dict = {}  # (v, w) -> degree, None for minus infinity, or pending
+    stack = [(v.word, w.word, coxeter_length(w), None)]
+    while stack:
+        vw, ww, lw, branches = stack.pop()
+        key = (vw, ww)
+        if branches is not None:  # second visit: the branches are done
+            values = [memo[b[:2]] for b in branches]
+            if values[0] is None:
+                raise StructureError("a branch the lifting property keeps comparable is not")
+            best = max(x for x in values if x is not None)
+            memo[key] = best + 1 if len(values) == 2 else best
+        elif memo.get(key) is pending:
+            raise StructureError("the recurrence came back to an open node")
+        elif key in memo:
+            pass  # reached again by another path
+        elif not word_bruhat_leq(ww, vw):
+            memo[key] = None
+        elif lw == 0:
+            memo[key] = 0
+        else:
+            i = next(i for i, x in enumerate(vw) if x != i + 1)
+            a = vw[i] - 1  # the first reading letter
+            v_next = _swap(vw, i, vw.index(a, i))
+            p, q = ww.index(a + 1), ww.index(a)
+            branches = [(v_next, _swap(ww, p, q), lw - 1)] if p < q else []  # a+1 before a
+            branches.append((v_next, ww, lw))
+            memo[key] = pending
+            stack.append((vw, ww, lw, branches))
+            stack.extend((*b, None) for b in branches)
+    return memo[v.word, w.word]
 
 
 @dataclass

@@ -71,6 +71,11 @@ def test_validation_error_exit(capsys):
     assert code == 3 and "invalid input" in err
 
 
+def test_pattern_error_exit_with_recurrence(capsys):
+    code, _, err = run(capsys, ["pair", "--v", "3 2 1", "--w", "1 2 3", "--recurrence"])
+    assert code == 3 and "invalid input" in err
+
+
 def test_resource_exit(capsys, monkeypatch):
     monkeypatch.setenv("KLREG_BUDGET", "2")
     code, _, err = run(capsys, ["pair", "--v", "4 6 1 2 8 9 3 5 10 7", "--w", "4 1 2 3 6 8 5 9 7 10", "--oracle"])

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from klreg import oracle
-from klreg.errors import IncomparableError, StructureError
+from klreg.errors import IncomparableError, PatternError, StructureError
 from klreg.perm import (
     Permutation,
     all_321_avoiding,
@@ -11,11 +11,12 @@ from klreg.perm import (
     coxeter_length,
     identity,
     is_321_avoiding,
+    left_mult_s,
     right_mult_s,
     rothe_diagram,
 )
-from klreg.pipes import reading_word
-from klreg.skew import PlusDiagram, SkewRegion, d_top
+from klreg.pipes import box_labels, d_ne, reading_word
+from klreg.skew import PlusDiagram, SkewRegion, compress, d_top
 from klreg.zipdiag import (
     a_invariant,
     components,
@@ -253,6 +254,96 @@ def test_recursive_degree_examples():
     assert groth_degree_recursive(V16, W16) == 29
     assert groth_degree_recursive(V11, identity(11)) == 0
     assert groth_degree_recursive(V11, W11) == 16
+
+
+# The peel-off recurrence with a whole d_ne per node: the reference for
+# groth_degree_recursive's left-descent test.
+def _groth_degree_recursive_reference(v: Permutation, w: Permutation) -> int:
+    """The degree again, via the peel-off recurrence on the northeast box.
+
+    z is the northmost-then-eastmost plus of the top diagram and z' the
+    northmost-then-eastmost region box; if they differ the degree is
+    unchanged after deleting z' from v, and otherwise it is 1 plus the
+    larger of the two one-box-smaller branches.  Branches whose pair is not
+    Bruhat-comparable contribute minus infinity.
+    """
+    if v.n != w.n:  # bruhat_leq would raise a different class
+        raise IncomparableError("size mismatch")
+    memo: dict = {}
+
+    def rec(v: Permutation, w: Permutation):
+        key = (v.word, w.word)
+        if key in memo:
+            return memo[key]
+        if not bruhat_leq(w, v):
+            res = None
+        elif coxeter_length(w) == 0:
+            res = 0
+        else:
+            region, maps = compress(v)
+            top = maps.image(d_ne(v, w))
+            z = min(top, key=lambda c: (c[0], -c[1]))
+            zp = (1, region.rows[0][1])
+            labels = box_labels(v)
+            ip = labels[maps.backward[zp]]
+            v_next = left_mult_s(v, ip)
+            if z != zp:
+                res = rec(v_next, w)
+            else:
+                w_peeled = left_mult_s(w, ip)
+                if coxeter_length(w_peeled) != coxeter_length(w) - 1:
+                    raise StructureError("peeled letter did not shorten w")
+                branches = [rec(v_next, w_peeled), rec(v_next, w)]
+                best = max((x for x in branches if x is not None), default=None)
+                res = None if best is None else 1 + best
+        memo[key] = res
+        return res
+
+    out = rec(v, w)
+    if out is None:
+        raise IncomparableError(f"{w.word} is not below {v.word} in Bruhat order")
+    return out
+
+
+def test_recursive_degree_matches_reference_on_small_groups():
+    pairs = 0
+    for n in range(1, 7):
+        avoid = all_321_avoiding(n)
+        for v in avoid:
+            for w in avoid:
+                if bruhat_leq(w, v):
+                    assert groth_degree_recursive(v, w) == _groth_degree_recursive_reference(v, w)
+                    pairs += 1
+    assert pairs == 3828
+
+
+def test_recursive_degree_matches_reference_on_random_pairs():
+    rng = random.Random(8)
+    for n in range(10, 17):
+        for _ in range(6):
+            v, w = _random_pair(rng, n)
+            assert groth_degree_recursive(v, w) == _groth_degree_recursive_reference(v, w)
+
+
+def test_recursive_degree_rejects_bad_roots():
+    # checked in d_ne's order: size, then each pattern, then Bruhat order
+    with pytest.raises(IncomparableError):
+        groth_degree_recursive(Permutation((3, 2, 1)), identity(4))
+    with pytest.raises(PatternError):
+        groth_degree_recursive(Permutation((3, 2, 1)), identity(3))
+    with pytest.raises(PatternError):
+        groth_degree_recursive(identity(3), Permutation((3, 2, 1)))
+    with pytest.raises(IncomparableError):
+        groth_degree_recursive(Permutation((1, 3, 2)), Permutation((2, 1, 3)))
+    # neither 321-avoiding nor comparable: the pattern is checked first
+    with pytest.raises(PatternError):
+        groth_degree_recursive(Permutation((1, 4, 3, 2)), Permutation((2, 1, 3, 4)))
+
+
+def test_recursive_degree_on_32_by_32_rectangle():
+    # a chain of ell(v) = 1024 nodes, past the default recursion limit
+    v = Permutation(tuple(range(33, 65)) + tuple(range(1, 33)))
+    assert groth_degree_recursive(v, v) == 1024
 
 
 def test_zip_result_bundle():
