@@ -7,9 +7,9 @@ Subcommands:
 
 Permutations are JSON arrays or separator-delimited words; compact digit
 strings are accepted only below S_10.  The KLREG_BUDGET environment
-variable overrides the oracle enumeration budget.  Exit codes: 0 success,
-1 oracle disagreement, 2 parse error, 3 validation error, 4 budget
-exhausted.
+variable, a positive integer, overrides the oracle enumeration budget;
+--n and --samples are non-negative.  Exit codes: 0 success, 1 oracle
+disagreement, 2 parse error, 3 validation error, 4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -63,14 +63,17 @@ def parse_permutation(text: str) -> Permutation:
     raise ParseError(f"cannot parse permutation from {text!r}")
 
 
-def _budget(args) -> int:
+def _budget() -> int:
     env = os.environ.get("KLREG_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"KLREG_BUDGET must be an integer, got {env!r}") from exc
-    return oracle.DEFAULT_BUDGET
+    if env is None:
+        return oracle.DEFAULT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ParseError(f"KLREG_BUDGET must be a positive integer, got {env!r}")
+    return budget
 
 
 def run_pair(args) -> tuple[dict, int]:
@@ -91,7 +94,7 @@ def run_pair(args) -> tuple[dict, int]:
     if args.recurrence:
         report["recurrence_degree"] = zipdiag.groth_degree_recursive(v, w)
     if args.oracle:
-        closure_max = oracle.max_closure_size(v, w, budget=_budget(args))
+        closure_max = oracle.max_closure_size(v, w, budget=_budget())
         agree = closure_max == result.degree
         report["oracle"] = {
             "closure_max": closure_max,
@@ -166,8 +169,11 @@ def run_ladder(args) -> tuple[dict, int]:
 
 
 def run_sweep(args) -> tuple[dict, int]:
+    for name in ("n", "samples"):
+        if getattr(args, name) < 0:
+            raise ParseError(f"--{name} must be a non-negative integer, got {getattr(args, name)}")
     rng = random.Random(args.seed)
-    budget = _budget(args)
+    budget = _budget()
     disagreements = []
     checked = 0
     for _ in range(args.samples):

@@ -1,5 +1,5 @@
-"""Permutations in one-line notation with rank matrices, Rothe diagrams,
-Lehmer codes, Demazure products, Bruhat order, and pattern checks.
+"""Permutations in one-line notation with ranks, Rothe diagrams, Lehmer
+codes, Demazure products, Bruhat order, and pattern checks.
 
 Conventions: everything is 1-indexed and uses matrix coordinates, so cell
 (1, 1) is the northwest corner of the n x n grid.
@@ -80,17 +80,6 @@ def rank(u: Permutation, i: int, j: int) -> int:
     return sum(1 for k in range(i) if u.word[k] <= j)
 
 
-def rank_matrix(u: Permutation) -> list[list[int]]:
-    """Full table R with R[i][j] = rank(u, i, j); row/col 0 are zero padding."""
-    n = u.n
-    r = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        ui = u.word[i - 1]
-        for j in range(1, n + 1):
-            r[i][j] = r[i - 1][j] + r[i][j - 1] - r[i - 1][j - 1] + (1 if ui == j else 0)
-    return r
-
-
 def rothe_diagram(u: Permutation) -> tuple[Cell, ...]:
     """Cells (i, j) with u(i) > j and u^-1(j) > i, in row-major order.
 
@@ -159,14 +148,6 @@ def right_mult_s(u: Permutation, i: int) -> Permutation:
         raise OutOfRangeError(f"generator index {i} out of range for S_{u.n}")
     w = list(u.word)
     w[i - 1], w[i] = w[i], w[i - 1]
-    return Permutation(tuple(w))
-
-
-def left_mult_s(u: Permutation, i: int) -> Permutation:
-    """s_i * u: swap the values i and i+1."""
-    if not 1 <= i <= u.n - 1:
-        raise OutOfRangeError(f"generator index {i} out of range for S_{u.n}")
-    w = [x if x not in (i, i + 1) else (i + 1 if x == i else i) for x in u.word]
     return Permutation(tuple(w))
 
 

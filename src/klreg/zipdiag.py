@@ -280,13 +280,14 @@ def groth_degree_recursive(v: Permutation, w: Permutation) -> int:
     Compression keeps the (row, -column) order, so z' is the first cell of
     v's reading order: row i, the first with v(i) != i, whose label is
     a = i + c_i - 1 = v(i) - 1.  z = z' exactly when a is a left descent of
-    w.  Indeed v = s_a*Dem(rest) is reduced, so s_a*v < v, and by the lifting
-    property (Bjorner-Brenti, Prop. 2.2.7) s_a*w < w gives s_a*w <= s_a*v,
-    so d_ne takes its first letter, while s_a*w > w gives w <= s_a*v.  The
-    branch each case names is thus never minus infinity (a StructureError
-    if it is).  Left descents keep words 321-avoiding, so only the root is
-    validated.  A node costs O(n) on one-line words plus one Bruhat pass,
-    and the memo is evaluated on an explicit stack, not by recursion.
+    w, since d_ne takes a letter exactly when it is a left descent of the
+    remainder.  The lifting-property lemma in d_ne's docstring, applied to
+    this first letter (v = s_a*Dem(rest) is reduced, so s_a*v < v), also
+    keeps the branch each case names comparable, so it is never minus
+    infinity (a StructureError if it is).  Left descents keep words
+    321-avoiding, so only the root is validated.  A node costs O(n) on
+    one-line words plus one Bruhat pass, and the memo is evaluated on an
+    explicit stack, not by recursion.
     """
     if v.n != w.n:
         raise IncomparableError("size mismatch")

@@ -1,4 +1,5 @@
-"""Shared worked-instance data used across the test modules.
+"""Shared worked-instance data, and one reference primitive, used across
+the test modules.
 
 Values here are pinned from hand-checked sources: either computed by an
 independent method inside the tests, or read off published diagrams and
@@ -6,6 +7,16 @@ cross-verified against each other.
 """
 
 from klreg import Ladder, Permutation
+from klreg.errors import OutOfRangeError
+
+
+def left_mult_s(u: Permutation, i: int) -> Permutation:
+    """s_i * u: swap the values i and i+1 (the reference loops' left action)."""
+    if not 1 <= i <= u.n - 1:
+        raise OutOfRangeError(f"generator index {i} out of range for S_{u.n}")
+    w = [x if x not in (i, i + 1) else (i + 1 if x == i else i) for x in u.word]
+    return Permutation(tuple(w))
+
 
 # The S_10 pair behind the reading-word / earliest-subword / degree-8 checks.
 V10 = Permutation((4, 6, 1, 2, 8, 9, 3, 5, 10, 7))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from klreg import cli
 from klreg.ladder import ladder_to_json
 
@@ -122,3 +124,23 @@ def test_sweep_command(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["checked"] == 30 and data["disagreements"] == []
+
+
+@pytest.mark.parametrize(
+    "budget, argv, message",
+    [
+        (None, ["sweep", "--n", "-3", "--samples", "2"], "--n must be a non-negative integer"),
+        (None, ["sweep", "--n", "4", "--samples", "-1"], "--samples must be a non-negative integer"),
+        # v = w: the top diagram has no move, so the closure would never test the budget
+        ("0", ["pair", "--v", "[2,1,3]", "--w", "[2,1,3]", "--oracle"], "KLREG_BUDGET must be a positive integer"),
+        ("-5", ["sweep", "--n", "4", "--samples", "2"], "KLREG_BUDGET must be a positive integer"),
+    ],
+    ids=["negative-n", "negative-samples", "zero-budget", "negative-budget"],
+)
+def test_nonsense_counts_are_parse_errors(capsys, monkeypatch, budget, argv, message):
+    if budget is None:
+        monkeypatch.delenv("KLREG_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("KLREG_BUDGET", budget)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and message in err and out == ""

@@ -18,7 +18,6 @@ from klreg.perm import (
     is_grassmannian,
     lehmer_code,
     rank,
-    rank_matrix,
     right_mult_s,
     rothe_diagram,
 )
@@ -176,6 +175,17 @@ def test_bruhat_matches_cover_graph():
         for a, u in enumerate(perms):
             for b, w in enumerate(perms):
                 assert bruhat_leq(u, w) == (b in reach[a])
+
+
+def rank_matrix(u):
+    """Full table R with R[i][j] = rank(u, i, j); row/col 0 are zero padding."""
+    n = u.n
+    r = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        ui = u.word[i - 1]
+        for j in range(1, n + 1):
+            r[i][j] = r[i - 1][j] + r[i][j - 1] - r[i - 1][j - 1] + (1 if ui == j else 0)
+    return r
 
 
 def _rank_dominance(u, w):

@@ -12,14 +12,13 @@ from klreg.perm import (
     demazure_product,
     identity,
     is_321_avoiding,
-    left_mult_s,
     right_mult_s,
     rothe_diagram,
 )
 from klreg.pipes import box_labels, d_ne, delta, reading_order, reading_word
 from klreg import oracle
 
-from knowndata import D_NE_10, V10, W10, WORD_W10
+from knowndata import D_NE_10, V10, W10, WORD_W10, left_mult_s
 
 
 def test_box_labels():
@@ -57,7 +56,8 @@ def test_d_ne_examples():
 
 
 def test_d_ne_matches_brute_search_exhaustively():
-    for n in range(2, 7):
+    pairs = 0
+    for n in range(1, 7):
         avoid = all_321_avoiding(n)
         for v in avoid:
             for w in avoid:
@@ -67,6 +67,9 @@ def test_d_ne_matches_brute_search_exhaustively():
                 assert len(cells) == coxeter_length(w)
                 assert delta(v, cells) == w
                 assert frozenset(cells) == frozenset(oracle.brute_earliest_subword(v, w))
+                assert _d_ne_reference(v, w) == (cells, [])
+                pairs += 1
+    assert pairs == 3828
 
 
 def _contains_reduced_word(word, z):
@@ -103,7 +106,12 @@ def test_demazure_dominance_is_subword_feasibility():
 
 def _d_ne_reference(v, w):
     """d_ne's greedy scan with a full Bruhat test per letter: suffix
-    Demazure products as Permutations, and bruhat_leq(s_a * z, suffix)."""
+    Demazure products as Permutations, and bruhat_leq(s_a * z, suffix).
+
+    Returns the cells and the cells whose letter passed the descent test
+    but failed the Bruhat test.  The lifting-property lemma in d_ne's
+    docstring says there are none, which is why d_ne has no Bruhat test.
+    """
     order = reading_order(v)
     labels = box_labels(v)
     letters = [labels[c] for c in order]
@@ -113,7 +121,7 @@ def _d_ne_reference(v, w):
         s, a = suffix_delta[k + 1], letters[k]
         inv = s.inverse().word
         suffix_delta[k] = left_mult_s(s, a) if inv[a - 1] < inv[a] else s
-    chosen = []
+    chosen, rejected = [], []
     u = identity(v.n)
     z = w  # remainder: z = u^-1 w throughout
     zlen = coxeter_length(w)
@@ -127,6 +135,7 @@ def _d_ne_reference(v, w):
             continue  # s_a * z not shorter: off the geodesic
         znew = left_mult_s(z, a)
         if not bruhat_leq(znew, suffix_delta[k + 1]):
+            rejected.append(order[k])
             continue  # suffix cannot complete the remainder
         u = right_mult_s(u, a)
         z = znew
@@ -134,7 +143,7 @@ def _d_ne_reference(v, w):
         chosen.append(order[k])
     if zlen != 0:
         raise StructureError("greedy subword search failed to reach w")
-    return tuple(chosen)
+    return tuple(chosen), rejected
 
 
 def _walk_v(rng, n, steps):
@@ -167,7 +176,7 @@ def _demazure_w(rng, v, prob):
 
 def test_d_ne_matches_reference_at_large_n():
     rng = random.Random(20)
-    for n in (10, 20, 30, 40):
+    for n in (10, 20, 30, 40, 60, 80):
         for _ in range(4):
             v = _walk_v(rng, n, int(rng.uniform(0.3, 0.7) * n * n / 4))
             targets = [_demazure_w(rng, v, rng.uniform(0.2, 0.8))]
@@ -175,5 +184,5 @@ def test_d_ne_matches_reference_at_large_n():
                 targets += [v, identity(n)]
             for w in targets:
                 cells = d_ne(v, w)
-                assert cells == _d_ne_reference(v, w)
+                assert _d_ne_reference(v, w) == (cells, [])
                 assert delta(v, cells) == w and len(cells) == coxeter_length(w)

@@ -11,7 +11,6 @@ from klreg.perm import (
     coxeter_length,
     identity,
     is_321_avoiding,
-    left_mult_s,
     right_mult_s,
     rothe_diagram,
 )
@@ -49,6 +48,7 @@ from knowndata import (
     W10,
     W11,
     W16,
+    left_mult_s,
 )
 
 
