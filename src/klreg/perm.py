@@ -7,8 +7,9 @@ Conventions: everything is 1-indexed and uses matrix coordinates, so cell
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import OutOfRangeError, ValidationError
 
@@ -17,7 +18,7 @@ Cell = tuple[int, int]
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of [n], stored as its one-line word.
+    """A permutation of [n], stored as its one-line word of ints.
 
     >>> Permutation((2, 1, 3)).n
     3
@@ -28,7 +29,7 @@ class Permutation:
     def __post_init__(self):
         word = tuple(self.word)
         object.__setattr__(self, "word", word)
-        if sorted(word) != list(range(1, len(word) + 1)):
+        if not set(map(type, word)) <= {int} or sorted(word) != list(range(1, len(word) + 1)):
             raise ValidationError(f"not a permutation of [{len(word)}]: {word!r}")
 
     @property
@@ -59,14 +60,30 @@ def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
 
+def _free_values(word: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
+    """The one pass behind the Rothe diagram of a one-line word.
+
+    For each position i in order, yield (k, free): free is the sorted list
+    of the values not among word[:i], and free[:k] are those below word[i],
+    which are the columns of the cells in row i.  free is shared and loses
+    word[i] when the pass moves on, so read it before the next step.  One
+    bisect per row, so the pass costs O(n log n) plus n list deletes.
+    """
+    free = list(range(1, len(word) + 1))
+    for x in word:
+        k = bisect_left(free, x)
+        yield k, free
+        del free[k]
+
+
 def coxeter_length(u: Permutation) -> int:
-    """Number of inversions of u, which equals #rothe_diagram(u).
+    """Number of inversions of u, which equals #rothe_diagram(u): the sum
+    of the row sizes of one free-values pass, O(n log n) with no cells.
 
     >>> coxeter_length(Permutation((3, 1, 2)))
     2
     """
-    w = u.word
-    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+    return sum(k for k, _ in _free_values(u.word))
 
 
 def rank(u: Permutation, i: int, j: int) -> int:
@@ -83,22 +100,26 @@ def rank(u: Permutation, i: int, j: int) -> int:
 def rothe_diagram(u: Permutation) -> tuple[Cell, ...]:
     """Cells (i, j) with u(i) > j and u^-1(j) > i, in row-major order.
 
+    Row i holds the values below u(i) not used by u(1), ..., u(i-1), so one
+    left-to-right free-values pass builds it in O(n log n + ell(u)) plus n
+    list deletes, with no n x n scan.
+
     >>> rothe_diagram(Permutation((2, 1)))
     ((1, 1),)
+    >>> rothe_diagram(Permutation((3, 2, 1)))
+    ((1, 1), (1, 2), (2, 1))
     """
-    inv = u.inverse().word
-    return tuple(
-        (i, j)
-        for i in range(1, u.n + 1)
-        for j in range(1, u.n + 1)
-        if u.word[i - 1] > j and inv[j - 1] > i
-    )
+    return tuple((i, j) for i, (k, free) in enumerate(_free_values(u.word), 1) for j in free[:k])
 
 
 def lehmer_code(u: Permutation) -> tuple[int, ...]:
-    """c_i = number of j > i with u(j) < u(i), i.e. boxes in row i of the Rothe diagram."""
-    w = u.word
-    return tuple(sum(1 for j in range(i + 1, len(w)) if w[j] < w[i]) for i in range(len(w)))
+    """c_i = number of j > i with u(j) < u(i), i.e. boxes in row i of the
+    Rothe diagram: the row sizes of one free-values pass.
+
+    >>> lehmer_code(Permutation((3, 2, 1)))
+    (2, 1, 0)
+    """
+    return tuple(k for k, _ in _free_values(u.word))
 
 
 def from_lehmer_code(code: Sequence[int]) -> Permutation:

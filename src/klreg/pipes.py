@@ -3,36 +3,41 @@ sub-diagrams, and the northeast-most reduced pipe set."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ContainmentError, IncomparableError, PatternError, StructureError
 from .perm import (
     Cell,
     Permutation,
+    _free_values,
     bruhat_leq,
     coxeter_length,
     demazure_product,
     is_321_avoiding,
-    rothe_diagram,
 )
 
 
 def box_labels(v: Permutation) -> dict[Cell, int]:
-    """Label the kth leftmost box in row i of the Rothe diagram with i + k - 1."""
-    labels: dict[Cell, int] = {}
-    row = 0
-    k = 0
-    for (i, j) in rothe_diagram(v):
-        if i != row:
-            row, k = i, 0
-        k += 1
-        labels[(i, j)] = i + k - 1
-    return labels
+    """Label the kth leftmost box in row i of the Rothe diagram with i + k - 1,
+    from one free-values pass (keys in row-major order)."""
+    return {
+        (i, j): i + t
+        for i, (k, free) in enumerate(_free_values(v.word), 1)
+        for t, j in enumerate(free[:k])
+    }
+
+
+def _reading_cells(v: Permutation) -> Iterator[tuple[Cell, int]]:
+    """(cell, label) in the reading order of D(v): each row of one
+    free-values pass read right to left, so no sort is needed."""
+    for i, (k, free) in enumerate(_free_values(v.word), 1):
+        for t in range(k - 1, -1, -1):
+            yield (i, free[t]), i + t
 
 
 def reading_order(v: Permutation) -> tuple[Cell, ...]:
     """Rothe-diagram cells scanned right to left along rows, top to bottom."""
-    return tuple(sorted(rothe_diagram(v), key=lambda c: (c[0], -c[1])))
+    return tuple(cell for cell, _ in _reading_cells(v))
 
 
 def reading_word(v: Permutation, cells: Iterable[Cell]) -> tuple[int, ...]:
@@ -43,10 +48,11 @@ def reading_word(v: Permutation, cells: Iterable[Cell]) -> tuple[int, ...]:
     (2, 1)
     """
     cellset = frozenset(cells)
-    labels = box_labels(v)
-    if not cellset <= set(labels):
-        raise ContainmentError(f"cells {sorted(cellset - set(labels))} are not in D(v)")
-    return tuple(labels[c] for c in reading_order(v) if c in cellset)
+    read = tuple(_reading_cells(v))
+    outside = cellset.difference(c for c, _ in read)
+    if outside:
+        raise ContainmentError(f"cells {sorted(outside)} are not in D(v)")
+    return tuple(a for c, a in read if c in cellset)
 
 
 def delta(v: Permutation, cells: Iterable[Cell]) -> Permutation:
@@ -75,9 +81,9 @@ def d_ne(v: Permutation, w: Permutation) -> tuple[Cell, ...]:
     z, and s_a*z <= s' when it is (apply it to s_a*z < s).  At the end the
     suffix is empty, so z is the identity.
 
-    Building the Rothe diagram, its labels and the input checks costs
-    O(n^2) and sorting the reading order O(ell(v) log ell(v)); then each
-    letter costs O(1).
+    The input checks cost O(n^2) in the worst case (the Bruhat test), and
+    the scan walks the (cell, label) pairs of one free-values pass over v,
+    O(n log n) plus O(1) per letter, stopping once z is the identity.
 
     >>> from .perm import Permutation
     >>> d_ne(Permutation((2, 4, 1, 3)), Permutation((1, 3, 2, 4)))
@@ -91,14 +97,12 @@ def d_ne(v: Permutation, w: Permutation) -> tuple[Cell, ...]:
     if not bruhat_leq(w, v):
         raise IncomparableError(f"{w.word} is not below {v.word} in Bruhat order")
 
-    labels = box_labels(v)
     zinv = [0, *w.inverse().word]  # z^-1 as a 1-indexed word (entry 0 unused)
     zlen = coxeter_length(w)
     chosen: list[Cell] = []
-    for cell in reading_order(v):
+    for cell, a in _reading_cells(v):
         if zlen == 0:
             break
-        a = labels[cell]
         if zinv[a] > zinv[a + 1]:  # a + 1 precedes a in z: a left descent
             zinv[a], zinv[a + 1] = zinv[a + 1], zinv[a]
             zlen -= 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import MoveNotApplicableError, PatternError, StructureError
-from .perm import Cell, Permutation, is_321_avoiding, rothe_diagram
+from .perm import Cell, Permutation, _free_values, is_321_avoiding
 from .pipes import d_ne
 
 
@@ -95,23 +95,24 @@ def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
     """Delete empty rows and columns of D(v), shifting up and left.
 
     Raises PatternError unless v is 321-avoiding, which is exactly the case
-    in which the compressed diagram is a valid skew region.
+    in which the compressed diagram is a valid skew region.  The rows come
+    grouped from one free-values pass over v, so the cost is O(n log n)
+    plus O(ell(v)) for the maps, not a rescan of D(v) per row.
     """
     if not is_321_avoiding(v):
         raise PatternError(f"{v.word} is not 321-avoiding")
-    cells = rothe_diagram(v)
-    rows = sorted({i for i, _ in cells})
-    cols = sorted({j for _, j in cells})
-    rmap = {r: k for k, r in enumerate(rows, 1)}
-    cmap = {c: k for k, c in enumerate(cols, 1)}
-    forward = {(i, j): (rmap[i], cmap[j]) for (i, j) in cells}
-    backward = {img: src for src, img in forward.items()}
+    rows = [(i, free[:k]) for i, (k, free) in enumerate(_free_values(v.word), 1) if k]
+    cmap = {c: k for k, c in enumerate(sorted({j for _, cols in rows for j in cols}), 1)}
+    forward = {}
     intervals = []
-    for r in rows:
-        rcols = sorted(cmap[j] for (i, j) in cells if i == r)
-        if rcols != list(range(rcols[0], rcols[-1] + 1)):
-            raise StructureError(f"compressed row {rmap[r]} is not contiguous")
-        intervals.append((rcols[0], rcols[-1]))
+    for r, (i, cols) in enumerate(rows, 1):
+        first, last = cmap[cols[0]], cmap[cols[-1]]
+        if last - first + 1 != len(cols):
+            raise StructureError(f"compressed row {r} is not contiguous")
+        intervals.append((first, last))
+        for j in cols:
+            forward[(i, j)] = (r, cmap[j])
+    backward = {img: src for src, img in forward.items()}
     return SkewRegion(tuple(intervals)), CellMaps(forward, backward)
 
 

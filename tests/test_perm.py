@@ -40,6 +40,10 @@ def test_permutation_validation():
         Permutation((1, 3))
     with pytest.raises(ValidationError):
         Permutation((1, 1, 2))
+    # entries must be ints: floats, bools and strings are refused up front
+    for word in ((2.0, 1.0), (True, 2), (1, "2"), (False,)):
+        with pytest.raises(ValidationError):
+            Permutation(word)
 
 
 def test_rank_examples():
