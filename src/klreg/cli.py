@@ -9,7 +9,9 @@ Permutations are JSON arrays or separator-delimited words; compact digit
 strings are accepted only below S_10.  The KLREG_BUDGET environment
 variable, a positive integer, overrides the oracle enumeration budget;
 --n and --samples are non-negative.  Exit codes: 0 success, 1 oracle
-disagreement, 2 parse error, 3 validation error, 4 budget exhausted.
+disagreement, 2 parse error, 3 validation error, 4 budget exhausted (what
+the enumeration counted goes to stderr as one JSON line), 5 internal fault
+(a failed invariant or any other crash; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import json
 import os
 import random
 import sys
+import traceback
 
 from . import ladder as lad
 from . import oracle, zipdiag
-from .errors import KlregError, ParseError, ResourceError, ValidationError
+from .errors import ParseError, ResourceError, ValidationError
 from .perm import Permutation, coxeter_length
 from .skew import render_diagram
 
@@ -31,6 +34,7 @@ EXIT_DISAGREE = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -162,8 +166,11 @@ def run_ladder(args) -> tuple[dict, int]:
 
         gens = ladder_generators(ladder)
         variables = {c for g in gens for m, _ in g.terms for c in m}
-        with open(args.export_ideal, "w", encoding="utf-8") as fh:
-            fh.write(ideal_script(gens, variables))
+        try:
+            with open(args.export_ideal, "w", encoding="utf-8") as fh:
+                fh.write(ideal_script(gens, variables))
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.export_ideal}: {exc}") from exc
         report["exported_ideal"] = args.export_ideal
     return report, code
 
@@ -237,15 +244,18 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ResourceError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except KlregError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except ResourceError as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        if exc.partial is not None:
+            print(json.dumps(exc.partial, sort_keys=True), file=sys.stderr)
+        return EXIT_RESOURCE
+    except Exception as exc:  # InternalError or a crash: a fault in klreg, not in the input
+        traceback.print_exc()
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(json.dumps(report, sort_keys=True, indent=2))
     return code
 

@@ -1,61 +1,34 @@
-"""Exception hierarchy shared by all klreg modules."""
+"""Exception classes shared by all klreg modules, one per CLI outcome.
+
+  ParseError       exit 2  unparseable user input
+  ValidationError  exit 3  input that parses but that no construction accepts
+  ResourceError    exit 4  an enumeration ran out of budget
+  InternalError    exit 5  a proved invariant failed: a bug in klreg
+
+KlregError is their common base.  Any other exception escaping the CLI is
+also reported with exit code 5.
+"""
 
 
 class KlregError(Exception):
     """Base class for all errors raised by klreg."""
 
 
+class ParseError(KlregError):
+    """Unparseable user input."""
+
+
 class ValidationError(KlregError):
-    """Malformed or inconsistent input data."""
-
-
-class OutOfRangeError(ValidationError):
-    """An index or coordinate lies outside its allowed range."""
-
-
-class PatternError(ValidationError):
-    """A permutation fails a required pattern-avoidance condition."""
-
-
-class ContainmentError(ValidationError):
-    """A cell set is not contained where it must be."""
-
-
-class IncomparableError(ValidationError):
-    """Two permutations are not comparable in Bruhat order as required."""
-
-
-class InconsistentConstraintsError(ValidationError):
-    """A set of rank constraints admits no permutation solution."""
-
-
-class ConstructionError(KlregError):
-    """A construction produced output that fails its own verification."""
-
-
-class StructureError(KlregError):
-    """Internal structural invariant violated; indicates invalid input or a bug."""
-
-
-class PairingError(StructureError):
-    """Boundary points cannot be paired as required."""
-
-
-class InfeasibleError(KlregError):
-    """No object with the requested properties exists."""
-
-
-class MoveNotApplicableError(KlregError):
-    """A diagram move was requested at a position where it does not apply."""
+    """Malformed, inconsistent or unsupported input data."""
 
 
 class ResourceError(KlregError):
-    """An enumeration exceeded its budget."""
+    """An enumeration exceeded its budget; `partial` holds what it counted."""
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
 
 
-class ParseError(KlregError):
-    """Unparseable user input."""
+class InternalError(KlregError):
+    """A postcondition that the code proves failed: a bug, not bad input."""

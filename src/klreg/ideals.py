@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import IncomparableError, ValidationError
+from .errors import ValidationError
 from .ladder import Ladder, region_of, se_corner
 from .oracle import DEFAULT_BUDGET, enumerate_pipes
 from .perm import Cell, Permutation, bruhat_leq, coxeter_length, rank, rothe_diagram
@@ -116,9 +116,9 @@ def kl_generators(v: Permutation, w: Permutation) -> frozenset:
     ladder ideals.
     """
     if v.n != w.n:
-        raise IncomparableError("size mismatch")
+        raise ValidationError("size mismatch")
     if not bruhat_leq(w, v):
-        raise IncomparableError(f"{w.word} is not below {v.word} in Bruhat order")
+        raise ValidationError(f"{w.word} is not below {v.word} in Bruhat order")
     dv = frozenset(rothe_diagram(v))
 
     def zentry(i, j):
@@ -175,7 +175,7 @@ def k_polynomial(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET) -
     for p in enumerate_pipes(v, w, reduced_only=False, budget=budget):
         counts[len(p)] += 1
     if not counts:
-        raise IncomparableError(f"{w.word} is not below {v.word} in Bruhat order")
+        raise ValidationError(f"{w.word} is not below {v.word} in Bruhat order")
     top = max(counts)
     coeffs = [0] * (top + 1)
     for m, cnt in counts.items():

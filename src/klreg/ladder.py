@@ -18,17 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import inf
 
-from .errors import (
-    ConstructionError,
-    ContainmentError,
-    InconsistentConstraintsError,
-    InfeasibleError,
-    MoveNotApplicableError,
-    PairingError,
-    ResourceError,
-    StructureError,
-    ValidationError,
-)
+from .errors import InternalError, ResourceError, ValidationError
 from .perm import (
     Cell,
     Permutation,
@@ -308,11 +298,11 @@ def _rank_envelope_perm(n: int, constraints) -> Permutation:
             if d == 1:
                 hits.append(b)
             elif d != 0:
-                raise InconsistentConstraintsError(
+                raise ValidationError(
                     f"rank envelope is not a permutation rank matrix at ({a}, {b})"
                 )
         if len(hits) != 1 or hits[0] in seen_cols:
-            raise InconsistentConstraintsError("rank envelope is not a permutation rank matrix")
+            raise ValidationError("rank envelope is not a permutation rank matrix")
         word[a - 1] = hits[0]
         seen_cols.add(hits[0])
     return Permutation(tuple(word))
@@ -348,11 +338,11 @@ def perm_of(ladder: Ladder) -> tuple[Permutation, Permutation]:
     w = _rank_envelope_perm(v.n, cons)
     for (a, b), c in cons:
         if rank(w, a, b) != c:
-            raise ConstructionError(f"envelope permutation violates rank({a},{b}) = {c}")
+            raise ValidationError(f"envelope permutation violates rank({a},{b}) = {c}")
     if not (is_321_avoiding(v) and is_321_avoiding(w)):
-        raise ConstructionError("ladder pair is not 321-avoiding")
+        raise ValidationError("ladder pair is not 321-avoiding")
     if not bruhat_leq(w, v):
-        raise ConstructionError("ladder pair is not Bruhat-comparable")
+        raise ValidationError("ladder pair is not Bruhat-comparable")
     return v, w
 
 
@@ -392,7 +382,7 @@ def boundary_points(ladder: Ladder) -> BoundaryPoints:
         if not any(p == corner for p, _ in extended):
             rval = min(r_h[i], r_v[i + 1])
             if rval == inf:
-                raise StructureError(f"no mark determines the corner fill-in at {corner}")
+                raise ValidationError(f"no mark determines the corner fill-in at {corner}")
             extended.append((corner, int(rval)))
     extended.append(((0, 0), 1))
     extended.append((se_corner(ladder), 1))
@@ -410,7 +400,7 @@ def boundary_points(ladder: Ladder) -> BoundaryPoints:
                 h_points.append((float(p1[0]), p1[1] - kp + 0.5))
 
     if len(v_points) != len(h_points):
-        raise StructureError(
+        raise ValidationError(
             f"unbalanced boundary points: {len(v_points)} vertical, {len(h_points)} horizontal"
         )
     h_sorted = sorted(h_points, key=lambda p: (-p[1], -p[0]))  # east to west
@@ -420,7 +410,7 @@ def boundary_points(ladder: Ladder) -> BoundaryPoints:
         h = h_sorted[i - 1]
         cands = [p for p in available if p[0] < h[0] and p[1] < h[1]]
         if not cands:
-            raise PairingError(f"no unused vertical point northwest of H_{i} = {h}")
+            raise ValidationError(f"no unused vertical point northwest of H_{i} = {h}")
         pick = max(cands, key=lambda p: (p[0], p[1]))  # southmost, ties nearest
         assigned[i] = pick
         available.remove(pick)
@@ -476,7 +466,7 @@ def family_from_routes(ladder: Ladder, bp: BoundaryPoints, routes) -> PathFamily
         entry = "S"
         for k, box in enumerate(route):
             if box in tiles:
-                raise StructureError(f"routes overlap at {box}")
+                raise ValidationError(f"routes overlap at {box}")
             if k + 1 < len(route):
                 nxt = route[k + 1]
                 if nxt == (box[0], box[1] - 1):
@@ -484,7 +474,7 @@ def family_from_routes(ladder: Ladder, bp: BoundaryPoints, routes) -> PathFamily
                 elif nxt == (box[0] - 1, box[1]):
                     exit_ = "N"
                 else:
-                    raise StructureError(f"non-monotone step {box} -> {nxt}")
+                    raise ValidationError(f"non-monotone step {box} -> {nxt}")
             else:
                 exit_ = "W"
             tiles[box] = _TILE_OF[(entry, exit_)]
@@ -522,7 +512,7 @@ def p_bot(ladder: Ladder) -> PathFamily:
         goal = _goal_box(bp.v[i - 1])
         free = lcells - used
         if start not in free or not _reachable(start, goal, free):
-            raise InfeasibleError(f"no path from H_{i} to V_{i}; ladder is not minimal?")
+            raise ValidationError(f"no path from H_{i} to V_{i}; ladder is not minimal?")
         route = [start]
         cur = start
         while cur != goal:
@@ -532,7 +522,7 @@ def p_bot(ladder: Ladder) -> PathFamily:
                     cur = cand
                     break
             else:
-                raise InfeasibleError("southwest-hugging walk wedged; ladder is not minimal?")
+                raise ValidationError("southwest-hugging walk wedged; ladder is not minimal?")
         used |= set(route)
         routes[i - 1] = tuple(route)
     return family_from_routes(ladder, bp, routes)
@@ -632,13 +622,13 @@ def _droop_tiles(tiles: dict, b: Cell) -> None:
     sw = (b[0] + 1, b[1] - 1)
     west = (b[0], b[1] - 1)
     if b in tiles:
-        raise MoveNotApplicableError(f"cell {b} is occupied")
+        raise ValidationError(f"cell {b} is occupied")
     if tiles.get(sw) != Tile.ELBOW_NE:
-        raise MoveNotApplicableError(f"no northeast elbow at {sw}")
+        raise ValidationError(f"no northeast elbow at {sw}")
     ts = tiles.get(s)
     tw = tiles.get(west)
     if ts not in (Tile.HORIZ, Tile.ELBOW_SW) or tw not in (Tile.VERT, Tile.ELBOW_SW):
-        raise MoveNotApplicableError(f"droop frame around {b} is malformed")
+        raise ValidationError(f"droop frame around {b} is malformed")
     del tiles[sw]
     tiles[b] = Tile.ELBOW_SW
     tiles[s] = Tile.ELBOW_NE if ts == Tile.HORIZ else Tile.VERT
@@ -664,10 +654,10 @@ def _replay_start(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipD
     pair = perm_of(ladder)
     data = _zip_data(*pair)
     if data.region != region_of(ladder):
-        raise StructureError("compressed diagram of v does not match the ladder region")
+        raise ValidationError("compressed diagram of v does not match the ladder region")
     family = p_bot(ladder)
     if frozenset(blanks(ladder, family)) != data.top.pluses:
-        raise StructureError("bottom family does not match the top diagram")
+        raise ValidationError("bottom family does not match the top diagram")
     return pair, data, family
 
 
@@ -699,7 +689,7 @@ def paths_of_diagram(ladder: Ladder, diagram: PlusDiagram, budget: int = 1_000_0
                             f"droop search budget {budget} exceeded", partial={"visited": len(parents)}
                         )
     if found is None:
-        raise ContainmentError("diagram is not in the excited-move closure of the top diagram")
+        raise ValidationError("diagram is not in the excited-move closure of the top diagram")
     moves = []
     state = found
     while parents[state] is not None:
@@ -709,11 +699,14 @@ def paths_of_diagram(ladder: Ladder, diagram: PlusDiagram, budget: int = 1_000_0
 
 
 def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], PathFamily]:
-    """perm_of(ladder) and p_zip(ladder), from one run of perm_of."""
+    """perm_of(ladder) and p_zip(ladder), from one run of perm_of.  A droop
+    at b moves one blank from b to b+(1,-1), as the logged slide moves its
+    plus, so a replay from the matching bottom family that completes lands
+    on the slid diagram."""
     pair, data, family = _replay_start(ladder)
     family = _replay(family, data.move_log)
     if frozenset(blanks(ladder, family)) != data.zipped.pluses:
-        raise StructureError("droop replay did not land on the slid diagram")
+        raise InternalError("droop replay did not land on the slid diagram")
     return pair, family
 
 

@@ -12,11 +12,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import (
-    InconsistentConstraintsError,
-    ResourceError,
-    StructureError,
-)
+from .errors import ResourceError, ValidationError
 from .perm import (
     Cell,
     Permutation,
@@ -54,7 +50,7 @@ def closure(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET, moves:
     """BFS closure of the top diagram under excited moves, and under
     K-theoretic moves too when moves == "both"."""
     if moves not in ("both", "excited"):
-        raise ValueError("moves must be 'both' or 'excited'")
+        raise ValidationError("moves must be 'both' or 'excited'")
     top = d_top(v, w)
     region = top.region
     cells = region.cells()
@@ -183,7 +179,7 @@ def brute_earliest_subword(v: Permutation, w: Permutation, budget: int = DEFAULT
 
     taken: list = []
     if not rec(0, identity(v.n), taken):
-        raise StructureError("no reduced subword found; is w <= v?")
+        raise ValidationError("no reduced subword found; is w <= v?")
     return tuple(taken)
 
 
@@ -207,7 +203,7 @@ def brute_minimal_w(
         if hits:
             return min(hits, key=lambda u: u.word)
         level = {right_mult_s(u, i) for u in level for i in range(1, n) if u.word[i - 1] < u.word[i]}
-    raise InconsistentConstraintsError("no permutation satisfies the rank constraints")
+    raise ValidationError("no permutation satisfies the rank constraints")
 
 
 def enumerate_nilp(ladder, budget: int = DEFAULT_BUDGET, allow_partial: bool = False):
@@ -236,28 +232,26 @@ def enumerate_nilp(ladder, budget: int = DEFAULT_BUDGET, allow_partial: bool = F
             for rest in routes(nxt, goal, used):
                 yield (start,) + rest
 
-    def place(i: int, used: frozenset, acc: list):
+    def place(i: int, used: frozenset, acc: list) -> bool:
+        """Place paths i.. after acc; False once a partial run is full."""
         if i == ell:
             fam = lad.family_from_routes(ladder, bp, tuple(acc))
             if lad.nilp_is_valid(ladder, fam):
                 results.append(fam)
-                if allow_partial and len(results) >= budget:
-                    raise _Stop()
+                if allow_partial:
+                    return len(results) < budget
                 if len(results) > budget:
                     raise ResourceError(f"path enumeration budget {budget} exceeded")
-            return
+            return True
         for route in routes(lad._start_box(bp.h[i]), lad._goal_box(bp.v[i]), used):
             acc.append(route)
-            place(i + 1, used | frozenset(route), acc)
+            more = place(i + 1, used | frozenset(route), acc)
             acc.pop()
+            if not more:
+                return False
+        return True
 
-    class _Stop(Exception):
-        pass
-
-    try:
-        place(0, frozenset(), [])
-    except _Stop:
-        pass
+    place(0, frozenset(), [])
     return tuple(results)
 
 

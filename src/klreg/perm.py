@@ -11,7 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import OutOfRangeError, ValidationError
+from .errors import ValidationError
 
 Cell = tuple[int, int]
 
@@ -39,7 +39,7 @@ class Permutation:
     def __call__(self, i: int) -> int:
         """Value at position i, 1-indexed."""
         if not 1 <= i <= self.n:
-            raise OutOfRangeError(f"position {i} out of range for S_{self.n}")
+            raise ValidationError(f"position {i} out of range for S_{self.n}")
         return self.word[i - 1]
 
     def inverse(self) -> "Permutation":
@@ -93,7 +93,7 @@ def rank(u: Permutation, i: int, j: int) -> int:
     0
     """
     if not (1 <= i <= u.n and 1 <= j <= u.n):
-        raise OutOfRangeError(f"cell ({i}, {j}) out of range for S_{u.n}")
+        raise ValidationError(f"cell ({i}, {j}) out of range for S_{u.n}")
     return sum(1 for k in range(i) if u.word[k] <= j)
 
 
@@ -166,7 +166,7 @@ def is_grassmannian(u: Permutation) -> bool:
 def right_mult_s(u: Permutation, i: int) -> Permutation:
     """u * s_i: swap the entries in positions i and i+1."""
     if not 1 <= i <= u.n - 1:
-        raise OutOfRangeError(f"generator index {i} out of range for S_{u.n}")
+        raise ValidationError(f"generator index {i} out of range for S_{u.n}")
     w = list(u.word)
     w[i - 1], w[i] = w[i], w[i - 1]
     return Permutation(tuple(w))
@@ -179,7 +179,7 @@ def demazure_step(u: Permutation, i: int) -> Permutation:
     (2, 1)
     """
     if not 1 <= i <= u.n - 1:
-        raise OutOfRangeError(f"generator index {i} out of range for S_{u.n}")
+        raise ValidationError(f"generator index {i} out of range for S_{u.n}")
     if u.word[i - 1] < u.word[i]:
         return right_mult_s(u, i)
     return u
@@ -214,6 +214,18 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     if u.n != w.n:
         raise ValidationError("size mismatch in Bruhat comparison")
     return word_bruhat_leq(u.word, w.word)
+
+
+def check_pair(v: Permutation, w: Permutation) -> None:
+    """Reject a pair unless w <= v are 321-avoiding of one size, checked in
+    that order: size, then each pattern, then Bruhat order."""
+    if v.n != w.n:
+        raise ValidationError("size mismatch")
+    for u in (v, w):
+        if not is_321_avoiding(u):
+            raise ValidationError(f"{u.word} is not 321-avoiding")
+    if not bruhat_leq(w, v):
+        raise ValidationError(f"{w.word} is not below {v.word} in Bruhat order")
 
 
 def word_bruhat_leq(u: Sequence[int], w: Sequence[int]) -> bool:

@@ -5,15 +5,14 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import ContainmentError, IncomparableError, PatternError, StructureError
+from .errors import InternalError, ValidationError
 from .perm import (
     Cell,
     Permutation,
     _free_values,
-    bruhat_leq,
+    check_pair,
     coxeter_length,
     demazure_product,
-    is_321_avoiding,
 )
 
 
@@ -51,7 +50,7 @@ def reading_word(v: Permutation, cells: Iterable[Cell]) -> tuple[int, ...]:
     read = tuple(_reading_cells(v))
     outside = cellset.difference(c for c, _ in read)
     if outside:
-        raise ContainmentError(f"cells {sorted(outside)} are not in D(v)")
+        raise ValidationError(f"cells {sorted(outside)} are not in D(v)")
     return tuple(a for c, a in read if c in cellset)
 
 
@@ -89,13 +88,7 @@ def d_ne(v: Permutation, w: Permutation) -> tuple[Cell, ...]:
     >>> d_ne(Permutation((2, 4, 1, 3)), Permutation((1, 3, 2, 4)))
     ((2, 1),)
     """
-    if v.n != w.n:
-        raise IncomparableError("size mismatch")
-    for u in (v, w):
-        if not is_321_avoiding(u):
-            raise PatternError(f"{u.word} is not 321-avoiding")
-    if not bruhat_leq(w, v):
-        raise IncomparableError(f"{w.word} is not below {v.word} in Bruhat order")
+    check_pair(v, w)
 
     zinv = [0, *w.inverse().word]  # z^-1 as a 1-indexed word (entry 0 unused)
     zlen = coxeter_length(w)
@@ -108,5 +101,5 @@ def d_ne(v: Permutation, w: Permutation) -> tuple[Cell, ...]:
             zlen -= 1
             chosen.append(cell)
     if zlen != 0:
-        raise StructureError("greedy subword search failed to reach w")
+        raise InternalError("greedy subword search failed to reach w")
     return tuple(chosen)

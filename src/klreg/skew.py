@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import MoveNotApplicableError, PatternError, StructureError
+from .errors import InternalError, ValidationError
 from .perm import Cell, Permutation, _free_values, is_321_avoiding
 from .pipes import d_ne
 
@@ -28,10 +28,10 @@ class SkewRegion:
         object.__setattr__(self, "rows", rows)
         for a, b in rows:
             if not 1 <= a <= b:
-                raise StructureError(f"bad row interval [{a}, {b}]")
+                raise ValidationError(f"bad row interval [{a}, {b}]")
         for (a1, b1), (a2, b2) in zip(rows, rows[1:]):
             if a2 < a1 or b2 < b1:
-                raise StructureError("row starts/ends must weakly increase")
+                raise ValidationError("row starts/ends must weakly increase")
         object.__setattr__(
             self,
             "_cells",
@@ -68,10 +68,7 @@ class PlusDiagram:
         object.__setattr__(self, "pluses", pluses)
         bad = [c for c in pluses if c not in self.region]
         if bad:
-            raise StructureError(f"pluses outside region: {sorted(bad)}")
-
-    def plus_list(self) -> tuple[Cell, ...]:
-        return tuple(sorted(self.pluses))
+            raise ValidationError(f"pluses outside region: {sorted(bad)}")
 
     def size(self) -> int:
         return len(self.pluses)
@@ -94,13 +91,16 @@ class CellMaps:
 def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
     """Delete empty rows and columns of D(v), shifting up and left.
 
-    Raises PatternError unless v is 321-avoiding, which is exactly the case
-    in which the compressed diagram is a valid skew region.  The rows come
-    grouped from one free-values pass over v, so the cost is O(n log n)
-    plus O(ell(v)) for the maps, not a rescan of D(v) per row.
+    Raises ValidationError unless v is 321-avoiding, which is exactly the
+    case in which the compressed diagram is a valid skew region.  Rows stay
+    contiguous: if row i has cells in columns j1 < j3 but not in a nonempty
+    column j2 between them, then v^-1(j2) < i, some row k < v^-1(j2) has
+    v(k) > j2, and k < v^-1(j2) < v^-1(j1) is a 321.  The rows come grouped
+    from one free-values pass over v, so the cost is O(n log n) plus
+    O(ell(v)) for the maps, not a rescan of D(v) per row.
     """
     if not is_321_avoiding(v):
-        raise PatternError(f"{v.word} is not 321-avoiding")
+        raise ValidationError(f"{v.word} is not 321-avoiding")
     rows = [(i, free[:k]) for i, (k, free) in enumerate(_free_values(v.word), 1) if k]
     cmap = {c: k for k, c in enumerate(sorted({j for _, cols in rows for j in cols}), 1)}
     forward = {}
@@ -108,7 +108,7 @@ def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
     for r, (i, cols) in enumerate(rows, 1):
         first, last = cmap[cols[0]], cmap[cols[-1]]
         if last - first + 1 != len(cols):
-            raise StructureError(f"compressed row {r} is not contiguous")
+            raise InternalError(f"compressed row {r} is not contiguous")
         intervals.append((first, last))
         for j in cols:
             forward[(i, j)] = (r, cmap[j])
@@ -158,9 +158,9 @@ def excited_targets(diagram: PlusDiagram) -> tuple[Cell, ...]:
 def apply_excited(diagram: PlusDiagram, b: Cell) -> PlusDiagram:
     """Slide the plus at b one step to b+(1,-1)."""
     if b not in diagram.pluses:
-        raise MoveNotApplicableError(f"no plus at {b}")
+        raise ValidationError(f"no plus at {b}")
     if not can_move(diagram.region, diagram.pluses, b):
-        raise MoveNotApplicableError(f"excited move does not apply at {b}")
+        raise ValidationError(f"excited move does not apply at {b}")
     target = (b[0] + 1, b[1] - 1)
     return PlusDiagram(diagram.region, diagram.pluses - {b} | {target})
 
@@ -168,9 +168,9 @@ def apply_excited(diagram: PlusDiagram, b: Cell) -> PlusDiagram:
 def apply_k_excited(diagram: PlusDiagram, b: Cell) -> PlusDiagram:
     """Copy the plus at b to b+(1,-1), keeping b occupied."""
     if b not in diagram.pluses:
-        raise MoveNotApplicableError(f"no plus at {b}")
+        raise ValidationError(f"no plus at {b}")
     if not can_move(diagram.region, diagram.pluses, b):
-        raise MoveNotApplicableError(f"K-theoretic excited move does not apply at {b}")
+        raise ValidationError(f"K-theoretic excited move does not apply at {b}")
     target = (b[0] + 1, b[1] - 1)
     return PlusDiagram(diagram.region, diagram.pluses | {target})
 

@@ -12,13 +12,12 @@ from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
-from .errors import IncomparableError, PatternError, StructureError
+from .errors import InternalError, ValidationError
 from .perm import (
     Cell,
     Permutation,
-    bruhat_leq,
+    check_pair,
     coxeter_length,
-    is_321_avoiding,
     word_bruhat_leq,
 )
 from .skew import CellMaps, PlusDiagram, SkewRegion, _top_data, apply_k_excited, can_move
@@ -54,7 +53,7 @@ def components(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
 def psi_east(component: tuple[Cell, ...], b: Cell) -> Cell:
     """(b(1), c') where c' is the largest column of the component in row b(1)."""
     if b not in component:
-        raise StructureError(f"{b} is not in the component")
+        raise ValidationError(f"{b} is not in the component")
     return (b[0], max(j for i, j in component if i == b[0]))
 
 
@@ -182,6 +181,10 @@ def _room_of(region: SkewRegion, zipped: frozenset, b: Cell) -> int:
 
 @lru_cache(maxsize=4096)
 def _zip_data(v: Permutation, w: Permutation) -> ZipData:
+    """The slid diagram and its saturation.  Every slide step and every
+    K-step lands on a cell that can_move found plus-free in the current
+    diagram, so the cardinality and collision checks can only fail on a
+    bug."""
     region, maps, top = _top_data(v, w)
     comps = components(top)
     chains = _minimizing_diag(comps)
@@ -199,14 +202,14 @@ def _zip_data(v: Permutation, w: Permutation) -> ZipData:
         log.extend(_slide_all(region, pluses, sources))
     zipped = PlusDiagram(region, frozenset(pluses))
     if zipped.size() != top.size():
-        raise StructureError("slid diagram changed cardinality")
+        raise InternalError("slid diagram changed cardinality")
 
     rooms = {b: _room_of(region, zipped.pluses, b) for chain in chains for b in chain}
     extra = {
         (b[0] + k, b[1] - k) for b, r in rooms.items() for k in range(1, r + 1)
     }
     if extra & zipped.pluses:
-        raise StructureError("K-saturation collided with the slid diagram")
+        raise InternalError("K-saturation collided with the slid diagram")
     saturated = PlusDiagram(region, zipped.pluses | extra)
     return ZipData(region, maps, top, chains, zipped, tuple(log), rooms, saturated)
 
@@ -220,7 +223,7 @@ def room(v: Permutation, w: Permutation, b: Cell) -> int:
     """How many anti-diagonal K-steps fit under the chain box b."""
     data = _zip_data(v, w)
     if b not in data.rooms:
-        raise StructureError(f"{b} is not a chain box of the pair")
+        raise ValidationError(f"{b} is not a chain box of the pair")
     return data.rooms[b]
 
 
@@ -232,18 +235,12 @@ def d_zip_k(v: Permutation, w: Permutation) -> PlusDiagram:
 def k_saturation_by_moves(v: Permutation, w: Permutation) -> PlusDiagram:
     """Independent construction of d_zip_k by literally applying a maximal
     run of K-theoretic excited moves below each chain box."""
-    from .errors import MoveNotApplicableError
-
     data = _zip_data(v, w)
     diagram = data.zipped
     for chain in data.chains:
-        for b in chain:
-            cur = b
-            while True:
-                try:
-                    diagram = apply_k_excited(diagram, cur)
-                except MoveNotApplicableError:
-                    break
+        for cur in chain:
+            while can_move(diagram.region, diagram.pluses, cur):
+                diagram = apply_k_excited(diagram, cur)
                 cur = (cur[0] + 1, cur[1] - 1)
     return diagram
 
@@ -284,18 +281,13 @@ def groth_degree_recursive(v: Permutation, w: Permutation) -> int:
     remainder.  The lifting-property lemma in d_ne's docstring, applied to
     this first letter (v = s_a*Dem(rest) is reduced, so s_a*v < v), also
     keeps the branch each case names comparable, so it is never minus
-    infinity (a StructureError if it is).  Left descents keep words
+    infinity (an InternalError if it is).  Every branch shortens v, so no
+    node is reached again while it is open.  Left descents keep words
     321-avoiding, so only the root is validated.  A node costs O(n) on
     one-line words plus one Bruhat pass, and the memo is evaluated on an
     explicit stack, not by recursion.
     """
-    if v.n != w.n:
-        raise IncomparableError("size mismatch")
-    for u in (v, w):
-        if not is_321_avoiding(u):
-            raise PatternError(f"{u.word} is not 321-avoiding")
-    if not bruhat_leq(w, v):
-        raise IncomparableError(f"{w.word} is not below {v.word} in Bruhat order")
+    check_pair(v, w)
     pending = object()  # the memo value of a node whose branches are not done
     memo: dict = {}  # (v, w) -> degree, None for minus infinity, or pending
     stack = [(v.word, w.word, coxeter_length(w), None)]
@@ -305,11 +297,11 @@ def groth_degree_recursive(v: Permutation, w: Permutation) -> int:
         if branches is not None:  # second visit: the branches are done
             values = [memo[b[:2]] for b in branches]
             if values[0] is None:
-                raise StructureError("a branch the lifting property keeps comparable is not")
+                raise InternalError("a branch the lifting property keeps comparable is not")
             best = max(x for x in values if x is not None)
             memo[key] = best + 1 if len(values) == 2 else best
         elif memo.get(key) is pending:
-            raise StructureError("the recurrence came back to an open node")
+            raise InternalError("the recurrence came back to an open node")
         elif key in memo:
             pass  # reached again by another path
         elif not word_bruhat_leq(ww, vw):

@@ -7,13 +7,13 @@ cross-verified against each other.
 """
 
 from klreg import Ladder, Permutation
-from klreg.errors import OutOfRangeError
+from klreg.errors import ValidationError
 
 
 def left_mult_s(u: Permutation, i: int) -> Permutation:
     """s_i * u: swap the values i and i+1 (the reference loops' left action)."""
     if not 1 <= i <= u.n - 1:
-        raise OutOfRangeError(f"generator index {i} out of range for S_{u.n}")
+        raise ValidationError(f"generator index {i} out of range for S_{u.n}")
     w = [x if x not in (i, i + 1) else (i + 1 if x == i else i) for x in u.word]
     return Permutation(tuple(w))
 
@@ -121,3 +121,17 @@ LAD_D = Ladder((4, 4, 2, 2), (2, 1, 0, 0), (((2, 0), 1), ((4, 2), 2)))
 LAD_FULL = Ladder((2, 2), (0, 0), (((2, 0), 1),))
 # A board whose marked minors are vacuous: no blanks at all.
 LAD_EMPTYW = Ladder((2, 2), (0, 0), (((2, 0), 3),))
+
+# Pairs on which the zip route under-counts the degree by one, as
+# (v, w, degree): the five witnesses in S_7, where v is Grassmannian, and
+# the smallest S_8 pair that no choice of maximal chains repairs, a
+# staircase whose optimum keeps a box off the longest chain.  The degrees
+# are the recurrence's and the closure oracle's.
+ZIP_UNDERCOUNT = (
+    (Permutation((2, 4, 5, 6, 7, 1, 3)), Permutation((2, 4, 1, 5, 7, 3, 6)), 7),
+    (Permutation((3, 4, 5, 6, 7, 1, 2)), Permutation((2, 4, 1, 5, 7, 3, 6)), 7),
+    (Permutation((3, 4, 5, 6, 7, 1, 2)), Permutation((3, 4, 1, 5, 7, 2, 6)), 8),
+    (Permutation((4, 5, 6, 7, 1, 2, 3)), Permutation((1, 2, 4, 6, 3, 5, 7)), 6),
+    (Permutation((4, 5, 6, 7, 1, 2, 3)), Permutation((2, 1, 4, 6, 3, 5, 7)), 7),
+    (Permutation((2, 4, 6, 8, 1, 3, 5, 7)), Permutation((2, 4, 1, 6, 3, 8, 5, 7)), 8),
+)

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from klreg import cli
+from klreg import cli, zipdiag
+from klreg.errors import InternalError
 from klreg.ladder import ladder_to_json
 
-from knowndata import LAD_A
+from knowndata import LAD_A, V10, W10
 
 
 def run(capsys, argv):
@@ -84,6 +85,38 @@ def test_resource_exit(capsys, monkeypatch):
     assert code == 4 and "budget" in err
 
 
+def test_resource_exit_reports_partial_counts(capsys, monkeypatch):
+    monkeypatch.setenv("KLREG_BUDGET", "3")
+    argv = ["pair", "--v", json.dumps(list(V10.word)), "--w", json.dumps(list(W10.word)), "--oracle"]
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    first, last = err.splitlines()
+    assert first == "budget exhausted: closure budget 3 exceeded"
+    assert json.loads(last) == {"visited": 5, "expanded": 2}
+
+
+@pytest.mark.parametrize("fault", [KeyError("d_top"), InternalError("droop replay did not land")])
+def test_internal_fault_exit(capsys, monkeypatch, fault):
+    # a crash is not an oracle disagreement (exit 1): it gets its own code
+    def broken(v, w):
+        raise fault
+
+    monkeypatch.setattr(zipdiag, "zip_result", broken)
+    code, out, err = run(capsys, ["pair", "--v", "[2,1,3]", "--w", "[2,1,3]"])
+    assert code == 5 and out == ""
+    assert err.startswith("Traceback") and f"{type(fault).__name__}: " in err
+    assert err.splitlines()[-1] == f"internal error: {fault}"
+
+
+def test_keyboard_interrupt_propagates(monkeypatch):
+    def interrupted(v, w):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(zipdiag, "zip_result", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["pair", "--v", "[2,1,3]", "--w", "[2,1,3]"])
+
+
 def test_ladder_command(tmp_path, capsys):
     path = tmp_path / "ladder.json"
     path.write_text(json.dumps(ladder_to_json(LAD_A)))
@@ -109,6 +142,14 @@ def test_ladder_render_and_export(tmp_path, capsys):
 def test_missing_ladder_file(capsys):
     code, _, err = run(capsys, ["ladder", "--file", "/nonexistent/l.json"])
     assert code == 2
+
+
+def test_unwritable_export_path(tmp_path, capsys):
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(ladder_to_json(LAD_A)))
+    target = tmp_path / "missing" / "ideal.m2"
+    code, out, err = run(capsys, ["ladder", "--file", str(path), "--export-ideal", str(target)])
+    assert code == 2 and out == "" and f"cannot write {target}" in err
 
 
 def test_output_is_reproducible(tmp_path, capsys):

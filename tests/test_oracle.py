@@ -3,7 +3,7 @@ import random
 import pytest
 
 from klreg import oracle
-from klreg.errors import InconsistentConstraintsError, ResourceError
+from klreg.errors import ResourceError, ValidationError
 from klreg.ladder import blanks, perm_of, rank_constraints
 from klreg.perm import (
     Permutation,
@@ -57,6 +57,8 @@ def test_closure_slice_equals_excited_closure():
     excited = oracle.closure(V10, W10, moves="excited")
     lw = coxeter_length(W10)
     assert {d for d in full.as_sets() if len(d) == lw} == excited.as_sets()
+    with pytest.raises(ValidationError, match="moves must be 'both' or 'excited'"):
+        oracle.closure(V10, W10, moves="k")
 
 
 def test_groth_support():
@@ -95,7 +97,7 @@ def test_brute_minimal_w():
     # minimal solution is the identity
     cons = [((3, 2), 2), ((3, 4), 3)]
     assert oracle.brute_minimal_w(6, cons) == identity(6)
-    with pytest.raises(InconsistentConstraintsError):
+    with pytest.raises(ValidationError, match="no permutation satisfies the rank constraints"):
         oracle.brute_minimal_w(3, [((1, 1), 1), ((1, 3), 0)])
     assert oracle.brute_minimal_w(9, []) == identity(9)
     with pytest.raises(ResourceError):

@@ -5,7 +5,7 @@ loops it replaced, and a 321-avoiding pair at n = 400 run end to end."""
 import random
 from itertools import permutations
 
-from klreg.errors import StructureError
+from klreg.errors import InternalError
 from klreg.perm import (
     Permutation,
     all_321_avoiding,
@@ -68,7 +68,7 @@ def _compress_reference(v):
     for r in rows:
         rcols = sorted(cmap[j] for (i, j) in cells if i == r)
         if rcols != list(range(rcols[0], rcols[-1] + 1)):
-            raise StructureError(f"compressed row {rmap[r]} is not contiguous")
+            raise InternalError(f"compressed row {rmap[r]} is not contiguous")
         intervals.append((rcols[0], rcols[-1]))
     return tuple(intervals), forward, backward
 

@@ -1,6 +1,6 @@
 import pytest
 
-from klreg.errors import MoveNotApplicableError, PatternError
+from klreg.errors import ValidationError
 from klreg.perm import (
     Permutation,
     all_321_avoiding,
@@ -34,7 +34,7 @@ def test_compress_examples():
     assert empty.rows == () and empty.size() == 0
     big, _ = compress(V11)
     assert big.size() == 26
-    with pytest.raises(PatternError):
+    with pytest.raises(ValidationError, match=r"\(3, 2, 1\) is not 321-avoiding"):
         compress(Permutation((3, 2, 1)))
 
 
@@ -79,7 +79,7 @@ def test_excited_moves():
     moved = apply_excited(top, (3, 4))
     assert (4, 3) in moved.pluses and (3, 4) not in moved.pluses
     assert moved.size() == top.size()
-    with pytest.raises(MoveNotApplicableError):
+    with pytest.raises(ValidationError, match=r"no plus at \(3, 4\)"):
         apply_excited(moved, (3, 4))  # vacated cell
     empty = PlusDiagram(top.region, frozenset())
     assert excited_targets(empty) == ()
@@ -87,7 +87,7 @@ def test_excited_moves():
     kmoved = apply_k_excited(top, (3, 4))
     assert kmoved.size() == top.size() + 1
     assert {(3, 4), (4, 3)} <= kmoved.pluses
-    with pytest.raises(MoveNotApplicableError):
+    with pytest.raises(ValidationError, match=r"K-theoretic excited move does not apply at \(3, 5\)"):
         apply_k_excited(top, (3, 5))  # cell below is occupied
 
 
