@@ -125,7 +125,12 @@ def run_ladder(args) -> tuple[dict, int]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.file} is not valid JSON: {exc}") from exc
     ladder = lad.ladder_from_json(data)
-    (v, w), fam = lad._zipped(ladder)
+    try:
+        (v, w), res, fam = lad._zipped(ladder)
+    except ValidationError as exc:
+        if lad.validate_minimal(ladder).passed:
+            raise
+        raise ValidationError(f"the board is not minimal: {exc}") from exc
     reg = len(lad.elbows(ladder, fam))
     cells = lad.cell_count(ladder)
     wt = cells - len(lad.blanks(ladder, fam))  # every family covers the same cells
@@ -149,7 +154,6 @@ def run_ladder(args) -> tuple[dict, int]:
     }
     code = EXIT_OK
     if args.oracle:
-        res = zipdiag.zip_result(v, w)
         zip_reg, zip_a = res.regularity, res.a_invariant
         agree = (zip_reg, zip_a) == (reg, reg - wt)
         report["oracle"] = {

@@ -28,7 +28,7 @@ from .perm import (
     rank,
 )
 from .skew import PlusDiagram, SkewRegion, can_move
-from .zipdiag import ZipData, _zip_data
+from .zipdiag import ZipResult, zip_result
 
 Point = tuple[float, float]
 
@@ -482,21 +482,17 @@ def family_from_routes(ladder: Ladder, bp: BoundaryPoints, routes) -> PathFamily
     return PathFamily.make(tiles, bp.pairs())
 
 
-def _reachable(src: Cell, goal: Cell, free) -> bool:
-    """Is there a north/west monotone route src -> goal through free cells?"""
-    if src == goal:
-        return True
-    seen = set()
-    stack = [src]
-    while stack:
-        cur = stack.pop()
-        for nxt in ((cur[0], cur[1] - 1), (cur[0] - 1, cur[1])):
-            if nxt == goal:
-                return True
-            if nxt in free and nxt not in seen and nxt[0] >= goal[0] and nxt[1] >= goal[1]:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+def _reaching(goal: Cell, free) -> set:
+    """The cells with a north/west monotone route to goal through free
+    cells, goal included even when it is not free.  A route never leaves
+    the box southeast of goal, and a cell's west and north neighbours come
+    before it in (row, column) order, so one sorted pass over the free
+    cells of that box decides them all."""
+    reach = {goal}
+    for c in sorted(c for c in free if c[0] >= goal[0] and c[1] >= goal[1]):
+        if (c[0], c[1] - 1) in reach or (c[0] - 1, c[1]) in reach:
+            reach.add(c)
+    return reach
 
 
 def p_bot(ladder: Ladder) -> PathFamily:
@@ -511,13 +507,14 @@ def p_bot(ladder: Ladder) -> PathFamily:
         start = _start_box(bp.h[i - 1])
         goal = _goal_box(bp.v[i - 1])
         free = lcells - used
-        if start not in free or not _reachable(start, goal, free):
+        reach = _reaching(goal, free)
+        if start not in free or start not in reach:
             raise ValidationError(f"no path from H_{i} to V_{i}; ladder is not minimal?")
         route = [start]
         cur = start
         while cur != goal:
             for cand in ((cur[0], cur[1] - 1), (cur[0] - 1, cur[1])):  # west first
-                if cand in free and cand != cur and _reachable(cand, goal, free):
+                if cand in free and cand in reach:
                     route.append(cand)
                     cur = cand
                     break
@@ -648,24 +645,24 @@ def diagram_of_paths(ladder: Ladder, family: PathFamily) -> PlusDiagram:
     return PlusDiagram(region_of(ladder), frozenset(blanks(ladder, family)))
 
 
-def _replay_start(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipData, PathFamily]:
-    """perm_of(ladder), its zip data and the bottom family, checked to
+def _replay_start(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipResult, PathFamily]:
+    """perm_of(ladder), its zip result and the bottom family, checked to
     match: the start of every droop replay."""
     pair = perm_of(ladder)
-    data = _zip_data(*pair)
-    if data.region != region_of(ladder):
+    res = zip_result(*pair)
+    if res.region != region_of(ladder):
         raise ValidationError("compressed diagram of v does not match the ladder region")
     family = p_bot(ladder)
-    if frozenset(blanks(ladder, family)) != data.top.pluses:
+    if frozenset(blanks(ladder, family)) != res.d_top.pluses:
         raise ValidationError("bottom family does not match the top diagram")
-    return pair, data, family
+    return pair, res, family
 
 
 def paths_of_diagram(ladder: Ladder, diagram: PlusDiagram, budget: int = 1_000_000) -> PathFamily:
     """Inverse of diagram_of_paths: replay the excited moves leading from
     the top diagram to `diagram` as droops starting from the bottom family."""
-    _, data, family = _replay_start(ladder)
-    top = data.top.pluses
+    _, res, family = _replay_start(ladder)
+    top = res.d_top.pluses
     target = frozenset(diagram.pluses)
     if target == top:
         return family
@@ -698,21 +695,21 @@ def paths_of_diagram(ladder: Ladder, diagram: PlusDiagram, budget: int = 1_000_0
     return _replay(family, reversed(moves))
 
 
-def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], PathFamily]:
-    """perm_of(ladder) and p_zip(ladder), from one run of perm_of.  A droop
-    at b moves one blank from b to b+(1,-1), as the logged slide moves its
-    plus, so a replay from the matching bottom family that completes lands
-    on the slid diagram."""
-    pair, data, family = _replay_start(ladder)
-    family = _replay(family, data.move_log)
-    if frozenset(blanks(ladder, family)) != data.zipped.pluses:
+def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipResult, PathFamily]:
+    """perm_of(ladder), its zip result and p_zip(ladder), from one run of
+    perm_of and of zip_result.  A droop at b moves one blank from b to
+    b+(1,-1), as the logged slide moves its plus, so a replay from the
+    matching bottom family that completes lands on the slid diagram."""
+    pair, res, family = _replay_start(ladder)
+    family = _replay(family, res.move_log)
+    if frozenset(blanks(ladder, family)) != res.d_zip.pluses:
         raise InternalError("droop replay did not land on the slid diagram")
-    return pair, family
+    return pair, res, family
 
 
 def p_zip(ladder: Ladder) -> PathFamily:
     """The family whose blanks form the canonical slid diagram."""
-    return _zipped(ladder)[1]
+    return _zipped(ladder)[2]
 
 
 def regularity_ladder(ladder: Ladder) -> int:
@@ -722,7 +719,7 @@ def regularity_ladder(ladder: Ladder) -> int:
 
 def a_invariant_ladder(ladder: Ladder) -> int:
     """Unforced elbows minus weight, both read off the zipped family."""
-    family = _zipped(ladder)[1]
+    family = _zipped(ladder)[2]
     # droops move blanks, so every family has the bottom family's weight
     wt = cell_count(ladder) - len(blanks(ladder, family))
     return len(elbows(ladder, family)) - wt

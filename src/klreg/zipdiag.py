@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
@@ -148,15 +147,23 @@ def minimizing_diag(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
 
 
 @dataclass
-class ZipData:
+class ZipResult:
+    """Everything the headline construction produces for one pair: the
+    compressed region and its maps, the top diagram, the chosen chains, the
+    slid diagram with the positions from which a plus slid one step, the
+    room under each chain box, the K-saturation and the three formulas."""
+
     region: SkewRegion
     maps: CellMaps
-    top: PlusDiagram
+    d_top: PlusDiagram
     chains: tuple[tuple[Cell, ...], ...]
-    zipped: PlusDiagram
-    move_log: tuple[Cell, ...]  # positions from which a plus slid one step
+    d_zip: PlusDiagram
+    move_log: tuple[Cell, ...]
     rooms: dict
-    saturated: PlusDiagram
+    d_zip_k: PlusDiagram
+    degree: int
+    regularity: int
+    a_invariant: int
 
 
 def _slide_all(region: SkewRegion, pluses: set, sources) -> list[Cell]:
@@ -179,12 +186,12 @@ def _room_of(region: SkewRegion, zipped: frozenset, b: Cell) -> int:
     return k
 
 
-@lru_cache(maxsize=4096)
-def _zip_data(v: Permutation, w: Permutation) -> ZipData:
-    """The slid diagram and its saturation.  Every slide step and every
-    K-step lands on a cell that can_move found plus-free in the current
-    diagram, so the cardinality and collision checks can only fail on a
-    bug."""
+def zip_result(v: Permutation, w: Permutation) -> ZipResult:
+    """The slid diagram and its saturation, built afresh on every call;
+    a caller that needs the record twice keeps it.  Every slide step and
+    every K-step lands on a cell that can_move found plus-free in the
+    current diagram, so the cardinality and collision checks can only fail
+    on a bug."""
     region, maps, top = _top_data(v, w)
     comps = components(top)
     chains = _minimizing_diag(comps)
@@ -211,33 +218,46 @@ def _zip_data(v: Permutation, w: Permutation) -> ZipData:
     if extra & zipped.pluses:
         raise InternalError("K-saturation collided with the slid diagram")
     saturated = PlusDiagram(region, zipped.pluses | extra)
-    return ZipData(region, maps, top, chains, zipped, tuple(log), rooms, saturated)
+    deg = saturated.size()
+    return ZipResult(
+        region=region,
+        maps=maps,
+        d_top=top,
+        chains=chains,
+        d_zip=zipped,
+        move_log=tuple(log),
+        rooms=rooms,
+        d_zip_k=saturated,
+        degree=deg,
+        regularity=deg - coxeter_length(w),
+        a_invariant=deg - coxeter_length(v),
+    )
 
 
 def d_zip(v: Permutation, w: Permutation) -> PlusDiagram:
     """The canonical slid diagram; has exactly length(w) pluses."""
-    return _zip_data(v, w).zipped
+    return zip_result(v, w).d_zip
 
 
 def room(v: Permutation, w: Permutation, b: Cell) -> int:
     """How many anti-diagonal K-steps fit under the chain box b."""
-    data = _zip_data(v, w)
-    if b not in data.rooms:
+    rooms = zip_result(v, w).rooms
+    if b not in rooms:
         raise ValidationError(f"{b} is not a chain box of the pair")
-    return data.rooms[b]
+    return rooms[b]
 
 
 def d_zip_k(v: Permutation, w: Permutation) -> PlusDiagram:
     """The slid diagram plus its full anti-diagonal K-saturation."""
-    return _zip_data(v, w).saturated
+    return zip_result(v, w).d_zip_k
 
 
 def k_saturation_by_moves(v: Permutation, w: Permutation) -> PlusDiagram:
     """Independent construction of d_zip_k by literally applying a maximal
     run of K-theoretic excited moves below each chain box."""
-    data = _zip_data(v, w)
-    diagram = data.zipped
-    for chain in data.chains:
+    res = zip_result(v, w)
+    diagram = res.d_zip
+    for chain in res.chains:
         for cur in chain:
             while can_move(diagram.region, diagram.pluses, cur):
                 diagram = apply_k_excited(diagram, cur)
@@ -247,17 +267,17 @@ def k_saturation_by_moves(v: Permutation, w: Permutation) -> PlusDiagram:
 
 def groth_degree(v: Permutation, w: Permutation) -> int:
     """Degree of the unspecialized Grothendieck polynomial of the pair."""
-    return _zip_data(v, w).saturated.size()
+    return zip_result(v, w).degree
 
 
 def regularity(v: Permutation, w: Permutation) -> int:
     """Castelnuovo-Mumford regularity: degree minus length(w)."""
-    return groth_degree(v, w) - coxeter_length(w)
+    return zip_result(v, w).regularity
 
 
 def a_invariant(v: Permutation, w: Permutation) -> int:
     """a-invariant: degree minus length(v)."""
-    return groth_degree(v, w) - coxeter_length(v)
+    return zip_result(v, w).a_invariant
 
 
 def _swap(word: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
@@ -319,34 +339,3 @@ def groth_degree_recursive(v: Permutation, w: Permutation) -> int:
             stack.append((vw, ww, lw, branches))
             stack.extend((*b, None) for b in branches)
     return memo[v.word, w.word]
-
-
-@dataclass
-class ZipResult:
-    """Everything the headline formulas produce for one pair."""
-
-    d_zip: PlusDiagram
-    d_zip_k: PlusDiagram
-    chains: tuple[tuple[Cell, ...], ...]
-    rooms: dict
-    degree: int
-    regularity: int
-    a_invariant: int
-    d_top: PlusDiagram
-    region: SkewRegion
-
-
-def zip_result(v: Permutation, w: Permutation) -> ZipResult:
-    data = _zip_data(v, w)
-    deg = data.saturated.size()
-    return ZipResult(
-        d_zip=data.zipped,
-        d_zip_k=data.saturated,
-        chains=data.chains,
-        rooms=dict(data.rooms),
-        degree=deg,
-        regularity=deg - coxeter_length(w),
-        a_invariant=deg - coxeter_length(v),
-        d_top=data.top,
-        region=data.region,
-    )

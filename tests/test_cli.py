@@ -1,12 +1,15 @@
 import json
+import pathlib
 
 import pytest
 
-from klreg import cli, zipdiag
+from klreg import Ladder, cli, skew, zipdiag
 from klreg.errors import InternalError
 from klreg.ladder import ladder_to_json
 
 from knowndata import LAD_A, V10, W10
+
+LARGE_BOARD = pathlib.Path(__file__).resolve().parent.parent / "demos" / "boards" / "large_board.json"
 
 
 def run(capsys, argv):
@@ -137,6 +140,46 @@ def test_ladder_render_and_export(tmp_path, capsys):
     assert code == 0
     assert "H1=" in data["render"]
     assert "I = ideal(" in script.read_text()
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name so that each call appends to the returned list."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ladder", "--file", str(LARGE_BOARD), "--oracle"],
+        ["pair", "--v", json.dumps(V10.word), "--w", json.dumps(W10.word), "--oracle"],
+    ],
+)
+def test_each_command_builds_the_construction_once(capsys, monkeypatch, argv):
+    # the ladder oracle reads the zip record that the droop replay used, and
+    # the closure oracle reads the top diagram that the zip route built
+    skew._top_data.cache_clear()
+    zips = _count_calls(monkeypatch, zipdiag, "components")
+    tops = _count_calls(monkeypatch, skew, "d_ne")
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert (len(zips), len(tops)) == (1, 1)
+
+
+def test_non_minimal_board_names_the_cause(tmp_path, capsys):
+    board = Ladder((2, 2), (0, 0), (((1, 0), 1),))  # validate_minimal's doctest board
+    path = tmp_path / "board.json"
+    path.write_text(json.dumps(ladder_to_json(board)))
+    code, out, err = run(capsys, ["ladder", "--file", str(path)])
+    assert code == 3 and out == ""
+    assert err == "invalid input: the board is not minimal: bottom family does not match the top diagram\n"
 
 
 def test_missing_ladder_file(capsys):

@@ -16,7 +16,6 @@ from klreg.skew import (
     compress,
     d_top,
     excited_targets,
-    region_partitions,
     render_diagram,
 )
 
@@ -47,16 +46,6 @@ def test_compress_skew_invariants_sweep():
             assert starts == sorted(starts) and ends == sorted(ends)
             assert region.size() == coxeter_length(v)
             assert maps.image(rothe_diagram(v)) == frozenset(region.cells())
-
-
-def test_region_partitions_reflection():
-    region, _ = compress(V10)
-    lam, mu = region_partitions(region)
-    assert lam == (5, 5, 3, 3, 1) and mu == (2, 1, 0, 0, 0)
-    # reflecting back recovers the intervals
-    w = max(lam)
-    rebuilt = tuple((w - l + 1, w - m) for l, m in zip(lam, mu))
-    assert rebuilt == region.rows
 
 
 def test_d_top_examples():

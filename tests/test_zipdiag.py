@@ -267,6 +267,25 @@ def test_zip_degree_on_undercount_pins():
     assert [groth_degree(v, w) for v, w, _ in ZIP_UNDERCOUNT] == [d for _, _, d in ZIP_UNDERCOUNT]
 
 
+def test_zip_degree_matches_recurrence_on_all_of_s7():
+    # every comparable pair of S_7; the zip route is one short exactly on
+    # the pinned S_7 under-counts
+    pinned = {(v.word, w.word): d for v, w, d in ZIP_UNDERCOUNT if v.n == 7}
+    avoid = all_321_avoiding(7)
+    pairs = 0
+    misses = {}
+    for v in avoid:
+        for w in avoid:
+            if bruhat_leq(w, v):
+                pairs += 1
+                by_zip, by_rec = groth_degree(v, w), groth_degree_recursive(v, w)
+                if by_zip != by_rec:
+                    misses[v.word, w.word] = (by_zip, by_rec)
+    assert pairs == 26_021
+    assert misses == {key: (d - 1, d) for key, d in pinned.items()}
+    assert len(misses) == 5
+
+
 # The peel-off recurrence with a whole d_ne per node: the reference for
 # groth_degree_recursive's left-descent test.
 def _groth_degree_recursive_reference(v: Permutation, w: Permutation) -> int:
