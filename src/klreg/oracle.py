@@ -1,6 +1,6 @@
 """Independent brute-force references: breadth-first closures of the move
-system, exhaustive earliest-subword search, pipe-set enumeration, degree
-and support of the unspecialized Grothendieck polynomial, minimal-length
+system, exhaustive earliest-subword search, pipe-set enumeration, the
+degree of the unspecialized Grothendieck polynomial, minimal-length
 permutations for rank constraints, and small lattice-path enumerations.
 
 These deliberately avoid the clever constructions they certify.
@@ -25,7 +25,7 @@ from .perm import (
     right_mult_s,
 )
 from .pipes import box_labels, reading_order
-from .skew import compress, d_top
+from .skew import d_top
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -102,17 +102,6 @@ def closure(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET, moves:
 def max_closure_size(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET) -> int:
     """Largest diagram cardinality in the full closure: the degree oracle."""
     return closure(v, w, budget).max_size
-
-
-def groth_support(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET):
-    """Each closure element pulled back to D(v), with its sign."""
-    _, maps = compress(v)
-    lw = coxeter_length(w)
-    out = []
-    for d in closure(v, w, budget).diagrams:
-        up = tuple(sorted(maps.backward[c] for c in d))
-        out.append((up, (-1) ** (len(d) - lw)))
-    return out
 
 
 def enumerate_pipes(

@@ -191,7 +191,14 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
     a caller that needs the record twice keeps it.  Every slide step and
     every K-step lands on a cell that can_move found plus-free in the
     current diagram, so the cardinality and collision checks can only fail
-    on a bug."""
+    on a bug.
+
+    The record holds both lengths, so none is recomputed: compress(v) maps
+    the cells of D(v) one to one onto the region, so |region| = #D(v) =
+    length(v); d_ne takes a letter exactly when the remainder's length
+    drops by one and raises InternalError unless it reaches 0, so it takes
+    length(w) cells, and the compression map keeps them distinct:
+    |d_top| = length(w)."""
     region, maps, top = _top_data(v, w)
     comps = components(top)
     chains = _minimizing_diag(comps)
@@ -229,8 +236,8 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
         rooms=rooms,
         d_zip_k=saturated,
         degree=deg,
-        regularity=deg - coxeter_length(w),
-        a_invariant=deg - coxeter_length(v),
+        regularity=deg - top.size(),
+        a_invariant=deg - region.size(),
     )
 
 

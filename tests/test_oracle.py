@@ -12,6 +12,7 @@ from klreg.perm import (
     identity,
 )
 from klreg.pipes import d_ne, delta
+from klreg.skew import compress
 
 from knowndata import (
     D_NE_10,
@@ -61,10 +62,21 @@ def test_closure_slice_equals_excited_closure():
         oracle.closure(V10, W10, moves="k")
 
 
+def groth_support(v, w):
+    """Each closure element pulled back to D(v), with its sign."""
+    _, maps = compress(v)
+    lw = coxeter_length(w)
+    out = []
+    for d in oracle.closure(v, w).diagrams:
+        up = tuple(sorted(maps.backward[c] for c in d))
+        out.append((up, (-1) ** (len(d) - lw)))
+    return out
+
+
 def test_groth_support():
-    support = oracle.groth_support(V10, V10)
+    support = groth_support(V10, V10)
     assert len(support) == 1 and support[0][1] == 1
-    support = oracle.groth_support(V10, W10)
+    support = groth_support(V10, W10)
     assert max(len(cells) for cells, _ in support) == DEGREE10
     lw = coxeter_length(W10)
     for cells, sign in support:

@@ -16,7 +16,7 @@ from klreg.perm import (
 )
 from klreg.pipes import box_labels, d_ne, delta, reading_order, reading_word
 from klreg.skew import compress
-from klreg.zipdiag import groth_degree
+from klreg.zipdiag import zip_result
 
 
 def _rothe_diagram_reference(u):
@@ -162,4 +162,6 @@ def test_pair_at_n_400():
     assert len(cells) == lw and delta(v, cells) == w
     region, _ = compress(v)
     assert region.size() == lv
-    assert lw <= groth_degree(v, w) <= lv
+    res = zip_result(v, w)
+    assert (res.region.size(), res.d_top.size()) == (lv, lw)
+    assert lw <= res.degree <= lv

@@ -384,6 +384,24 @@ def test_zip_result_bundle():
     assert res.d_zip.size() == coxeter_length(W16)
 
 
+def test_record_sizes_are_the_lengths_on_small_groups():
+    # zip_result and the CLI read ell(v) and ell(w) off the record
+    pairs = 0
+    for n in range(1, 7):
+        avoid = all_321_avoiding(n)
+        for v in avoid:
+            for w in avoid:
+                if bruhat_leq(w, v):
+                    res = zip_result(v, w)
+                    assert (res.region.size(), res.d_top.size()) == (coxeter_length(v), coxeter_length(w))
+                    assert (res.regularity, res.a_invariant) == (
+                        res.degree - coxeter_length(w),
+                        res.degree - coxeter_length(v),
+                    )
+                    pairs += 1
+    assert pairs == 3828
+
+
 def test_small_sweep_all_routes_and_closures():
     for n in range(2, 5):
         avoid = all_321_avoiding(n)
