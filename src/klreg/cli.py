@@ -17,7 +17,6 @@ the enumeration counted goes to stderr as one JSON line), 5 internal fault
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import random
@@ -214,18 +213,7 @@ def run_sweep(args) -> tuple[dict, int]:
     return report, EXIT_DISAGREE if disagreements else EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The klreg parser, built on the first call and reused after it.
-
-    A shell run calls main once, so the cache changes nothing there; it
-    serves callers that run main many times in one process (the benchmark's
-    pair and ladder ops, the tests), where building the parser again took
-    about 0.7 ms of a 1.7 ms median pair op at n = 20..80 (Python 3.11).
-    Reuse is safe: parse_args returns a fresh Namespace and leaves the
-    parser as it was, also when it exits on a usage error or --help.  The
-    parser is not built at import time, so importing klreg.cli stays cheap.
-    """
     parser = argparse.ArgumentParser(prog="klreg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

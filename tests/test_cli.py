@@ -1,9 +1,5 @@
-import argparse
 import json
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -12,7 +8,7 @@ from klreg.errors import InternalError
 from klreg.ladder import ladder_from_json, ladder_to_json, perm_of
 from klreg.perm import coxeter_length
 
-from knowndata import LAD_A, V10, V11, W10, W11
+from knowndata import LAD_A, V10, W10
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LARGE_BOARD = ROOT / "demos" / "boards" / "large_board.json"
@@ -20,10 +16,7 @@ BOARDS = sorted((ROOT / "demos" / "boards").glob("*.json")) + sorted((ROOT / "be
 
 
 def run(capsys, argv):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # an argparse usage error
-        code = exc.code
+    code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -181,56 +174,6 @@ def test_each_command_builds_the_construction_once(capsys, monkeypatch, argv):
     code, _, _ = run(capsys, argv)
     assert code == 0
     assert (len(zips), len(tops)) == (1, 1)
-
-
-def _pair_argv(v, w, *flags):
-    return ["pair", "--v", json.dumps(v.word), "--w", json.dumps(w.word), *flags]
-
-
-def _run_fresh(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "klreg.cli", *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
-    return proc.returncode, proc.stdout, proc.stderr
-
-
-def test_one_process_matches_fresh_processes(capsys, monkeypatch):
-    # main reuses one parser: no flag may leak from one call into the next,
-    # and a usage error must not leave the parser broken for the calls after it
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
-    monkeypatch.delenv("KLREG_BUDGET", raising=False)
-    calls = [
-        _pair_argv(V10, W10, "--render", "--oracle", "--recurrence"),
-        ["ladder", "--file", str(LARGE_BOARD), "--oracle", "--render"],
-        ["pair", "--v", "[2,1,3]"],
-        _pair_argv(V11, W11),
-        ["sweep", "--n", "6", "--samples", "20", "--seed", "5"],
-        ["pair", "--v", "1x", "--w", "12"],
-    ]
-    results = [run(capsys, argv) for argv in calls]
-    assert [code for code, _, _ in results] == [0, 0, 2, 0, 0, 2]
-    assert results == [_run_fresh(argv) for argv in calls]
-
-
-def test_parser_is_built_once_per_process(capsys, monkeypatch):
-    run(capsys, _pair_argv(V10, W10))  # warm-up: builds the parser if no test has yet
-    built = []
-    inner = argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        inner(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    for argv in (
-        _pair_argv(V10, W10),
-        ["ladder", "--file", str(LARGE_BOARD)],
-        ["sweep", "--n", "4", "--samples", "3"],
-    ):
-        assert run(capsys, argv)[0] == 0
-    assert built == []
 
 
 @pytest.mark.parametrize("path", BOARDS, ids=lambda p: f"{p.parent.parent.name}-{p.stem}")
