@@ -10,14 +10,12 @@ from .ladder import (
     a_invariant_ladder,
     blanks,
     boundary_points,
-    diagram_of_paths,
     elbows,
     ladder_from_json,
     ladder_to_json,
     nilp_is_valid,
     p_bot,
     p_zip,
-    paths_of_diagram,
     perm_of,
     regularity_ladder,
     render_paths,
@@ -33,7 +31,6 @@ from .perm import (
     from_lehmer_code,
     identity,
     is_321_avoiding,
-    is_grassmannian,
     lehmer_code,
     rank,
     rothe_diagram,
@@ -42,11 +39,8 @@ from .pipes import d_ne, delta, reading_word
 from .skew import (
     PlusDiagram,
     SkewRegion,
-    apply_excited,
-    apply_k_excited,
     compress,
     d_top,
-    excited_targets,
     render_diagram,
 )
 from .zipdiag import (

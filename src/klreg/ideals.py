@@ -37,15 +37,6 @@ class Poly:
             terms = tuple((m, -c) for m, c in terms)
         return Poly(terms)
 
-    def degree(self) -> int:
-        return max(len(m) for m, _ in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        return len({len(m) for m, _ in self.terms}) == 1
-
-    def is_multilinear(self) -> bool:
-        return all(len(set(m)) == len(m) for m, _ in self.terms)
-
     def rename(self, mapping: dict) -> "Poly":
         """Rewrite every variable through `mapping` (a cell -> cell dict)."""
         d: dict = {}
@@ -185,10 +176,6 @@ def k_polynomial(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET) -
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def k_degree(coeffs: tuple[int, ...]) -> int:
-    return len(coeffs) - 1
 
 
 def ideal_script(gens, variables) -> str:

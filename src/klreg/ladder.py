@@ -13,12 +13,11 @@ partition cuts the region out of the northeast.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from math import inf
 
-from .errors import InternalError, ResourceError, ValidationError
+from .errors import InternalError, ValidationError
 from .perm import (
     Cell,
     Permutation,
@@ -27,7 +26,7 @@ from .perm import (
     is_321_avoiding,
     rank,
 )
-from .skew import PlusDiagram, SkewRegion, can_move
+from .skew import SkewRegion
 from .zipdiag import ZipResult, zip_result
 
 Point = tuple[float, float]
@@ -53,8 +52,9 @@ class Ladder:
     marked: tuple[tuple[Cell, int], ...]
 
     def __post_init__(self):
-        lam = tuple(int(x) for x in self.lam)
-        mu = tuple(int(x) for x in self.mu)
+        lam, mu = tuple(self.lam), tuple(self.mu)
+        if not all(type(x) is int for x in lam + mu):  # bool is not a part
+            raise ValidationError(f"partition parts must be integers: {lam!r}, {mu!r}")
         if len(mu) < len(lam):
             mu = mu + (0,) * (len(lam) - len(mu))
         if not lam or any(a <= 0 for a in lam):
@@ -69,7 +69,11 @@ class Ladder:
         # is smaller than lam[0] and the pair correspondence breaks down
         if mu[-1] != 0 or any(mu[i] > lam[i + 1] for i in range(len(lam) - 1)):
             raise ValidationError("ladder has an empty column; reduce the board first")
-        marks = tuple(sorted(((int(p[0]), int(p[1])), int(r)) for p, r in self.marked))
+        marks = tuple((tuple(p), r) for p, r in self.marked)
+        for p, r in marks:  # checked before the sort, which would compare them
+            if len(p) != 2 or not all(type(x) is int for x in (*p, r)):
+                raise ValidationError(f"a mark needs two integer coordinates and an integer r: {p!r}, {r!r}")
+        marks = tuple(sorted(marks))
         if any(r <= 0 for _, r in marks):
             raise ValidationError("marked point multiplicities must be positive")
         border = _sw_border_points(lam, mu)
@@ -87,11 +91,6 @@ class Ladder:
     @property
     def width(self) -> int:
         return self.lam[0]
-
-    @property
-    def perimeter_half(self) -> int:
-        """n, where the perimeter is 2n."""
-        return self.lam[0] + len(self.lam)
 
 
 def _west_walls(lam) -> list[int]:
@@ -436,9 +435,6 @@ class PathFamily:
     def tile_map(self) -> dict:
         return dict(self.tiles)
 
-    def tile_at(self, cell: Cell) -> Tile:
-        return self.tile_map().get(cell, Tile.BLANK)
-
 
 def _start_box(h: Point) -> Cell:
     return (int(h[0]), int(h[1] + 0.5))
@@ -604,95 +600,31 @@ def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# droops and the correspondence with plus-diagrams
+# droops and the zipped family
 
 
-def droop(family: PathFamily, b: Cell) -> PathFamily:
-    """Reroute the path corner southwest of the blank cell b through b,
-    matching one excited move of the blank from b to b+(1,-1)."""
-    return _replay(family, (b,))
-
-
-def _droop_tiles(tiles: dict, b: Cell) -> None:
-    """droop on a tile map, in place."""
-    s = (b[0] + 1, b[1])
-    sw = (b[0] + 1, b[1] - 1)
-    west = (b[0], b[1] - 1)
-    if b in tiles:
-        raise ValidationError(f"cell {b} is occupied")
-    if tiles.get(sw) != Tile.ELBOW_NE:
-        raise ValidationError(f"no northeast elbow at {sw}")
-    ts = tiles.get(s)
-    tw = tiles.get(west)
-    if ts not in (Tile.HORIZ, Tile.ELBOW_SW) or tw not in (Tile.VERT, Tile.ELBOW_SW):
-        raise ValidationError(f"droop frame around {b} is malformed")
-    del tiles[sw]
-    tiles[b] = Tile.ELBOW_SW
-    tiles[s] = Tile.ELBOW_NE if ts == Tile.HORIZ else Tile.VERT
-    tiles[west] = Tile.ELBOW_NE if tw == Tile.VERT else Tile.HORIZ
-
-
-def _replay(family: PathFamily, moves) -> PathFamily:
-    """Apply the droops at `moves`, in order, to one tile map."""
+def droop(family: PathFamily, moves) -> PathFamily:
+    """Apply the droops at the cells `moves`, in order, to one tile map.
+    A droop at the blank cell b reroutes the path corner southwest of b
+    through b, matching one excited move of the blank from b to b+(1,-1)."""
     tiles = family.tile_map()
     for b in moves:
-        _droop_tiles(tiles, b)
+        s = (b[0] + 1, b[1])
+        sw = (b[0] + 1, b[1] - 1)
+        west = (b[0], b[1] - 1)
+        if b in tiles:
+            raise ValidationError(f"cell {b} is occupied")
+        if tiles.get(sw) != Tile.ELBOW_NE:
+            raise ValidationError(f"no northeast elbow at {sw}")
+        ts = tiles.get(s)
+        tw = tiles.get(west)
+        if ts not in (Tile.HORIZ, Tile.ELBOW_SW) or tw not in (Tile.VERT, Tile.ELBOW_SW):
+            raise ValidationError(f"droop frame around {b} is malformed")
+        del tiles[sw]
+        tiles[b] = Tile.ELBOW_SW
+        tiles[s] = Tile.ELBOW_NE if ts == Tile.HORIZ else Tile.VERT
+        tiles[west] = Tile.ELBOW_NE if tw == Tile.VERT else Tile.HORIZ
     return PathFamily.make(tiles, family.endpoints)
-
-
-def diagram_of_paths(ladder: Ladder, family: PathFamily) -> PlusDiagram:
-    """The blank set of a family, as a plus-diagram on the ladder region."""
-    return PlusDiagram(region_of(ladder), frozenset(blanks(ladder, family)))
-
-
-def _replay_start(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipResult, PathFamily]:
-    """perm_of(ladder), its zip result and the bottom family, checked to
-    match: the start of every droop replay."""
-    pair = perm_of(ladder)
-    res = zip_result(*pair)
-    if res.region != region_of(ladder):
-        raise ValidationError("compressed diagram of v does not match the ladder region")
-    family = p_bot(ladder)
-    if frozenset(blanks(ladder, family)) != res.d_top.pluses:
-        raise ValidationError("bottom family does not match the top diagram")
-    return pair, res, family
-
-
-def paths_of_diagram(ladder: Ladder, diagram: PlusDiagram, budget: int = 1_000_000) -> PathFamily:
-    """Inverse of diagram_of_paths: replay the excited moves leading from
-    the top diagram to `diagram` as droops starting from the bottom family."""
-    _, res, family = _replay_start(ladder)
-    top = res.d_top.pluses
-    target = frozenset(diagram.pluses)
-    if target == top:
-        return family
-    # breadth-first search in the excited-move closure, tracking parents
-    parents: dict = {top: None}
-    queue = deque([top])
-    found = None
-    while queue and found is None:
-        state = queue.popleft()
-        for b in sorted(state):
-            if can_move(diagram.region, state, b):
-                nxt = state - {b} | {(b[0] + 1, b[1] - 1)}
-                if nxt not in parents:
-                    parents[nxt] = (state, b)
-                    if nxt == target:
-                        found = nxt
-                        break
-                    queue.append(nxt)
-                    if len(parents) > budget:
-                        raise ResourceError(
-                            f"droop search budget {budget} exceeded", partial={"visited": len(parents)}
-                        )
-    if found is None:
-        raise ValidationError("diagram is not in the excited-move closure of the top diagram")
-    moves = []
-    state = found
-    while parents[state] is not None:
-        state, b = parents[state]
-        moves.append(b)
-    return _replay(family, reversed(moves))
 
 
 def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipResult, PathFamily]:
@@ -700,8 +632,14 @@ def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipResult,
     perm_of and of zip_result.  A droop at b moves one blank from b to
     b+(1,-1), as the logged slide moves its plus, so a replay from the
     matching bottom family that completes lands on the slid diagram."""
-    pair, res, family = _replay_start(ladder)
-    family = _replay(family, res.move_log)
+    pair = perm_of(ladder)
+    res = zip_result(*pair)
+    if res.region != region_of(ladder):
+        raise ValidationError("compressed diagram of v does not match the ladder region")
+    family = p_bot(ladder)
+    if frozenset(blanks(ladder, family)) != res.d_top.pluses:
+        raise ValidationError("bottom family does not match the top diagram")
+    family = droop(family, res.move_log)
     if frozenset(blanks(ladder, family)) != res.d_zip.pluses:
         raise InternalError("droop replay did not land on the slid diagram")
     return pair, res, family

@@ -157,12 +157,6 @@ def is_321_avoiding(u: Permutation) -> bool:
     return True
 
 
-def is_grassmannian(u: Permutation) -> bool:
-    """True iff u has at most one descent."""
-    w = u.word
-    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1]) <= 1
-
-
 def right_mult_s(u: Permutation, i: int) -> Permutation:
     """u * s_i: swap the entries in positions i and i+1."""
     if not 1 <= i <= u.n - 1:
@@ -242,16 +236,3 @@ def word_bruhat_leq(u: Sequence[int], w: Sequence[int]) -> bool:
                     return False
     return True
 
-
-def all_permutations(n: int) -> list[Permutation]:
-    """All of S_n, sorted by (length, word)."""
-    from itertools import permutations as _perms
-
-    out = [Permutation(w) for w in _perms(range(1, n + 1))]
-    out.sort(key=lambda u: (coxeter_length(u), u.word))
-    return out
-
-
-def all_321_avoiding(n: int) -> list[Permutation]:
-    """All 321-avoiding elements of S_n, sorted by (length, word)."""
-    return [u for u in all_permutations(n) if is_321_avoiding(u)]

@@ -44,14 +44,6 @@ class SkewRegion:
     def cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(self._cells))
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def width(self) -> int:
-        return max((b for _, b in self.rows), default=0)
-
     def size(self) -> int:
         return len(self._cells)
 
@@ -84,9 +76,6 @@ class CellMaps:
     def image(self, cells) -> frozenset:
         return frozenset(self.forward[c] for c in cells)
 
-    def preimage(self, cells) -> frozenset:
-        return frozenset(self.backward[c] for c in cells)
-
 
 def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
     """Delete empty rows and columns of D(v), shifting up and left.
@@ -117,22 +106,22 @@ def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
 
 
 @lru_cache(maxsize=1)
-def _top_data(v: Permutation, w: Permutation) -> tuple[SkewRegion, CellMaps, PlusDiagram]:
+def _top_data(v: Permutation, w: Permutation) -> tuple[SkewRegion, PlusDiagram]:
     """compress(v) and the top diagram, shared by the zip route and the
     closure oracle.  Every repeat lookup is the oracle certifying the pair
     that zip_result has just built: 1 of 2 lookups in `klreg pair
     --oracle`, 50 of 100 in a 50-sample `klreg sweep`.  One entry serves
     them all and spares a second d_ne and compress, about a seventh of a
     sweep sample at n = 10..16; a larger memo would only keep old pairs'
-    regions, maps and diagrams alive."""
+    regions and diagrams alive."""
     pipe_set = d_ne(v, w)  # validates the pair before compress does
     region, maps = compress(v)
-    return region, maps, PlusDiagram(region, maps.image(pipe_set))
+    return region, PlusDiagram(region, maps.image(pipe_set))
 
 
 def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
     """Compressed image of the northeast-most reduced pipe set."""
-    return _top_data(v, w)[2]
+    return _top_data(v, w)[1]
 
 
 def can_move(region: SkewRegion, pluses, b: Cell) -> bool:
@@ -145,31 +134,6 @@ def can_move(region: SkewRegion, pluses, b: Cell) -> bool:
     """
     i, j = b
     return all(c in region and c not in pluses for c in ((i + 1, j - 1), (i + 1, j), (i, j - 1)))
-
-
-def excited_targets(diagram: PlusDiagram) -> tuple[Cell, ...]:
-    """Pluses at which an excited move currently applies."""
-    return tuple(sorted(b for b in diagram.pluses if can_move(diagram.region, diagram.pluses, b)))
-
-
-def apply_excited(diagram: PlusDiagram, b: Cell) -> PlusDiagram:
-    """Slide the plus at b one step to b+(1,-1)."""
-    if b not in diagram.pluses:
-        raise ValidationError(f"no plus at {b}")
-    if not can_move(diagram.region, diagram.pluses, b):
-        raise ValidationError(f"excited move does not apply at {b}")
-    target = (b[0] + 1, b[1] - 1)
-    return PlusDiagram(diagram.region, diagram.pluses - {b} | {target})
-
-
-def apply_k_excited(diagram: PlusDiagram, b: Cell) -> PlusDiagram:
-    """Copy the plus at b to b+(1,-1), keeping b occupied."""
-    if b not in diagram.pluses:
-        raise ValidationError(f"no plus at {b}")
-    if not can_move(diagram.region, diagram.pluses, b):
-        raise ValidationError(f"K-theoretic excited move does not apply at {b}")
-    target = (b[0] + 1, b[1] - 1)
-    return PlusDiagram(diagram.region, diagram.pluses | {target})
 
 
 def render_diagram(diagram: PlusDiagram, bold=()) -> str:

@@ -19,7 +19,7 @@ from .perm import (
     coxeter_length,
     word_bruhat_leq,
 )
-from .skew import CellMaps, PlusDiagram, SkewRegion, _top_data, apply_k_excited, can_move
+from .skew import PlusDiagram, SkewRegion, _top_data, can_move
 
 
 def components(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
@@ -149,12 +149,11 @@ def minimizing_diag(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
 @dataclass
 class ZipResult:
     """Everything the headline construction produces for one pair: the
-    compressed region and its maps, the top diagram, the chosen chains, the
-    slid diagram with the positions from which a plus slid one step, the
-    room under each chain box, the K-saturation and the three formulas."""
+    compressed region, the top diagram, the chosen chains, the slid
+    diagram with the positions from which a plus slid one step, the room
+    under each chain box, the K-saturation and the three formulas."""
 
     region: SkewRegion
-    maps: CellMaps
     d_top: PlusDiagram
     chains: tuple[tuple[Cell, ...], ...]
     d_zip: PlusDiagram
@@ -199,7 +198,7 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
     drops by one and raises InternalError unless it reaches 0, so it takes
     length(w) cells, and the compression map keeps them distinct:
     |d_top| = length(w)."""
-    region, maps, top = _top_data(v, w)
+    region, top = _top_data(v, w)
     comps = components(top)
     chains = _minimizing_diag(comps)
 
@@ -228,7 +227,6 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
     deg = saturated.size()
     return ZipResult(
         region=region,
-        maps=maps,
         d_top=top,
         chains=chains,
         d_zip=zipped,
@@ -263,13 +261,13 @@ def k_saturation_by_moves(v: Permutation, w: Permutation) -> PlusDiagram:
     """Independent construction of d_zip_k by literally applying a maximal
     run of K-theoretic excited moves below each chain box."""
     res = zip_result(v, w)
-    diagram = res.d_zip
+    pluses = set(res.d_zip.pluses)
     for chain in res.chains:
         for cur in chain:
-            while can_move(diagram.region, diagram.pluses, cur):
-                diagram = apply_k_excited(diagram, cur)
+            while can_move(res.region, pluses, cur):
                 cur = (cur[0] + 1, cur[1] - 1)
-    return diagram
+                pluses.add(cur)
+    return PlusDiagram(res.region, frozenset(pluses))
 
 
 def groth_degree(v: Permutation, w: Permutation) -> int:

@@ -1,13 +1,16 @@
-"""Shared worked-instance data, and one reference primitive, used across
-the test modules.
+"""Shared worked-instance data, and the reference primitives and
+enumerators, used across the test modules.
 
 Values here are pinned from hand-checked sources: either computed by an
 independent method inside the tests, or read off published diagrams and
 cross-verified against each other.
 """
 
+from itertools import permutations
+
 from klreg import Ladder, Permutation
 from klreg.errors import ValidationError
+from klreg.perm import coxeter_length, is_321_avoiding
 
 
 def left_mult_s(u: Permutation, i: int) -> Permutation:
@@ -16,6 +19,24 @@ def left_mult_s(u: Permutation, i: int) -> Permutation:
         raise ValidationError(f"generator index {i} out of range for S_{u.n}")
     w = [x if x not in (i, i + 1) else (i + 1 if x == i else i) for x in u.word]
     return Permutation(tuple(w))
+
+
+def all_permutations(n: int) -> list[Permutation]:
+    """All of S_n, sorted by (length, word)."""
+    out = [Permutation(w) for w in permutations(range(1, n + 1))]
+    out.sort(key=lambda u: (coxeter_length(u), u.word))
+    return out
+
+
+def all_321_avoiding(n: int) -> list[Permutation]:
+    """All 321-avoiding elements of S_n, sorted by (length, word)."""
+    return [u for u in all_permutations(n) if is_321_avoiding(u)]
+
+
+def is_grassmannian(u: Permutation) -> bool:
+    """True iff u has at most one descent."""
+    w = u.word
+    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1]) <= 1
 
 
 # The S_10 pair behind the reading-word / earliest-subword / degree-8 checks.

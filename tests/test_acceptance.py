@@ -11,7 +11,7 @@ import random
 import time
 
 from klreg import oracle, zipdiag
-from klreg.ideals import k_degree, k_polynomial, kl_generators, ladder_generators
+from klreg.ideals import k_polynomial, kl_generators, ladder_generators
 from klreg.ladder import (
     blanks,
     boundary_points,
@@ -25,7 +25,6 @@ from klreg.ladder import (
 )
 from klreg.perm import (
     Permutation,
-    all_321_avoiding,
     bruhat_leq,
     coxeter_length,
     lehmer_code,
@@ -58,6 +57,7 @@ from knowndata import (
     W11,
     W16,
     W_LAD_A,
+    all_321_avoiding,
 )
 
 
@@ -285,7 +285,7 @@ def test_criterion_11_k_polynomial_degree_and_constant():
         nonlocal checked
         checked += 1
         coeffs = k_polynomial(v, w)
-        if coeffs[0] != 1 or k_degree(coeffs) != groth_degree(v, w):
+        if coeffs[0] != 1 or len(coeffs) - 1 != groth_degree(v, w):
             bad.append((v.word, w.word, coeffs))
 
     for n in range(2, 6):

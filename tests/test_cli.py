@@ -195,6 +195,26 @@ def test_non_minimal_board_names_the_cause(tmp_path, capsys):
     assert err == "invalid input: the board is not minimal: bottom family does not match the top diagram\n"
 
 
+@pytest.mark.parametrize(
+    "board, message",
+    [
+        ({"lambda": ["a"], "marked": []}, "partition parts must be integers"),
+        ({"lambda": [2.7, 2], "marked": [{"point": [2, 0], "r": 1}]}, "partition parts must be integers"),
+        ({"lambda": [2, 2], "marked": [{"point": [2], "r": 1}]}, "a mark needs two integer coordinates"),
+        ({"lambda": [2, 2], "marked": [{"point": [2, 0], "r": True}]}, "a mark needs two integer coordinates"),
+        ({"lambda": [2, 2], "marked": [{"point": [2, 0], "r": "1"}]}, "a mark needs two integer coordinates"),
+    ],
+    ids=["string-part", "float-part", "one-coordinate", "bool-r", "string-r"],
+)
+def test_malformed_board_is_a_validation_error(tmp_path, capsys, board, message):
+    # no coercion: a float, bool or string where an int belongs is bad input
+    path = tmp_path / "board.json"
+    path.write_text(json.dumps(board))
+    code, out, err = run(capsys, ["ladder", "--file", str(path)])
+    assert code == 3 and out == ""
+    assert err.startswith(f"invalid input: {message}")
+
+
 def test_missing_ladder_file(capsys):
     code, _, err = run(capsys, ["ladder", "--file", "/nonexistent/l.json"])
     assert code == 2

@@ -4,7 +4,6 @@ from klreg.errors import ValidationError
 from klreg.ideals import (
     Poly,
     ideal_script,
-    k_degree,
     k_polynomial,
     kl_generators,
     ladder_generators,
@@ -12,14 +11,13 @@ from klreg.ideals import (
 from klreg.ladder import Ladder, perm_of
 from klreg.perm import (
     Permutation,
-    all_321_avoiding,
     bruhat_leq,
     identity,
 )
 from klreg.skew import compress
 from klreg.zipdiag import groth_degree
 
-from knowndata import LAD_A, LAD_C, LAD_D, V10, W10
+from knowndata import LAD_A, LAD_C, LAD_D, V10, W10, all_321_avoiding
 
 
 def test_kl_generators_examples():
@@ -38,8 +36,8 @@ def test_generators_are_homogeneous_and_multilinear():
                 if not bruhat_leq(w, v):
                     continue
                 for g in kl_generators(v, w):
-                    assert g.is_homogeneous()
-                    assert g.is_multilinear()
+                    assert len({len(m) for m, _ in g.terms}) == 1  # homogeneous
+                    assert all(len(set(m)) == len(m) for m, _ in g.terms)  # multilinear
 
 
 def test_ladder_generators_examples():
@@ -48,7 +46,7 @@ def test_ladder_generators_examples():
     gens = ladder_generators(LAD_A)
     # bounded by the number of choices of rows and columns per mark
     assert 0 < len(gens) <= 40 + 18 + 15
-    by_size = {g.degree() for g in gens}
+    by_size = {max(len(m) for m, _ in g.terms) for g in gens}
     assert by_size == {2, 3}
 
 
@@ -66,7 +64,7 @@ def test_k_polynomial_examples():
     assert k_polynomial(s1, identity(2)) == (1,)
     coeffs = k_polynomial(V10, W10)
     assert coeffs[0] == 1
-    assert k_degree(coeffs) == 8
+    assert len(coeffs) - 1 == 8
 
 
 def test_k_polynomial_budget():
@@ -85,7 +83,7 @@ def test_k_polynomial_sweep():
                     continue
                 coeffs = k_polynomial(v, w)
                 assert coeffs[0] == 1
-                assert k_degree(coeffs) == groth_degree(v, w)
+                assert len(coeffs) - 1 == groth_degree(v, w)
 
 
 def test_poly_canonical_form():

@@ -3,17 +3,17 @@ import random
 import pytest
 
 from klreg import oracle, zipdiag
-from klreg.errors import ResourceError, ValidationError
+from klreg.errors import ValidationError
 from klreg.ladder import (
     Ladder,
     MinimalityReport,
+    PathFamily,
     Tile,
     _sw_border_points,
     a_invariant_ladder,
     blanks,
     boundary_points,
     cell_count,
-    diagram_of_paths,
     droop,
     elbows,
     family_from_routes,
@@ -23,7 +23,6 @@ from klreg.ladder import (
     nilp_is_valid,
     p_bot,
     p_zip,
-    paths_of_diagram,
     perm_of,
     rank_constraints,
     region_of,
@@ -41,7 +40,7 @@ from klreg.perm import (
     is_321_avoiding,
     lehmer_code,
 )
-from klreg.skew import compress, d_top
+from klreg.skew import can_move, compress, d_top
 
 from knowndata import (
     CORNER_FILLS_B,
@@ -79,8 +78,6 @@ def test_corners():
     assert se_corner(LAD_A) == (6, 5)
     assert sw_corners(LAD_B) == ((4, 0), (5, 2), (8, 6), (10, 8))
     assert ne_corners(LAD_B) == ((0, 8), (2, 10))
-    assert LAD_A.perimeter_half == 11
-    assert LAD_B.perimeter_half == 20
 
 
 def test_cell_counts_and_region():
@@ -289,7 +286,7 @@ def test_nilp_validity_of_known_families():
     bad = family_from_routes(LAD_B, bp, ROUTES_BAD_B)
     assert not nilp_is_valid(LAD_B, bad)
     # the offending tiles sit in the cutout above a blank
-    assert bad.tile_at((2, 9)) == Tile.HORIZ and bad.tile_at((3, 8)) == Tile.BLANK
+    assert bad.tile_map()[(2, 9)] == Tile.HORIZ and (3, 8) not in bad.tile_map()
 
 
 def test_all_blank_family_is_valid():
@@ -320,32 +317,54 @@ def test_droop_is_one_excited_move():
     fam = p_bot(LAD_A)
     before = frozenset(blanks(LAD_A, fam))
     b = (3, 4)  # blank with an occupied hook southwest of it
-    after = droop(fam, b)
+    after = droop(fam, (b,))
     assert frozenset(blanks(LAD_A, after)) == before - {b} | {(4, 3)}
     assert nilp_is_valid(LAD_A, after)
 
 
-def test_paths_of_diagram_round_trip():
-    from klreg.skew import PlusDiagram
+def test_droop_rejections_on_the_bottom_family():
+    fam = p_bot(LAD_A)
+    bp = boundary_points(LAD_A)
+    outer = ((6, 5), (6, 4), (5, 4), (4, 4), (4, 3), (3, 3), (3, 2), (2, 2), (1, 2), (1, 1))
+    inner = ((4, 2), (4, 1), (3, 1), (2, 1))
+    assert family_from_routes(LAD_A, bp, (outer, inner)) == fam
+    with pytest.raises(ValidationError, match=r"^routes overlap at \(3, 2\)$"):
+        family_from_routes(LAD_A, bp, (outer, ((4, 2), (3, 2))))
+    with pytest.raises(ValidationError, match=r"^non-monotone step \(4, 2\) -> \(3, 3\)$"):
+        family_from_routes(LAD_A, bp, (((4, 2), (3, 3)),))
+    with pytest.raises(ValidationError, match=r"^cell \(1, 1\) is occupied$"):
+        droop(fam, ((1, 1),))
+    with pytest.raises(ValidationError, match=r"^no northeast elbow at \(2, 2\)$"):
+        droop(fam, ((1, 3),))
+    # (3, 4) droops on the bottom family; a vertical tile south of it cannot
+    tiles = fam.tile_map()
+    tiles[(4, 4)] = Tile.VERT
+    with pytest.raises(ValidationError, match=r"^droop frame around \(3, 4\) is malformed$"):
+        droop(PathFamily.make(tiles, fam.endpoints), ((3, 4),))
 
+
+def test_droop_replays_every_excited_state():
+    """A breadth-first search of excited moves from the bottom family's
+    blanks, recording the moves to each state, reaches the oracle's excited
+    closure, and replaying each move sequence as droops lands on it."""
     v, w = perm_of(LAD_C)
-    for cells in oracle.closure(v, w, moves="excited").diagrams:
-        target = PlusDiagram(region_of(LAD_C), frozenset(cells))
-        fam = paths_of_diagram(LAD_C, target)
+    region = region_of(LAD_C)
+    bottom = p_bot(LAD_C)
+    moves_to = {frozenset(blanks(LAD_C, bottom)): ()}
+    queue = list(moves_to)
+    for state in queue:
+        for b in sorted(state):
+            if can_move(region, state, b):
+                nxt = state - {b} | {(b[0] + 1, b[1] - 1)}
+                if nxt not in moves_to:
+                    moves_to[nxt] = moves_to[state] + (b,)
+                    queue.append(nxt)
+    assert set(moves_to) == oracle.closure(v, w, moves="excited").as_sets()
+    assert len(moves_to) > 1
+    for state, moves in moves_to.items():
+        fam = droop(bottom, moves)
         assert nilp_is_valid(LAD_C, fam)
-        assert diagram_of_paths(LAD_C, fam).pluses == frozenset(cells)
-
-
-def test_paths_of_diagram_budget_is_a_resource_error():
-    from klreg.skew import PlusDiagram
-
-    v, w = perm_of(LAD_A)
-    top_rows = sum(i for i, _ in D_TOP_LAD_A)
-    # a diagram two or more moves from the top, so the search must grow
-    far = next(d for d in oracle.closure(v, w, moves="excited").diagrams if sum(i for i, _ in d) >= top_rows + 2)
-    with pytest.raises(ResourceError) as info:
-        paths_of_diagram(LAD_A, PlusDiagram(region_of(LAD_A), frozenset(far)), budget=1)
-    assert info.value.partial["visited"] == 2
+        assert frozenset(blanks(LAD_C, fam)) == state
 
 
 def test_p_zip_matches_zip_diagram():

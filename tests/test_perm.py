@@ -7,7 +7,6 @@ import pytest
 from klreg.errors import ValidationError
 from klreg.perm import (
     Permutation,
-    all_permutations,
     bruhat_leq,
     coxeter_length,
     demazure_product,
@@ -15,14 +14,13 @@ from klreg.perm import (
     from_lehmer_code,
     identity,
     is_321_avoiding,
-    is_grassmannian,
     lehmer_code,
     rank,
     right_mult_s,
     rothe_diagram,
 )
 
-from knowndata import LAD_A, V10, V11, V_LAD_A, W10
+from knowndata import LAD_A, V10, V11, V_LAD_A, W10, all_permutations, is_grassmannian
 
 
 def brute_avoids_321(word):

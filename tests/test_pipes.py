@@ -6,7 +6,6 @@ import pytest
 from klreg.errors import InternalError, ValidationError
 from klreg.perm import (
     Permutation,
-    all_321_avoiding,
     bruhat_leq,
     coxeter_length,
     demazure_product,
@@ -18,7 +17,7 @@ from klreg.perm import (
 from klreg.pipes import box_labels, d_ne, delta, reading_order, reading_word
 from klreg import oracle
 
-from knowndata import D_NE_10, V10, W10, WORD_W10, left_mult_s
+from knowndata import D_NE_10, V10, W10, WORD_W10, all_321_avoiding, left_mult_s
 
 
 def test_box_labels():

@@ -8,7 +8,6 @@ from itertools import permutations
 from klreg.errors import InternalError
 from klreg.perm import (
     Permutation,
-    all_321_avoiding,
     coxeter_length,
     is_321_avoiding,
     lehmer_code,
@@ -17,6 +16,8 @@ from klreg.perm import (
 from klreg.pipes import box_labels, d_ne, delta, reading_order, reading_word
 from klreg.skew import compress
 from klreg.zipdiag import zip_result
+
+from knowndata import all_321_avoiding
 
 
 def _rothe_diagram_reference(u):

@@ -6,7 +6,6 @@ from klreg import oracle
 from klreg.errors import InternalError, ValidationError
 from klreg.perm import (
     Permutation,
-    all_321_avoiding,
     bruhat_leq,
     coxeter_length,
     identity,
@@ -49,6 +48,7 @@ from knowndata import (
     W11,
     W16,
     ZIP_UNDERCOUNT,
+    all_321_avoiding,
     left_mult_s,
 )
 
