@@ -26,7 +26,6 @@ from .perm import (
     Permutation,
     bruhat_leq,
     coxeter_length,
-    demazure_product,
     demazure_step,
     from_lehmer_code,
     identity,
@@ -35,7 +34,7 @@ from .perm import (
     rank,
     rothe_diagram,
 )
-from .pipes import d_ne, delta, reading_word
+from .pipes import d_ne, reading_word
 from .skew import (
     PlusDiagram,
     SkewRegion,

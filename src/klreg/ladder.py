@@ -12,7 +12,6 @@ partition cuts the region out of the northeast.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from math import inf
@@ -177,9 +176,9 @@ def se_corner(ladder: Ladder) -> Cell:
 
 
 def ladder_from_json(data) -> Ladder:
-    """Accepts a dict or a JSON string of the documented ladder schema."""
-    if isinstance(data, str):
-        data = json.loads(data)
+    """The ladder of a decoded board file: a dict of the documented schema."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"bad ladder description: expected a JSON object, got {type(data).__name__}")
     try:
         marks = tuple((tuple(m["point"]), m["r"]) for m in data["marked"])
         return Ladder(tuple(data["lambda"]), tuple(data.get("mu", ())), marks)

@@ -1,7 +1,8 @@
 """Independent brute-force references: breadth-first closures of the move
 system, exhaustive earliest-subword search, pipe-set enumeration, the
 degree of the unspecialized Grothendieck polynomial, minimal-length
-permutations for rank constraints, and small lattice-path enumerations.
+permutations for rank constraints, and small lattice-path enumerations;
+plus the one random 321-avoiding pair sampler.
 
 These deliberately avoid the clever constructions they certify.
 """
@@ -20,11 +21,10 @@ from .perm import (
     coxeter_length,
     demazure_step,
     identity,
-    is_321_avoiding,
     rank,
     right_mult_s,
 )
-from .pipes import box_labels, reading_order
+from .pipes import _reading_cells, box_labels, reading_order
 from .skew import d_top
 
 DEFAULT_BUDGET = 1_000_000
@@ -244,21 +244,39 @@ def enumerate_nilp(ladder, budget: int = DEFAULT_BUDGET, allow_partial: bool = F
     return tuple(results)
 
 
-def random_avoiding_pair(rng, n: int) -> tuple[Permutation, Permutation]:
-    """A uniform-ish random 321-avoiding pair w <= v, sampled by taking a
-    random 321-avoiding v and the Demazure product of a random subset of
-    its reading word."""
-    from .pipes import delta
+def _keeps_321_avoiding(word: list[int], i: int) -> bool:
+    """Does swapping the increasing entries at i, i + 1 (0-indexed) of a
+    321-avoiding word keep it 321-avoiding?  The new inversion must not sit
+    below a larger earlier entry or above a smaller later one."""
+    return max(word[:i], default=0) < word[i + 1] and min(word[i + 2 :], default=len(word) + 1) > word[i]
 
-    while True:
-        word = list(range(1, n + 1))
-        rng.shuffle(word)
-        v = Permutation(tuple(word))
-        if is_321_avoiding(v):
+
+def random_avoiding_pair(rng, n: int) -> tuple[Permutation, Permutation]:
+    """A random 321-avoiding pair w <= v, in polynomial time, not uniform.
+
+    v is an adjacent-swap walk from the identity of S_n: each of up to
+    rng.randint(0, n*n // 4) steps swaps the first increasing adjacent pair,
+    in a shuffled order of positions, whose swap keeps the word
+    321-avoiding, and the walk stops early when none does.  Each step adds
+    one inversion, so l(v) <= n*n // 4.  w starts at the identity and takes
+    each letter of v's reading word with probability 1/2 when it lengthens
+    w and keeps it 321-avoiding, so w is the Demazure product of a subword
+    of a reduced word for v and w <= v.
+    """
+    word = list(range(1, n + 1))
+    positions = list(range(n - 1))
+    for _ in range(rng.randint(0, n * n // 4)):
+        rng.shuffle(positions)
+        for i in positions:
+            if word[i] < word[i + 1] and _keeps_321_avoiding(word, i):
+                word[i], word[i + 1] = word[i + 1], word[i]
+                break
+        else:
             break
-    order = reading_order(v)
-    while True:
-        subset = [c for c in order if rng.random() < 0.5]
-        w = delta(v, subset)
-        if is_321_avoiding(w):
-            return v, w
+    v = Permutation(tuple(word))
+    w = list(range(1, n + 1))
+    for _, a in _reading_cells(v):
+        i = a - 1
+        if w[i] < w[i + 1] and rng.random() < 0.5 and _keeps_321_avoiding(w, i):
+            w[i], w[i + 1] = w[i + 1], w[i]
+    return v, Permutation(tuple(w))

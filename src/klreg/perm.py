@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -176,18 +176,6 @@ def demazure_step(u: Permutation, i: int) -> Permutation:
         raise ValidationError(f"generator index {i} out of range for S_{u.n}")
     if u.word[i - 1] < u.word[i]:
         return right_mult_s(u, i)
-    return u
-
-
-def demazure_product(word: Iterable[int], n: int) -> Permutation:
-    """Fold demazure_step over word, starting from the identity of S_n.
-
-    >>> demazure_product((1, 1), 2).word
-    (2, 1)
-    """
-    u = identity(n)
-    for i in word:
-        u = demazure_step(u, i)
     return u
 
 

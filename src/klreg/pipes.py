@@ -1,5 +1,5 @@
-"""Box labelings of Rothe diagrams, reading words, Demazure products of
-sub-diagrams, and the northeast-most reduced pipe set."""
+"""Box labelings of Rothe diagrams, reading words, and the northeast-most
+reduced pipe set."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from .perm import (
     _free_values,
     check_pair,
     coxeter_length,
-    demazure_product,
 )
 
 
@@ -52,11 +51,6 @@ def reading_word(v: Permutation, cells: Iterable[Cell]) -> tuple[int, ...]:
     if outside:
         raise ValidationError(f"cells {sorted(outside)} are not in D(v)")
     return tuple(a for c, a in read if c in cellset)
-
-
-def delta(v: Permutation, cells: Iterable[Cell]) -> Permutation:
-    """Demazure product of the reading word of the sub-diagram."""
-    return demazure_product(reading_word(v, cells), v.n)
 
 
 def d_ne(v: Permutation, w: Permutation) -> tuple[Cell, ...]:

@@ -24,9 +24,11 @@ class SkewRegion:
     rows: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        rows = tuple((int(a), int(b)) for a, b in self.rows)
+        rows = tuple((a, b) for a, b in self.rows)
         object.__setattr__(self, "rows", rows)
         for a, b in rows:
+            if type(a) is not int or type(b) is not int:  # bool is not an end
+                raise ValidationError(f"row interval ends must be integers: [{a!r}, {b!r}]")
             if not 1 <= a <= b:
                 raise ValidationError(f"bad row interval [{a}, {b}]")
         for (a1, b1), (a2, b2) in zip(rows, rows[1:]):

@@ -7,10 +7,12 @@ cross-verified against each other.
 """
 
 from itertools import permutations
+from typing import Iterable
 
 from klreg import Ladder, Permutation
 from klreg.errors import ValidationError
-from klreg.perm import coxeter_length, is_321_avoiding
+from klreg.perm import Cell, coxeter_length, demazure_step, identity, is_321_avoiding
+from klreg.pipes import reading_word
 
 
 def left_mult_s(u: Permutation, i: int) -> Permutation:
@@ -19,6 +21,19 @@ def left_mult_s(u: Permutation, i: int) -> Permutation:
         raise ValidationError(f"generator index {i} out of range for S_{u.n}")
     w = [x if x not in (i, i + 1) else (i + 1 if x == i else i) for x in u.word]
     return Permutation(tuple(w))
+
+
+def demazure_product(word: Iterable[int], n: int) -> Permutation:
+    """Fold demazure_step over word, starting from the identity of S_n."""
+    u = identity(n)
+    for i in word:
+        u = demazure_step(u, i)
+    return u
+
+
+def delta(v: Permutation, cells: Iterable[Cell]) -> Permutation:
+    """Demazure product of the reading word of the sub-diagram."""
+    return demazure_product(reading_word(v, cells), v.n)
 
 
 def all_permutations(n: int) -> list[Permutation]:

@@ -24,6 +24,7 @@ KEPT = {
     "room": "a named statistic of the paper",
     "lehmer_code": "a named statistic of the paper",
     "ladder_to_json": "the inverse of the board file format",
+    "reading_word": "bench/tests checks the benchmark's own reading word against it",
 }
 
 

@@ -215,6 +215,20 @@ def test_malformed_board_is_a_validation_error(tmp_path, capsys, board, message)
     assert err.startswith(f"invalid input: {message}")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['"abc"', json.dumps(json.dumps(ladder_to_json(LAD_A)))],
+    ids=["string", "string-of-a-board"],
+)
+def test_board_file_holding_a_string_is_a_validation_error(tmp_path, capsys, text):
+    # the file is decoded once: a JSON string is not a board, even one that spells a board
+    path = tmp_path / "board.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["ladder", "--file", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "invalid input: bad ladder description: expected a JSON object, got str\n"
+
+
 def test_missing_ladder_file(capsys):
     code, _, err = run(capsys, ["ladder", "--file", "/nonexistent/l.json"])
     assert code == 2
@@ -241,6 +255,15 @@ def test_sweep_command(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["checked"] == 30 and data["disagreements"] == []
+
+
+def test_sweep_samples_beyond_desk_scale(capsys, monkeypatch):
+    # the pair sampler is polynomial in n, so n = 18 draws at once; the
+    # closure oracle's budget is what bounds a larger sweep (exit 4)
+    monkeypatch.delenv("KLREG_BUDGET", raising=False)
+    code, out, _ = run(capsys, ["sweep", "--n", "18", "--samples", "2", "--seed", "2023"])
+    assert code == 0
+    assert json.loads(out) == {"checked": 2, "disagreements": [], "mode": "sweep", "n": 18, "samples": 2}
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,9 @@ from klreg.perm import (
     bruhat_leq,
     coxeter_length,
     identity,
+    is_321_avoiding,
 )
-from klreg.pipes import d_ne, delta
+from klreg.pipes import d_ne
 from klreg.skew import compress
 
 from knowndata import (
@@ -27,6 +28,7 @@ from knowndata import (
     W10,
     W11,
     W_LAD_A,
+    delta,
 )
 
 
@@ -145,7 +147,10 @@ def test_enumerate_nilp_partial_on_big_ladder():
 
 def test_random_pair_sampler():
     rng = random.Random(11)
-    for n in (5, 6, 7):
-        for _ in range(20):
+    for n in (0, 1, 2, 5, 6, 7, 18, 40, 80):
+        for _ in range(20 if n <= 40 else 4):
             v, w = oracle.random_avoiding_pair(rng, n)
+            assert v.n == w.n == n
+            assert is_321_avoiding(v) and is_321_avoiding(w)
             assert bruhat_leq(w, v)
+            assert coxeter_length(v) <= n * n // 4

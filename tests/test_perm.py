@@ -9,7 +9,6 @@ from klreg.perm import (
     Permutation,
     bruhat_leq,
     coxeter_length,
-    demazure_product,
     demazure_step,
     from_lehmer_code,
     identity,
@@ -20,7 +19,7 @@ from klreg.perm import (
     rothe_diagram,
 )
 
-from knowndata import LAD_A, V10, V11, V_LAD_A, W10, all_permutations, is_grassmannian
+from knowndata import LAD_A, V10, V11, V_LAD_A, W10, all_permutations, demazure_product, is_grassmannian
 
 
 def brute_avoids_321(word):

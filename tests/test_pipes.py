@@ -8,16 +8,23 @@ from klreg.perm import (
     Permutation,
     bruhat_leq,
     coxeter_length,
-    demazure_product,
     identity,
-    is_321_avoiding,
     right_mult_s,
     rothe_diagram,
 )
-from klreg.pipes import box_labels, d_ne, delta, reading_order, reading_word
+from klreg.pipes import box_labels, d_ne, reading_order, reading_word
 from klreg import oracle
 
-from knowndata import D_NE_10, V10, W10, WORD_W10, all_321_avoiding, left_mult_s
+from knowndata import (
+    D_NE_10,
+    V10,
+    W10,
+    WORD_W10,
+    all_321_avoiding,
+    delta,
+    demazure_product,
+    left_mult_s,
+)
 
 
 def test_box_labels():
@@ -145,40 +152,12 @@ def _d_ne_reference(v, w):
     return tuple(chosen), rejected
 
 
-def _walk_v(rng, n, steps):
-    """Adjacent-swap walk from the identity that lengthens v and keeps it
-    321-avoiding; it stops early when no swap qualifies."""
-    word = list(range(1, n + 1))
-    for _ in range(steps):
-        for i in rng.sample(range(n - 1), n - 1):
-            moved = word[:i] + [word[i + 1], word[i]] + word[i + 2 :]
-            if word[i] < word[i + 1] and is_321_avoiding(Permutation(tuple(moved))):
-                word = moved
-                break
-        else:
-            break
-    return Permutation(tuple(word))
-
-
-def _demazure_w(rng, v, prob):
-    """Demazure steps over v's reading word, each letter taken with
-    probability prob when it lengthens w and keeps it 321-avoiding; w is
-    the Demazure product of a subword of a reduced word for v, so w <= v."""
-    w = identity(v.n)
-    for a in reading_word(v, rothe_diagram(v)):
-        if w.word[a - 1] < w.word[a] and rng.random() < prob:
-            moved = right_mult_s(w, a)
-            if is_321_avoiding(moved):
-                w = moved
-    return w
-
-
 def test_d_ne_matches_reference_at_large_n():
     rng = random.Random(20)
     for n in (10, 20, 30, 40, 60, 80):
         for _ in range(4):
-            v = _walk_v(rng, n, int(rng.uniform(0.3, 0.7) * n * n / 4))
-            targets = [_demazure_w(rng, v, rng.uniform(0.2, 0.8))]
+            v, w = oracle.random_avoiding_pair(rng, n)
+            targets = [w]
             if n == 40:
                 targets += [v, identity(n)]
             for w in targets:

@@ -13,11 +13,12 @@ from klreg.perm import (
     lehmer_code,
     rothe_diagram,
 )
-from klreg.pipes import box_labels, d_ne, delta, reading_order, reading_word
+from klreg.oracle import _keeps_321_avoiding
+from klreg.pipes import box_labels, d_ne, reading_order, reading_word
 from klreg.skew import compress
 from klreg.zipdiag import zip_result
 
-from knowndata import all_321_avoiding
+from knowndata import all_321_avoiding, delta
 
 
 def _rothe_diagram_reference(u):
@@ -125,18 +126,15 @@ def test_pass_matches_references_on_seeded_words():
     assert coxeter_length(w0) == 60 * 59 // 2
 
 
-def _keeps_321_avoiding(word, i):
-    """Does swapping the increasing entries at i, i + 1 (0-indexed) of a
-    321-avoiding word keep it 321-avoiding?  The new inversion must not sit
-    below a larger earlier entry or above a smaller later one."""
-    before, after = word[:i], word[i + 2 :]
-    return max(before, default=0) < word[i + 1] and min(after, default=len(word) + 1) > word[i]
-
-
 def _walk_pair(rng, n, steps, prob):
     """v by a length-increasing adjacent-swap walk that stays 321-avoiding;
     w by Demazure steps over v's reading word, each letter taken with
-    probability prob when it lengthens w and keeps it 321-avoiding, so w <= v."""
+    probability prob when it lengthens w and keeps it 321-avoiding, so w <= v.
+
+    The same walk as oracle.random_avoiding_pair, kept here because the test
+    needs l(v) = steps exactly, which the sampler does not promise (it draws
+    its own step count), and because a random position per try is cheaper at
+    n = 400 than the sampler's shuffle of every position per step."""
     word = list(range(1, n + 1))
     for _ in range(steps):
         for _ in range(4 * n):

@@ -8,7 +8,7 @@ from klreg.perm import (
     identity,
     rothe_diagram,
 )
-from klreg.skew import can_move, compress, d_top, render_diagram
+from klreg.skew import SkewRegion, can_move, compress, d_top, render_diagram
 
 from knowndata import C2_16, D_TOP_10, REGION10, V10, V11, V16, W10, W16, all_321_avoiding
 
@@ -26,6 +26,13 @@ def test_compress_examples():
     assert big.size() == 26
     with pytest.raises(ValidationError, match=r"\(3, 2, 1\) is not 321-avoiding"):
         compress(Permutation((3, 2, 1)))
+
+
+@pytest.mark.parametrize("rows", [((1.9, 2.2),), ((1, 2), (True, 2))], ids=["float", "bool"])
+def test_skew_region_rejects_non_int_ends(rows):
+    # no coercion: int() would turn (1.9, 2.2) into (1, 2) and True into 1
+    with pytest.raises(ValidationError, match="row interval ends must be integers"):
+        SkewRegion(rows)
 
 
 def test_compress_skew_invariants_sweep():
