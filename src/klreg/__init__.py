@@ -6,7 +6,6 @@ from .errors import KlregError
 from .ladder import (
     Ladder,
     PathFamily,
-    Tile,
     a_invariant_ladder,
     blanks,
     boundary_points,

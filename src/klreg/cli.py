@@ -12,6 +12,9 @@ variable, a positive integer, overrides the oracle enumeration budget;
 disagreement, 2 parse error, 3 validation error, 4 budget exhausted (what
 the enumeration counted goes to stderr as one JSON line), 5 internal fault
 (a failed invariant or any other crash; the traceback goes to stderr).
+sweep always prints its report: a sample whose oracle runs out of budget
+is listed under "exhausted" with what it counted, and the sweep exits 1 on
+any disagreement, else 4 if any sample was exhausted, else 0.
 """
 
 from __future__ import annotations
@@ -186,12 +189,17 @@ def run_sweep(args) -> tuple[dict, int]:
     rng = random.Random(args.seed)
     budget = _budget()
     disagreements = []
+    exhausted = []
     checked = 0
     for _ in range(args.samples):
         v, w = oracle.random_avoiding_pair(rng, args.n)
         by_zip = zipdiag.groth_degree(v, w)
         by_rec = zipdiag.groth_degree_recursive(v, w)
-        by_closure = oracle.max_closure_size(v, w, budget=budget)
+        try:
+            by_closure = oracle.max_closure_size(v, w, budget=budget)
+        except ResourceError as exc:
+            exhausted.append({"v": list(v.word), "w": list(w.word), "partial": exc.partial})
+            continue
         checked += 1
         if not by_zip == by_rec == by_closure:
             disagreements.append(
@@ -209,8 +217,9 @@ def run_sweep(args) -> tuple[dict, int]:
         "samples": args.samples,
         "checked": checked,
         "disagreements": disagreements,
+        "exhausted": exhausted,
     }
-    return report, EXIT_DISAGREE if disagreements else EXIT_OK
+    return report, EXIT_DISAGREE if disagreements else EXIT_RESOURCE if exhausted else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

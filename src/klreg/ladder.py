@@ -13,7 +13,6 @@ partition cuts the region out of the northeast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import inf
 
 from .errors import InternalError, ValidationError
@@ -29,17 +28,6 @@ from .skew import SkewRegion
 from .zipdiag import ZipResult, zip_result
 
 Point = tuple[float, float]
-
-
-class Tile(Enum):
-    """Path tiles; ELBOW_NE connects the north and east edges of its box,
-    ELBOW_SW the south and west edges."""
-
-    ELBOW_NE = "ne"
-    ELBOW_SW = "sw"
-    VERT = "vert"
-    HORIZ = "horiz"
-    BLANK = "blank"
 
 
 @dataclass(frozen=True)
@@ -422,17 +410,13 @@ def boundary_points(ladder: Ladder) -> BoundaryPoints:
 
 @dataclass(frozen=True)
 class PathFamily:
-    """Tile assignment realizing one non-intersecting path family."""
+    """One non-intersecting path family as box routes.  routes[i-1] runs
+    from H_i to V_i: it enters its first box from the south, steps west or
+    north from each box to the next, and leaves its last box through the
+    west edge."""
 
-    tiles: tuple  # sorted tuple of (cell, Tile)
+    routes: tuple  # one tuple of boxes per path
     endpoints: tuple  # ((H_1, V_1), (H_2, V_2), ...)
-
-    @staticmethod
-    def make(tiles: dict, endpoints) -> "PathFamily":
-        return PathFamily(tuple(sorted(tiles.items())), tuple(endpoints))
-
-    def tile_map(self) -> dict:
-        return dict(self.tiles)
 
 
 def _start_box(h: Point) -> Cell:
@@ -443,38 +427,30 @@ def _goal_box(v: Point) -> Cell:
     return (int(v[0] + 0.5), int(v[1] + 1))
 
 
-# The tile a path lays in a box, by the edges it enters and leaves through.
-_TILE_OF = {
-    ("S", "N"): Tile.VERT,
-    ("S", "W"): Tile.ELBOW_SW,
-    ("E", "N"): Tile.ELBOW_NE,
-    ("E", "W"): Tile.HORIZ,
-}
-_EXIT_OF = {(entry, tile): exit_ for (entry, exit_), tile in _TILE_OF.items()}
-
-
-def family_from_routes(ladder: Ladder, bp: BoundaryPoints, routes) -> PathFamily:
-    """Assemble tiles from per-path box routes (entered from the south,
-    leaving west at the paired vertical point)."""
-    tiles: dict = {}
-    for route in routes:
+def _passages(family: PathFamily):
+    """(box, entry edge, exit edge) of every box on the family's routes."""
+    for route in family.routes:
         entry = "S"
         for k, box in enumerate(route):
-            if box in tiles:
+            exit_ = "N" if k + 1 < len(route) and route[k + 1] == (box[0] - 1, box[1]) else "W"
+            yield box, entry, exit_
+            entry = "S" if exit_ == "N" else "E"
+
+
+def family_from_routes(bp: BoundaryPoints, routes) -> PathFamily:
+    """The family of per-path box routes, after checking that they are
+    disjoint and step west or north."""
+    seen: set = set()
+    for route in routes:
+        for k, box in enumerate(route):
+            if box in seen:
                 raise ValidationError(f"routes overlap at {box}")
+            seen.add(box)
             if k + 1 < len(route):
                 nxt = route[k + 1]
-                if nxt == (box[0], box[1] - 1):
-                    exit_ = "W"
-                elif nxt == (box[0] - 1, box[1]):
-                    exit_ = "N"
-                else:
+                if nxt not in ((box[0], box[1] - 1), (box[0] - 1, box[1])):
                     raise ValidationError(f"non-monotone step {box} -> {nxt}")
-            else:
-                exit_ = "W"
-            tiles[box] = _TILE_OF[(entry, exit_)]
-            entry = "S" if exit_ == "N" else "E"
-    return PathFamily.make(tiles, bp.pairs())
+    return PathFamily(tuple(tuple(route) for route in routes), bp.pairs())
 
 
 def _reaching(goal: Cell, free) -> set:
@@ -517,12 +493,12 @@ def p_bot(ladder: Ladder) -> PathFamily:
                 raise ValidationError("southwest-hugging walk wedged; ladder is not minimal?")
         used |= set(route)
         routes[i - 1] = tuple(route)
-    return family_from_routes(ladder, bp, routes)
+    return family_from_routes(bp, routes)
 
 
 def blanks(ladder: Ladder, family: PathFamily) -> tuple[Cell, ...]:
     """Ladder cells not occupied by any path."""
-    occupied = {c for c, _ in family.tiles}
+    occupied = {box for route in family.routes for box in route}
     return tuple(c for c in region_of(ladder).cells() if c not in occupied)
 
 
@@ -532,12 +508,12 @@ def weight(ladder: Ladder) -> int:
 
 
 def elbows(ladder: Ladder, family: PathFamily) -> tuple[Cell, ...]:
-    """Unforced elbows: north-east elbow tiles with a blank somewhere on
-    their northeast anti-diagonal."""
+    """Unforced elbows: boxes a path enters from the east and leaves to the
+    north, with a blank somewhere on their northeast anti-diagonal."""
     blank_set = set(blanks(ladder, family))
     out = []
-    for cell, tile in family.tiles:
-        if tile != Tile.ELBOW_NE:
+    for cell, entry, exit_ in _passages(family):
+        if (entry, exit_) != ("E", "N"):
             continue
         i, j = cell
         k = 1
@@ -553,38 +529,25 @@ def elbows(ladder: Ladder, family: PathFamily) -> tuple[Cell, ...]:
 
 
 def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
-    """Do the tiles realize non-intersecting north/west paths H_i -> V_i
-    whose visits to the cutout satisfy the occupancy conditions?"""
+    """Do the routes form disjoint west/north paths H_i -> V_i inside the
+    shape whose visits to the cutout satisfy the occupancy conditions?"""
     lam_cells = partition_cells(ladder)
     cut = cutout_cells(ladder)
-    tiles = family.tile_map()
-    if any(c not in lam_cells for c in tiles):
+    if len(family.routes) != len(family.endpoints):
         return False
-    visited: set = set()
-    for h, vpt in family.endpoints:
-        cur = _start_box(h)
+    occupied: set = set()
+    for route, (h, vpt) in zip(family.routes, family.endpoints):
         goal = _goal_box(vpt)
-        entry = "S"
-        while True:
-            tile = tiles.get(cur)
-            if tile is None or cur in visited or cur not in lam_cells:
-                return False
-            visited.add(cur)
-            exit_ = _EXIT_OF.get((entry, tile))
-            if exit_ is None:
-                return False
-            nxt = (cur[0], cur[1] - 1) if exit_ == "W" else (cur[0] - 1, cur[1])
-            if nxt not in lam_cells:
-                if cur == goal and exit_ == "W":
-                    break
-                return False
-            entry = "E" if exit_ == "W" else "S"
-            cur = nxt
-    if len(visited) != len(tiles):
-        return False
-    for cell in tiles:
+        if not route or route[0] != _start_box(h) or route[-1] != goal or (goal[0], goal[1] - 1) in lam_cells:
+            return False
+        if not lam_cells.issuperset(route) or not occupied.isdisjoint(route):
+            return False
+        if any(b not in ((a[0], a[1] - 1), (a[0] - 1, a[1])) for a, b in zip(route, route[1:])):
+            return False
+        occupied.update(route)
+    for cell, entry, exit_ in _passages(family):
         if cell in cut:
-            if tiles[cell] == Tile.ELBOW_NE:
+            if (entry, exit_) == ("E", "N"):
                 return False
             i, j = cell
             k = 1
@@ -592,7 +555,7 @@ def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
                 probe = (i + k, j - k)
                 if probe not in lam_cells:
                     break
-                if probe not in tiles:
+                if probe not in occupied:
                     return False  # a blank southeast along the anti-diagonal
                 k += 1
     return True
@@ -603,27 +566,25 @@ def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
 
 
 def droop(family: PathFamily, moves) -> PathFamily:
-    """Apply the droops at the cells `moves`, in order, to one tile map.
-    A droop at the blank cell b reroutes the path corner southwest of b
-    through b, matching one excited move of the blank from b to b+(1,-1)."""
-    tiles = family.tile_map()
+    """Apply the droops at the cells `moves`, in order, to one family.  A
+    droop at the blank cell b replaces sw = b+(1,-1) with b in the route
+    that runs b+(1,0) -> sw -> b+(0,-1), so the route keeps its ends and
+    its west/north steps; it is one excited move of the blank from b to sw."""
+    routes = [list(route) for route in family.routes]
+    where = {box: (p, k) for p, route in enumerate(routes) for k, box in enumerate(route)}
     for b in moves:
         s = (b[0] + 1, b[1])
         sw = (b[0] + 1, b[1] - 1)
         west = (b[0], b[1] - 1)
-        if b in tiles:
+        if b in where:
             raise ValidationError(f"cell {b} is occupied")
-        if tiles.get(sw) != Tile.ELBOW_NE:
+        p, k = where.get(sw, (None, 0))
+        route = routes[p] if k else ()
+        if not 0 < k < len(route) - 1 or (route[k - 1], route[k + 1]) != (s, west):
             raise ValidationError(f"no northeast elbow at {sw}")
-        ts = tiles.get(s)
-        tw = tiles.get(west)
-        if ts not in (Tile.HORIZ, Tile.ELBOW_SW) or tw not in (Tile.VERT, Tile.ELBOW_SW):
-            raise ValidationError(f"droop frame around {b} is malformed")
-        del tiles[sw]
-        tiles[b] = Tile.ELBOW_SW
-        tiles[s] = Tile.ELBOW_NE if ts == Tile.HORIZ else Tile.VERT
-        tiles[west] = Tile.ELBOW_NE if tw == Tile.VERT else Tile.HORIZ
-    return PathFamily.make(tiles, family.endpoints)
+        route[k] = b
+        where[b] = where.pop(sw)
+    return PathFamily(tuple(map(tuple, routes)), family.endpoints)
 
 
 def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipResult, PathFamily]:
@@ -665,25 +626,25 @@ def a_invariant_ladder(ladder: Ladder) -> int:
 # ---------------------------------------------------------------------------
 # rendering
 
-_GLYPH = {
-    Tile.ELBOW_NE: "└",  # └
-    Tile.ELBOW_SW: "┐",  # ┐
-    Tile.VERT: "│",  # │
-    Tile.HORIZ: "─",  # ─
+_GLYPH = {  # by the edges a path enters and leaves a box through
+    ("E", "N"): "└",
+    ("S", "W"): "┐",
+    ("S", "N"): "│",
+    ("E", "W"): "─",
 }
 
 
 def render_paths(ladder: Ladder, family: PathFamily) -> str:
-    """ASCII grid of the five tiles plus a legend of labeled endpoints."""
-    tiles = family.tile_map()
+    """ASCII grid of the path glyphs and blank cells, plus a legend of labeled endpoints."""
+    glyphs = {cell: _GLYPH[entry, exit_] for cell, entry, exit_ in _passages(family)}
     lcells = set(region_of(ladder).cells())
     lines = []
     for i in range(1, ladder.n_rows + 1):
         chars = []
         for j in range(1, ladder.width + 1):
             cell = (i, j)
-            if cell in tiles:
-                chars.append(_GLYPH[tiles[cell]])
+            if cell in glyphs:
+                chars.append(glyphs[cell])
             elif cell in lcells:
                 chars.append("·")  # ·
             else:

@@ -224,7 +224,7 @@ def enumerate_nilp(ladder, budget: int = DEFAULT_BUDGET, allow_partial: bool = F
     def place(i: int, used: frozenset, acc: list) -> bool:
         """Place paths i.. after acc; False once a partial run is full."""
         if i == ell:
-            fam = lad.family_from_routes(ladder, bp, tuple(acc))
+            fam = lad.family_from_routes(bp, tuple(acc))
             if lad.nilp_is_valid(ladder, fam):
                 results.append(fam)
                 if allow_partial:
@@ -244,11 +244,20 @@ def enumerate_nilp(ladder, budget: int = DEFAULT_BUDGET, allow_partial: bool = F
     return tuple(results)
 
 
-def _keeps_321_avoiding(word: list[int], i: int) -> bool:
-    """Does swapping the increasing entries at i, i + 1 (0-indexed) of a
-    321-avoiding word keep it 321-avoiding?  The new inversion must not sit
-    below a larger earlier entry or above a smaller later one."""
-    return max(word[:i], default=0) < word[i + 1] and min(word[i + 2 :], default=len(word) + 1) > word[i]
+def _swap_if_avoiding(word: list[int], before: list[int], after: list[int], i: int) -> bool:
+    """Swap the increasing entries at i, i + 1 (0-indexed) of a 321-avoiding
+    word if that keeps it 321-avoiding, and say whether it did.  The new
+    inversion must not sit below a larger earlier entry or above a smaller
+    later one.  before[k] = max(word[:k], default=0) and
+    after[k] = min(word[k:], default=n + 1) make the test O(1); a swap
+    changes them only at k = i + 1, and they are updated there."""
+    lo, hi = word[i], word[i + 1]
+    if not (lo < hi and before[i] < hi and after[i + 2] > lo):
+        return False
+    word[i], word[i + 1] = hi, lo
+    before[i + 1] = max(before[i], hi)
+    after[i + 1] = min(lo, after[i + 2])
+    return True
 
 
 def random_avoiding_pair(rng, n: int) -> tuple[Permutation, Permutation]:
@@ -264,19 +273,17 @@ def random_avoiding_pair(rng, n: int) -> tuple[Permutation, Permutation]:
     of a reduced word for v and w <= v.
     """
     word = list(range(1, n + 1))
+    before, after = list(range(n + 1)), list(range(1, n + 2))  # of the identity
     positions = list(range(n - 1))
     for _ in range(rng.randint(0, n * n // 4)):
         rng.shuffle(positions)
-        for i in positions:
-            if word[i] < word[i + 1] and _keeps_321_avoiding(word, i):
-                word[i], word[i + 1] = word[i + 1], word[i]
-                break
-        else:
+        if not any(_swap_if_avoiding(word, before, after, i) for i in positions):
             break
     v = Permutation(tuple(word))
     w = list(range(1, n + 1))
+    before, after = list(range(n + 1)), list(range(1, n + 2))
     for _, a in _reading_cells(v):
         i = a - 1
-        if w[i] < w[i + 1] and rng.random() < 0.5 and _keeps_321_avoiding(w, i):
-            w[i], w[i + 1] = w[i + 1], w[i]
+        if w[i] < w[i + 1] and rng.random() < 0.5:
+            _swap_if_avoiding(w, before, after, i)
     return v, Permutation(tuple(w))

@@ -3,10 +3,10 @@ import pathlib
 
 import pytest
 
-from klreg import Ladder, cli, skew, zipdiag
-from klreg.errors import InternalError
+from klreg import Ladder, cli, oracle, skew, zipdiag
+from klreg.errors import InternalError, ResourceError
 from klreg.ladder import ladder_from_json, ladder_to_json, perm_of
-from klreg.perm import coxeter_length
+from klreg.perm import Permutation, coxeter_length
 
 from knowndata import LAD_A, V10, W10
 
@@ -263,7 +263,32 @@ def test_sweep_samples_beyond_desk_scale(capsys, monkeypatch):
     monkeypatch.delenv("KLREG_BUDGET", raising=False)
     code, out, _ = run(capsys, ["sweep", "--n", "18", "--samples", "2", "--seed", "2023"])
     assert code == 0
-    assert json.loads(out) == {"checked": 2, "disagreements": [], "mode": "sweep", "n": 18, "samples": 2}
+    assert json.loads(out) == {
+        "checked": 2, "disagreements": [], "exhausted": [], "mode": "sweep", "n": 18, "samples": 2
+    }
+
+
+def test_sweep_keeps_the_samples_around_an_exhausted_one(capsys, monkeypatch):
+    # one of ten n = 7 samples has a closure of more than 10 diagrams
+    monkeypatch.setenv("KLREG_BUDGET", "10")
+    code, out, err = run(capsys, ["sweep", "--n", "7", "--samples", "10", "--seed", "2023"])
+    assert code == 4 and err == ""
+    data = json.loads(out)
+    assert data["checked"] == 9 and data["disagreements"] == []
+    (sample,) = data["exhausted"]
+    assert sample["partial"]["visited"] == 11
+    v, w = Permutation(tuple(sample["v"])), Permutation(tuple(sample["w"]))
+    with pytest.raises(ResourceError):
+        oracle.max_closure_size(v, w, budget=10)
+    assert oracle.max_closure_size(v, w) == zipdiag.groth_degree_recursive(v, w)
+
+
+def test_sweep_disagreement_outranks_an_exhausted_sample(capsys, monkeypatch):
+    monkeypatch.setenv("KLREG_BUDGET", "40")
+    code, out, _ = run(capsys, ["sweep", "--n", "8", "--samples", "300", "--seed", "2023"])
+    data = json.loads(out)
+    assert code == 1
+    assert (data["checked"], len(data["disagreements"]), len(data["exhausted"])) == (299, 1, 1)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,8 +8,6 @@ from klreg.errors import ValidationError
 from klreg.ladder import (
     Ladder,
     MinimalityReport,
-    PathFamily,
-    Tile,
     _sw_border_points,
     a_invariant_ladder,
     blanks,
@@ -266,7 +265,7 @@ def test_boundary_points_no_jumps():
 
 def test_p_bot_matches_traced_routes():
     bp = boundary_points(LAD_B)
-    expected = family_from_routes(LAD_B, bp, ROUTES_BOT_B)
+    expected = family_from_routes(bp, ROUTES_BOT_B)
     assert p_bot(LAD_B) == expected
     assert nilp_is_valid(LAD_B, expected)
 
@@ -282,16 +281,23 @@ def test_p_bot_blanks_equal_top_diagram():
 
 def test_nilp_validity_of_known_families():
     bp = boundary_points(LAD_B)
-    assert nilp_is_valid(LAD_B, family_from_routes(LAD_B, bp, ROUTES_MID_B))
-    bad = family_from_routes(LAD_B, bp, ROUTES_BAD_B)
+    assert nilp_is_valid(LAD_B, family_from_routes(bp, ROUTES_MID_B))
+    bad = family_from_routes(bp, ROUTES_BAD_B)
     assert not nilp_is_valid(LAD_B, bad)
-    # the offending tiles sit in the cutout above a blank
-    assert bad.tile_map()[(2, 9)] == Tile.HORIZ and (3, 8) not in bad.tile_map()
+    # the offending path runs through (2, 9) in the cutout, above the blank (3, 8)
+    route = next(r for r in bad.routes if (2, 9) in r)
+    k = route.index((2, 9))
+    assert route[k - 1 : k + 2] == ((2, 10), (2, 9), (2, 8))
+    assert all((3, 8) not in r for r in bad.routes)
+    # a route that skips a box is no path, although it keeps its ends
+    outer, inner = p_bot(LAD_A).routes
+    jump = replace(p_bot(LAD_A), routes=(outer[:3] + outer[4:], inner))
+    assert nilp_is_valid(LAD_A, p_bot(LAD_A)) and not nilp_is_valid(LAD_A, jump)
 
 
 def test_all_blank_family_is_valid():
     fam = p_bot(LAD_FULL)
-    assert fam.tiles == ()
+    assert fam.routes == ()
     assert nilp_is_valid(LAD_FULL, fam)
     assert elbows(LAD_FULL, fam) == ()
     assert len(blanks(LAD_FULL, fam)) == cell_count(LAD_FULL)
@@ -327,20 +333,15 @@ def test_droop_rejections_on_the_bottom_family():
     bp = boundary_points(LAD_A)
     outer = ((6, 5), (6, 4), (5, 4), (4, 4), (4, 3), (3, 3), (3, 2), (2, 2), (1, 2), (1, 1))
     inner = ((4, 2), (4, 1), (3, 1), (2, 1))
-    assert family_from_routes(LAD_A, bp, (outer, inner)) == fam
+    assert family_from_routes(bp, (outer, inner)) == fam
     with pytest.raises(ValidationError, match=r"^routes overlap at \(3, 2\)$"):
-        family_from_routes(LAD_A, bp, (outer, ((4, 2), (3, 2))))
+        family_from_routes(bp, (outer, ((4, 2), (3, 2))))
     with pytest.raises(ValidationError, match=r"^non-monotone step \(4, 2\) -> \(3, 3\)$"):
-        family_from_routes(LAD_A, bp, (((4, 2), (3, 3)),))
+        family_from_routes(bp, (((4, 2), (3, 3)),))
     with pytest.raises(ValidationError, match=r"^cell \(1, 1\) is occupied$"):
         droop(fam, ((1, 1),))
     with pytest.raises(ValidationError, match=r"^no northeast elbow at \(2, 2\)$"):
         droop(fam, ((1, 3),))
-    # (3, 4) droops on the bottom family; a vertical tile south of it cannot
-    tiles = fam.tile_map()
-    tiles[(4, 4)] = Tile.VERT
-    with pytest.raises(ValidationError, match=r"^droop frame around \(3, 4\) is malformed$"):
-        droop(PathFamily.make(tiles, fam.endpoints), ((3, 4),))
 
 
 def test_droop_replays_every_excited_state():

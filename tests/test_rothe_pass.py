@@ -13,7 +13,7 @@ from klreg.perm import (
     lehmer_code,
     rothe_diagram,
 )
-from klreg.oracle import _keeps_321_avoiding
+from klreg.oracle import _swap_if_avoiding
 from klreg.pipes import box_labels, d_ne, reading_order, reading_word
 from klreg.skew import compress
 from klreg.zipdiag import zip_result
@@ -136,20 +136,20 @@ def _walk_pair(rng, n, steps, prob):
     its own step count), and because a random position per try is cheaper at
     n = 400 than the sampler's shuffle of every position per step."""
     word = list(range(1, n + 1))
+    before, after = list(range(n + 1)), list(range(1, n + 2))
     for _ in range(steps):
         for _ in range(4 * n):
-            i = rng.randrange(n - 1)
-            if word[i] < word[i + 1] and _keeps_321_avoiding(word, i):
-                word[i], word[i + 1] = word[i + 1], word[i]
+            if _swap_if_avoiding(word, before, after, rng.randrange(n - 1)):
                 break
         else:
             break
     v = Permutation(tuple(word))
     w = list(range(1, n + 1))
+    before, after = list(range(n + 1)), list(range(1, n + 2))
     for a in reading_word(v, rothe_diagram(v)):
         i = a - 1
-        if w[i] < w[i + 1] and rng.random() < prob and _keeps_321_avoiding(w, i):
-            w[i], w[i + 1] = w[i + 1], w[i]
+        if w[i] < w[i + 1] and rng.random() < prob:
+            _swap_if_avoiding(w, before, after, i)
     return v, Permutation(tuple(w))
 
 
