@@ -135,8 +135,9 @@ def run_ladder(args) -> tuple[dict, int]:
             raise
         raise ValidationError(f"the board is not minimal: {exc}") from exc
     reg = len(lad.elbows(ladder, fam))
-    cells = lad.cell_count(ladder)
-    wt = cells - len(lad.blanks(ladder, fam))  # every family covers the same cells
+    # _zipped matched region and blanks to the record: the weight is l(v) - l(w)
+    cells = res.region.size()
+    wt = cells - res.d_top.size()
     report = {
         "mode": "ladder",
         "cells": cells,

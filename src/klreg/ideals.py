@@ -119,9 +119,9 @@ def kl_generators(v: Permutation, w: Permutation) -> frozenset:
     gens = set()
     for (i, j) in rothe_diagram(w):
         size = rank(w, i, j) + 1
-        one_rows = tuple(r for r in range(1, i + 1) if v.word[r - 1] <= j)
+        one_rows = {r for r in range(1, i + 1) if v.word[r - 1] <= j}
         one_cols = {v.word[r - 1] for r in one_rows}
-        zrows = tuple(r for r in range(1, i + 1) if r not in set(one_rows))
+        zrows = tuple(r for r in range(1, i + 1) if r not in one_rows)
         zcols = tuple(c for c in range(1, j + 1) if c not in one_cols)
         m = size - len(one_rows)  # rank_v(i, j) ones sit inside the block
         if 1 <= m <= min(len(zrows), len(zcols)):
@@ -163,7 +163,7 @@ def k_polynomial(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET) -
     (1-t)^(#P) over all pipe sets P of the pair."""
     lw = coxeter_length(w)
     counts: Counter = Counter()
-    for p in enumerate_pipes(v, w, reduced_only=False, budget=budget):
+    for p in enumerate_pipes(v, w, budget=budget):
         counts[len(p)] += 1
     if not counts:
         raise ValidationError(f"{w.word} is not below {v.word} in Bruhat order")

@@ -12,6 +12,7 @@ partition cuts the region out of the northeast.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf
 
@@ -67,6 +68,8 @@ class Ladder:
         for p, _ in marks:
             if p not in border:
                 raise ValidationError(f"marked point {p} is not on the southwest border")
+            if p[0] == 0:  # its block, rows 1..0, is empty
+                raise ValidationError(f"marked point {p} is on row 0, where its block has no rows")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "marked", marks)
@@ -264,34 +267,32 @@ def validate_minimal(ladder: Ladder) -> MinimalityReport:
 # the permutation pair
 
 
-def _rank_envelope_perm(n: int, constraints) -> Permutation:
-    cons = [((a, b), c) for (a, b), c in constraints]
-    env = [[0] * (n + 1) for _ in range(n + 1)]
+def _least_perm(n: int, constraints) -> tuple[Permutation, list[int]]:
+    """The Bruhat-least w under the caps ((a', b'), c), rank(w, a', b') <= c,
+    and one count per cap, which ends as rank(w, a', b').
+
+    Row a takes the smallest free column b that no cap with a <= a' and
+    b <= b' has filled.  If the envelope E = min(a, b, c + (a-a')+ + (b-b')+
+    over the caps) is a permutation's rank matrix, the sweep returns it
+    (induction over the rows: a free column b that no cap forbids has
+    E(a, b) = E(a-1, b) + 1, so E's own column in row a is at most b).
+    Otherwise it may return a Bruhat-minimal w where E raised: caps
+    {((1,1),0), ((2,2),1)} in S_3 give 231.  Caps with c >= a' + b' - n,
+    as a board's are, leave every row a free column.
+    """
+    counts = [0] * len(constraints)
+    free = list(range(1, n + 1))
+    word = []
     for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            val = min(a, b)
-            for (ak, bk), ck in cons:
-                cand = ck + max(0, a - ak) + max(0, b - bk)
-                if cand < val:
-                    val = cand
-            env[a][b] = val
-    word = [0] * n
-    seen_cols = set()
-    for a in range(1, n + 1):
-        hits = []
-        for b in range(1, n + 1):
-            d = env[a][b] - env[a - 1][b] - env[a][b - 1] + env[a - 1][b - 1]
-            if d == 1:
-                hits.append(b)
-            elif d != 0:
-                raise ValidationError(
-                    f"rank envelope is not a permutation rank matrix at ({a}, {b})"
-                )
-        if len(hits) != 1 or hits[0] in seen_cols:
-            raise ValidationError("rank envelope is not a permutation rank matrix")
-        word[a - 1] = hits[0]
-        seen_cols.add(hits[0])
-    return Permutation(tuple(word))
+        caps = [(k, bk, ck) for k, ((ak, bk), ck) in enumerate(constraints) if a <= ak]
+        i = bisect_right(free, max((bk for k, bk, ck in caps if counts[k] >= ck), default=0))
+        if i == len(free):
+            raise ValidationError(f"no free column for row {a} under the rank caps")
+        b = free.pop(i)
+        word.append(b)
+        for k, bk, _ in caps:
+            counts[k] += b <= bk
+    return Permutation(tuple(word)), counts
 
 
 def rank_constraints(ladder: Ladder, v: Permutation) -> tuple[tuple[Cell, int], ...]:
@@ -309,9 +310,9 @@ def rank_constraints(ladder: Ladder, v: Permutation) -> tuple[tuple[Cell, int], 
 def perm_of(ladder: Ladder) -> tuple[Permutation, Permutation]:
     """The pair (v, w) whose Kazhdan-Lusztig ideal matches the ladder ideal.
 
-    v is cut out by the row-length code of the ladder; w is the minimal
-    length permutation realizing the marked rank conditions, built from the
-    rank envelope and then verified.
+    v is cut out by the row-length code of the ladder; w is the Bruhat-least
+    permutation under the marked rank caps, built by one sweep over the rows
+    (`_least_perm`), and then verified to meet every cap with equality.
     """
     lam, mu = ladder.lam, ladder.mu
     code = []
@@ -321,9 +322,9 @@ def perm_of(ladder: Ladder) -> tuple[Permutation, Permutation]:
         code.extend([0] * (l - nxt))
     v = from_lehmer_code(code)
     cons = rank_constraints(ladder, v)
-    w = _rank_envelope_perm(v.n, cons)
-    for (a, b), c in cons:
-        if rank(w, a, b) != c:
+    w, counts = _least_perm(v.n, cons)
+    for ((a, b), c), got in zip(cons, counts):
+        if got != c:
             raise ValidationError(f"envelope permutation violates rank({a},{b}) = {c}")
     if not (is_321_avoiding(v) and is_321_avoiding(w)):
         raise ValidationError("ladder pair is not 321-avoiding")
@@ -616,11 +617,10 @@ def regularity_ladder(ladder: Ladder) -> int:
 
 
 def a_invariant_ladder(ladder: Ladder) -> int:
-    """Unforced elbows minus weight, both read off the zipped family."""
-    family = _zipped(ladder)[2]
-    # droops move blanks, so every family has the bottom family's weight
-    wt = cell_count(ladder) - len(blanks(ladder, family))
-    return len(elbows(ladder, family)) - wt
+    """Unforced elbows of the zipped family minus the weight, which is
+    l(v) - l(w): _zipped matched the region and the blanks to the record."""
+    _, res, family = _zipped(ladder)
+    return len(elbows(ladder, family)) - (res.region.size() - res.d_top.size())
 
 
 # ---------------------------------------------------------------------------

@@ -107,35 +107,31 @@ def max_closure_size(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGE
 def enumerate_pipes(
     v: Permutation,
     w: Permutation,
-    reduced_only: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[tuple[Cell, ...]]:
     """All subsets of D(v) whose reading word has Demazure product w,
     by direct subset search over the reading order."""
     order = reading_order(v)
     labels = box_labels(v)
-    lw = coxeter_length(w)
     n = v.n
     count = 0
 
-    def rec(k: int, u: Permutation, chosen: tuple, chosen_len: int):
+    def rec(k: int, u: Permutation, chosen: tuple):
         nonlocal count
         count += 1
         if count > budget:
             raise ResourceError(f"pipe enumeration budget {budget} exceeded")
         if k == len(order):
-            if u == w and (not reduced_only or chosen_len == lw):
+            if u == w:
                 yield chosen
             return
         if not bruhat_leq(u, w):
             return
-        yield from rec(k + 1, u, chosen, chosen_len)
+        yield from rec(k + 1, u, chosen)
         cell = order[k]
-        yield from rec(
-            k + 1, demazure_step(u, labels[cell]), chosen + (cell,), chosen_len + 1
-        )
+        yield from rec(k + 1, demazure_step(u, labels[cell]), chosen + (cell,))
 
-    yield from rec(0, identity(n), (), 0)
+    yield from rec(0, identity(n), ())
 
 
 def brute_earliest_subword(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET) -> tuple[Cell, ...]:

@@ -36,12 +36,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.word)
 
-    def __call__(self, i: int) -> int:
-        """Value at position i, 1-indexed."""
-        if not 1 <= i <= self.n:
-            raise ValidationError(f"position {i} out of range for S_{self.n}")
-        return self.word[i - 1]
-
     def inverse(self) -> "Permutation":
         """
         >>> Permutation((3, 1, 2)).inverse().word

@@ -1,0 +1,54 @@
+"""Exhaustive check of perm_of's row sweep, too slow for the test suite
+(about 5 minutes on one core).
+
+On every board with lambda in a 4 x 4 box, every mu that `Ladder` accepts
+and 1-3 marks off row 0 with r <= 3, the min-plus rank envelope
+(knowndata.rank_envelope_perm) must be a permutation rank matrix and the
+sweep must build the same w from the same caps.  Prints the counts.
+
+Run from the root of a checkout:
+`PYTHONPATH=src:tests python tests/check_least_perm_4x4.py`
+"""
+
+import sys
+from collections import Counter
+
+from klreg import ladder
+from klreg.errors import ValidationError
+
+from knowndata import all_boards, rank_envelope_perm
+
+
+def main() -> int:
+    sweep = ladder._least_perm
+    last = []
+
+    def spy(n, constraints):
+        out = sweep(n, constraints)
+        last[:] = [n, constraints, out[0]]
+        return out
+
+    ladder._least_perm = spy
+    counts = Counter()
+    for board in all_boards(4, 4, 3, 3):
+        counts["boards"] += 1
+        last.clear()
+        try:
+            ladder.perm_of(board)
+            counts["perm_of accepts"] += 1
+        except ValidationError as exc:
+            counts[f"perm_of rejects: {str(exc).split(' rank(')[0]}"] += 1
+        n, constraints, w = last
+        try:
+            reference = rank_envelope_perm(n, constraints)
+        except ValidationError:
+            counts["envelope is not a permutation rank matrix"] += 1
+            continue
+        counts["same w" if w == reference else "different w"] += 1
+    for key, value in counts.items():
+        print(f"{key}: {value}")
+    return int(counts["same w"] != counts["boards"])
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,11 +6,13 @@ independent method inside the tests, or read off published diagrams and
 cross-verified against each other.
 """
 
-from itertools import permutations
+import random
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterable
 
 from klreg import Ladder, Permutation
 from klreg.errors import ValidationError
+from klreg.ladder import _sw_border_points
 from klreg.perm import Cell, coxeter_length, demazure_step, identity, is_321_avoiding
 from klreg.pipes import reading_word
 
@@ -46,6 +48,80 @@ def all_permutations(n: int) -> list[Permutation]:
 def all_321_avoiding(n: int) -> list[Permutation]:
     """All 321-avoiding elements of S_n, sorted by (length, word)."""
     return [u for u in all_permutations(n) if is_321_avoiding(u)]
+
+
+def random_board_dict(rng: random.Random):
+    """A random board file as a dict, before `Ladder` validates it: 2-4
+    rows of width at most 4 and 1-3 marks off row 0 on the southwest
+    border.  None when a drawn mark has no allowed multiplicity."""
+    nrows = rng.randint(2, 4)
+    lam = [rng.randint(2, 4)]
+    for _ in range(nrows - 1):
+        lam.append(rng.randint(1, lam[-1]))
+    mu = []
+    prev = None
+    for l in lam:
+        hi = min(l - 1, prev if prev is not None else l - 1)
+        mu.append(rng.randint(0, hi) if hi > 0 else 0)
+        prev = mu[-1]
+    cands = [p for p in sorted(_sw_border_points(tuple(lam), tuple(mu))) if p[0] >= 1]
+    marks = []
+    for p in sorted(rng.sample(cands, rng.randint(1, min(3, len(cands))))):
+        rmax = min(p[0], p[1] + 2, 4)
+        if rmax < 1:
+            return None
+        marks.append({"point": list(p), "r": rng.randint(1, rmax)})
+    return {"lambda": lam, "mu": mu, "marked": marks}
+
+
+def all_boards(max_rows: int, max_part: int, max_marks: int, max_r: int):
+    """Every board with at most max_rows rows and parts at most max_part,
+    every mu that `Ladder` accepts, and 1..max_marks marks off row 0 with
+    r <= max_r."""
+    for rows in range(1, max_rows + 1):
+        for lam in combinations_with_replacement(range(max_part, 0, -1), rows):
+            for mu in product(*(range(l) for l in lam)):
+                points = [p for p in sorted(_sw_border_points(lam, mu)) if p[0] >= 1]
+                for m in range(1, max_marks + 1):
+                    for marked in combinations(points, m):
+                        for rs in product(range(1, max_r + 1), repeat=m):
+                            try:
+                                yield Ladder(lam, mu, tuple(zip(marked, rs)))
+                            except ValidationError:
+                                pass
+
+
+def rank_envelope_perm(n: int, constraints) -> Permutation:
+    """The w of a board's rank caps read off the (n+1) x (n+1) min-plus
+    envelope min(a, b, c + (a - a')+ + (b - b')+ over the caps), one
+    second difference per cell: the reference for `ladder._least_perm`."""
+    cons = [((a, b), c) for (a, b), c in constraints]
+    env = [[0] * (n + 1) for _ in range(n + 1)]
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            val = min(a, b)
+            for (ak, bk), ck in cons:
+                cand = ck + max(0, a - ak) + max(0, b - bk)
+                if cand < val:
+                    val = cand
+            env[a][b] = val
+    word = [0] * n
+    seen_cols = set()
+    for a in range(1, n + 1):
+        hits = []
+        for b in range(1, n + 1):
+            d = env[a][b] - env[a - 1][b] - env[a][b - 1] + env[a - 1][b - 1]
+            if d == 1:
+                hits.append(b)
+            elif d != 0:
+                raise ValidationError(
+                    f"rank envelope is not a permutation rank matrix at ({a}, {b})"
+                )
+        if len(hits) != 1 or hits[0] in seen_cols:
+            raise ValidationError("rank envelope is not a permutation rank matrix")
+        word[a - 1] = hits[0]
+        seen_cols.add(hits[0])
+    return Permutation(tuple(word))
 
 
 def is_grassmannian(u: Permutation) -> bool:

@@ -195,6 +195,16 @@ def test_non_minimal_board_names_the_cause(tmp_path, capsys):
     assert err == "invalid input: the board is not minimal: bottom family does not match the top diagram\n"
 
 
+def test_mark_on_row_zero_is_named(tmp_path, capsys):
+    # the block of a mark at (0, 0) has no rows; no rank of v is read for it
+    board = {"lambda": [2, 2], "mu": [0, 0], "marked": [{"point": [0, 0], "r": 1}]}
+    path = tmp_path / "board.json"
+    path.write_text(json.dumps(board))
+    code, out, err = run(capsys, ["ladder", "--file", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "invalid input: marked point (0, 0) is on row 0, where its block has no rows\n"
+
+
 @pytest.mark.parametrize(
     "board, message",
     [

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from klreg import ladder as ladder_module
 from klreg import oracle, zipdiag
 from klreg.errors import ValidationError
 from klreg.ladder import (
@@ -57,6 +58,8 @@ from knowndata import (
     V_LAD_A,
     V_LAD_B,
     W_LAD_A,
+    all_boards,
+    rank_envelope_perm,
 )
 
 ALL_LADDERS = [LAD_A, LAD_B, LAD_C, LAD_D, LAD_FULL, LAD_EMPTYW]
@@ -229,6 +232,32 @@ def test_perm_of_matches_brute_minimal():
     for lad in (LAD_C, LAD_D, LAD_FULL, LAD_EMPTYW):
         v, w = perm_of(lad)
         assert w == oracle.brute_minimal_w(v.n, rank_constraints(lad, v))
+
+
+def test_perm_of_matches_the_rank_envelope_on_small_boards(monkeypatch):
+    # the row sweep against the min-plus envelope it replaced, on boards
+    # perm_of accepts and on boards whose caps it then finds unmet
+    sweeps = []
+
+    def spy(n, constraints, sweep=ladder_module._least_perm):
+        out = sweep(n, constraints)
+        sweeps.append((n, constraints, out[0]))
+        return out
+
+    monkeypatch.setattr(ladder_module, "_least_perm", spy)
+    built = rejected = 0
+    for board in all_boards(3, 3, 2, 3):  # 6,600 boards
+        try:
+            w = perm_of(board)[1]
+        except ValidationError as exc:
+            assert str(exc).startswith("envelope permutation violates rank"), exc
+            rejected += 1
+        else:
+            assert w == sweeps[-1][2]
+            built += 1
+        n, constraints, w_sweep = sweeps.pop()
+        assert w_sweep == rank_envelope_perm(n, constraints)
+    assert (built, rejected) == (6148, 452)
 
 
 def test_perm_of_invariants_all_ladders():

@@ -18,9 +18,9 @@ from klreg.errors import KlregError, ValidationError
 from klreg.ideals import kl_generators, ladder_generators
 from klreg.ladder import (
     Ladder,
-    _sw_border_points,
     blanks,
     elbows,
+    ladder_from_json,
     p_bot,
     p_zip,
     perm_of,
@@ -32,36 +32,23 @@ from klreg.ladder import (
 from klreg.perm import bruhat_leq, coxeter_length, is_321_avoiding
 from klreg.skew import compress, d_top
 
+from knowndata import random_board_dict
 
-# perm_of's messages when the marks admit no exact permutation: the rank
-# envelope or its verification fails
+
+# perm_of's messages when the marks admit no exact permutation: the row
+# sweep finds no free column or its verification fails
 _NO_EXACT_SOLUTION = re.compile(
-    r"rank envelope is not a permutation rank matrix|envelope permutation violates rank"
+    r"no free column for row|envelope permutation violates rank"
     r"|ladder pair is not (321-avoiding|Bruhat-comparable)"
 )
 
 
 def random_board(rng):
-    nrows = rng.randint(2, 4)
-    lam = [rng.randint(2, 4)]
-    for _ in range(nrows - 1):
-        lam.append(rng.randint(1, lam[-1]))
-    mu = []
-    prev = None
-    for l in lam:
-        hi = min(l - 1, prev if prev is not None else l - 1)
-        mu.append(rng.randint(0, hi) if hi > 0 else 0)
-        prev = mu[-1]
-    lam, mu = tuple(lam), tuple(mu)
-    cands = [p for p in sorted(_sw_border_points(lam, mu)) if p[0] >= 1]
-    marks = []
-    for p in sorted(rng.sample(cands, rng.randint(1, min(3, len(cands))))):
-        rmax = min(p[0], p[1] + 2, 4)
-        if rmax < 1:
-            return None
-        marks.append((p, rng.randint(1, rmax)))
+    board = random_board_dict(rng)
+    if board is None:
+        return None
     try:
-        return Ladder(lam, mu, tuple(marks))
+        return ladder_from_json(board)
     except KlregError:
         return None
 
