@@ -8,18 +8,18 @@ Subcommands:
 Permutations are JSON arrays or separator-delimited words; compact digit
 strings are accepted only below S_10.  The KLREG_BUDGET environment
 variable, a positive integer, overrides the oracle enumeration budget;
---n and --samples are non-negative.  Exit codes: 0 success, 1 oracle
-disagreement, 2 parse error, 3 validation error, 4 budget exhausted (what
-the enumeration counted goes to stderr as one JSON line), 5 internal fault
-(a failed invariant or any other crash; the traceback goes to stderr).
-sweep always prints its report: a sample whose oracle runs out of budget
-is listed under "exhausted" with what it counted, and the sweep exits 1 on
-any disagreement, else 4 if any sample was exhausted, else 0.
+--n and --samples are non-negative.  Options are spelled in full, as
+--flag value or --flag=value; --help prints this text.  Exit codes: 0
+success, 1 oracle disagreement, 2 parse or usage error, 3 validation error,
+4 budget exhausted (what the enumeration counted goes to stderr as one JSON
+line), 5 internal fault (a failed invariant or any other crash; the
+traceback goes to stderr).  sweep always prints its report: a sample whose
+oracle runs out of budget is listed under "exhausted" with what it counted,
+and it exits 1 on any disagreement, else 4 if any sample ran out, else 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
@@ -83,9 +83,9 @@ def _budget() -> int:
     return budget
 
 
-def run_pair(args) -> tuple[dict, int]:
-    v = parse_permutation(args.v)
-    w = parse_permutation(args.w)
+def run_pair(opts: dict) -> tuple[dict, int]:
+    v = parse_permutation(opts["v"])
+    w = parse_permutation(opts["w"])
     result = zipdiag.zip_result(v, w)
     report = {
         "mode": "pair",
@@ -98,9 +98,9 @@ def run_pair(args) -> tuple[dict, int]:
         "a_invariant": result.a_invariant,
     }
     code = EXIT_OK
-    if args.recurrence:
+    if opts.get("recurrence"):
         report["recurrence_degree"] = zipdiag.groth_degree_recursive(v, w)
-    if args.oracle:
+    if opts.get("oracle"):
         closure_max = oracle.max_closure_size(v, w, budget=_budget())
         agree = closure_max == result.degree
         report["oracle"] = {
@@ -109,7 +109,7 @@ def run_pair(args) -> tuple[dict, int]:
         }
         if not agree:
             code = EXIT_DISAGREE
-    if args.render:
+    if opts.get("render"):
         extra = result.d_zip_k.pluses - result.d_zip.pluses
         report["render"] = {
             "d_top": render_diagram(result.d_top),
@@ -119,14 +119,15 @@ def run_pair(args) -> tuple[dict, int]:
     return report, code
 
 
-def run_ladder(args) -> tuple[dict, int]:
+def run_ladder(opts: dict) -> tuple[dict, int]:
+    path, target = opts["file"], opts.get("export-ideal")
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read {args.file}: {exc}") from exc
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.file} is not valid JSON: {exc}") from exc
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     ladder = lad.ladder_from_json(data)
     try:
         (v, w), res, fam = lad._zipped(ladder)
@@ -157,7 +158,7 @@ def run_ladder(args) -> tuple[dict, int]:
         "minimal": lad.validate_minimal(ladder).passed,
     }
     code = EXIT_OK
-    if args.oracle:
+    if opts.get("oracle"):
         zip_reg, zip_a = res.regularity, res.a_invariant
         agree = (zip_reg, zip_a) == (reg, reg - wt)
         report["oracle"] = {
@@ -167,33 +168,31 @@ def run_ladder(args) -> tuple[dict, int]:
         }
         if not agree:
             code = EXIT_DISAGREE
-    if args.render:
+    if opts.get("render"):
         report["render"] = lad.render_paths(ladder, fam)
-    if args.export_ideal:
+    if target:
         from .ideals import ideal_script, ladder_generators
 
         gens = ladder_generators(ladder)
         variables = {c for g in gens for m, _ in g.terms for c in m}
         try:
-            with open(args.export_ideal, "w", encoding="utf-8") as fh:
+            with open(target, "w", encoding="utf-8") as fh:
                 fh.write(ideal_script(gens, variables))
         except OSError as exc:
-            raise ParseError(f"cannot write {args.export_ideal}: {exc}") from exc
-        report["exported_ideal"] = args.export_ideal
+            raise ParseError(f"cannot write {target}: {exc}") from exc
+        report["exported_ideal"] = target
     return report, code
 
 
-def run_sweep(args) -> tuple[dict, int]:
-    for name in ("n", "samples"):
-        if getattr(args, name) < 0:
-            raise ParseError(f"--{name} must be a non-negative integer, got {getattr(args, name)}")
-    rng = random.Random(args.seed)
+def run_sweep(opts: dict) -> tuple[dict, int]:
+    n, samples = opts["n"], opts["samples"]
+    rng = random.Random(opts.get("seed", 2023))
     budget = _budget()
     disagreements = []
     exhausted = []
     checked = 0
-    for _ in range(args.samples):
-        v, w = oracle.random_avoiding_pair(rng, args.n)
+    for _ in range(samples):
+        v, w = oracle.random_avoiding_pair(rng, n)
         by_zip = zipdiag.groth_degree(v, w)
         by_rec = zipdiag.groth_degree_recursive(v, w)
         try:
@@ -214,8 +213,8 @@ def run_sweep(args) -> tuple[dict, int]:
             )
     report = {
         "mode": "sweep",
-        "n": args.n,
-        "samples": args.samples,
+        "n": n,
+        "samples": samples,
         "checked": checked,
         "disagreements": disagreements,
         "exhausted": exhausted,
@@ -223,38 +222,52 @@ def run_sweep(args) -> tuple[dict, int]:
     return report, EXIT_DISAGREE if disagreements else EXIT_RESOURCE if exhausted else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="klreg", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+INT, COUNT = "an integer", "a non-negative integer"  # a str flag takes any text, a bool flag none
+COMMANDS = {  # subcommand -> (runner, {flag: kind}, required flags)
+    "pair": (run_pair, {"v": str, "w": str, "render": bool, "oracle": bool, "recurrence": bool}, ("v", "w")),
+    "ladder": (run_ladder, {"file": str, "render": bool, "oracle": bool, "export-ideal": str}, ("file",)),
+    "sweep": (run_sweep, {"n": COUNT, "samples": COUNT, "seed": INT}, ("n", "samples")),
+}
 
-    pair = sub.add_parser("pair", help="regularity data for a permutation pair")
-    pair.add_argument("--v", required=True)
-    pair.add_argument("--w", required=True)
-    pair.add_argument("--render", action="store_true")
-    pair.add_argument("--oracle", action="store_true")
-    pair.add_argument("--recurrence", action="store_true")
-    pair.set_defaults(run=run_pair)
 
-    ladd = sub.add_parser("ladder", help="regularity data for a ladder file")
-    ladd.add_argument("--file", required=True)
-    ladd.add_argument("--render", action="store_true")
-    ladd.add_argument("--oracle", action="store_true")
-    ladd.add_argument("--export-ideal", dest="export_ideal")
-    ladd.set_defaults(run=run_ladder)
-
-    sweep = sub.add_parser("sweep", help="randomized three-route degree check")
-    sweep.add_argument("--n", type=int, required=True)
-    sweep.add_argument("--samples", type=int, required=True)
-    sweep.add_argument("--seed", type=int, default=2023)
-    sweep.set_defaults(run=run_sweep)
-    return parser
+def parse_args(argv) -> tuple:
+    """(runner, {flag: value}) for one command line; a usage error is a ParseError."""
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown subcommand {argv[0]!r}" if argv else "no subcommand"
+        raise ParseError(f"{got}; expected pair, ladder or sweep")
+    run, flags, required = COMMANDS[argv[0]]
+    opts = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token[2:].partition("=")
+        kind = flags.get(flag) if token.startswith("--") else None
+        if kind is None:
+            raise ParseError(f"unknown option {token!r} for {argv[0]}")
+        if kind is bool and eq:
+            raise ParseError(f"--{flag} takes no value, got {token!r}")
+        if kind is not bool and not eq and (value := next(tokens, None)) is None:
+            raise ParseError(f"--{flag} needs a value")
+        if kind in (INT, COUNT):
+            try:
+                value = int(value)
+            except ValueError:
+                pass
+            if type(value) is str or kind is COUNT and value < 0:
+                raise ParseError(f"--{flag} must be {kind}, got {value}")
+        opts[flag] = True if kind is bool else value
+    if missing := [f"--{flag}" for flag in required if flag not in opts]:
+        raise ParseError(f"{argv[0]} needs {' and '.join(missing)}")
+    return run, opts
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        return EXIT_OK
     try:
-        report, code = args.run(args)
+        run, opts = parse_args(argv)
+        report, code = run(opts)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

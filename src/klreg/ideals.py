@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ValidationError
-from .ladder import Ladder, region_of, se_corner
+from .ladder import Ladder, se_corner
 from .oracle import DEFAULT_BUDGET, enumerate_pipes
 from .perm import Cell, Permutation, bruhat_leq, coxeter_length, rank, rothe_diagram
 
@@ -135,7 +135,7 @@ def ladder_generators(ladder: Ladder) -> frozenset:
     ladder (the classical ladder-determinantal convention, and the one under
     which the generator sets match the Kazhdan-Lusztig side).
     """
-    cells = frozenset(region_of(ladder).cells())
+    cells = frozenset(ladder.region.cells())
     end_col = se_corner(ladder)[1]
 
     def entry(i, j):

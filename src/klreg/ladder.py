@@ -13,7 +13,7 @@ partition cuts the region out of the northeast.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf
 
 from .errors import InternalError, ValidationError
@@ -33,11 +33,12 @@ Point = tuple[float, float]
 
 @dataclass(frozen=True)
 class Ladder:
-    """A skew board with marked points (p_i, r_i) on its southwest border."""
+    """A skew board with marked points (p_i, r_i) on its southwest border; `region` holds its cells."""
 
     lam: tuple[int, ...]
     mu: tuple[int, ...]
     marked: tuple[tuple[Cell, int], ...]
+    region: SkewRegion = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam, mu = tuple(self.lam), tuple(self.mu)
@@ -73,6 +74,8 @@ class Ladder:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "marked", marks)
+        rows = tuple((lam[0] - l + 1, lam[0] - m) for l, m in zip(lam, mu))  # drawn coordinates
+        object.__setattr__(self, "region", SkewRegion(rows))
 
     @property
     def n_rows(self) -> int:
@@ -108,12 +111,6 @@ def _sw_border_points(lam, mu) -> set:
             pts.add((row, col))
     pts.add((0, 0))
     return pts
-
-
-def region_of(ladder: Ladder) -> SkewRegion:
-    """The ladder's cells as a skew region in drawn coordinates."""
-    w = ladder.width
-    return SkewRegion(tuple((w - l + 1, w - m) for l, m in zip(ladder.lam, ladder.mu)))
 
 
 def partition_cells(ladder: Ladder) -> frozenset:
@@ -240,7 +237,7 @@ def validate_minimal(ladder: Ladder) -> MinimalityReport:
     >>> rep.passed, rep.uncovered
     (False, ((2, 1), (2, 2)))
     """
-    region = region_of(ladder)
+    region = ladder.region
     covered = set()
     for (p, r) in ladder.marked:
         spans = [(max(a, p[1] + 1), b) for a, b in region.rows[: p[0]]]
@@ -472,7 +469,7 @@ def p_bot(ladder: Ladder) -> PathFamily:
     paths are placed innermost first, always stepping west when a completion
     still exists."""
     bp = boundary_points(ladder)
-    lcells = set(region_of(ladder).cells())
+    lcells = set(ladder.region.cells())
     used: set = set()
     routes: list = [()] * len(bp.h)
     for i in range(len(bp.h), 0, -1):
@@ -500,7 +497,7 @@ def p_bot(ladder: Ladder) -> PathFamily:
 def blanks(ladder: Ladder, family: PathFamily) -> tuple[Cell, ...]:
     """Ladder cells not occupied by any path."""
     occupied = {box for route in family.routes for box in route}
-    return tuple(c for c in region_of(ladder).cells() if c not in occupied)
+    return tuple(c for c in ladder.region.cells() if c not in occupied)
 
 
 def weight(ladder: Ladder) -> int:
@@ -595,7 +592,7 @@ def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipResult,
     matching bottom family that completes lands on the slid diagram."""
     pair = perm_of(ladder)
     res = zip_result(*pair)
-    if res.region != region_of(ladder):
+    if res.region != ladder.region:
         raise ValidationError("compressed diagram of v does not match the ladder region")
     family = p_bot(ladder)
     if frozenset(blanks(ladder, family)) != res.d_top.pluses:
@@ -637,7 +634,7 @@ _GLYPH = {  # by the edges a path enters and leaves a box through
 def render_paths(ladder: Ladder, family: PathFamily) -> str:
     """ASCII grid of the path glyphs and blank cells, plus a legend of labeled endpoints."""
     glyphs = {cell: _GLYPH[entry, exit_] for cell, entry, exit_ in _passages(family)}
-    lcells = set(region_of(ladder).cells())
+    lcells = set(ladder.region.cells())
     lines = []
     for i in range(1, ladder.n_rows + 1):
         chars = []

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +11,7 @@ from klreg.errors import InternalError, ResourceError
 from klreg.ladder import ladder_from_json, ladder_to_json, perm_of
 from klreg.perm import Permutation, coxeter_length
 
-from knowndata import LAD_A, V10, W10
+from knowndata import LAD_A, V10, V11, W10, W11
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LARGE_BOARD = ROOT / "demos" / "boards" / "large_board.json"
@@ -319,3 +322,58 @@ def test_nonsense_counts_are_parse_errors(capsys, monkeypatch, budget, argv, mes
         monkeypatch.setenv("KLREG_BUDGET", budget)
     code, out, err = run(capsys, argv)
     assert code == 2 and message in err and out == ""
+
+
+PAIR = ["pair", "--v", "12", "--w", "12"]
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        ([], "no subcommand"),
+        (["frob"], "'frob'"),
+        (["pair", "--v", "12"], "--w"),
+        (PAIR + ["--bogus"], "'--bogus'"),
+        (["pair", "--v", "12", "--w"], "--w"),
+        (["sweep", "--n", "abc", "--samples", "2"], "abc"),
+        (PAIR + ["--ren"], "'--ren'"),  # no abbreviations
+        (PAIR + ["--render=1"], "'--render=1'"),
+    ],
+    ids=["empty", "unknown-subcommand", "missing-flag", "unknown-flag", "missing-value", "non-integer",
+         "abbreviation", "value-to-switch"],
+)
+def test_usage_errors_are_parse_errors(capsys, argv, token):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("parse error: ") and token in line
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["pair", "-h"]])
+def test_help_prints_the_module_docstring(capsys, argv):
+    assert run(capsys, argv) == (0, cli.__doc__, "")
+
+
+def test_flag_value_forms(capsys):
+    # --flag=value reads as --flag value, and the last of a repeated flag wins
+    assert cli.parse_args(["sweep", "--n=4", "--samples", "2", "--n", "5"])[1] == {"n": 5, "samples": 2}
+    spaced = run(capsys, ["pair", "--v", "[2,1,3]", "--w", "[1,2,3]", "--render"])
+    assert run(capsys, ["pair", "--v=[2,1,3]", "--w", "[3,2,1]", "--w=[1,2,3]", "--render"]) == spaced
+
+
+def _fresh(*args) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_entry_point_in_a_fresh_process(capsys):
+    # main() with no argv reads sys.argv[1:]
+    argv = ["pair", "--v", json.dumps(list(V11.word)), "--w", json.dumps(list(W11.word))]
+    code, out, _ = run(capsys, argv)
+    proc = _fresh("-m", "klreg.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (code, out) == (0, out)
+
+
+def test_cli_does_not_import_argparse():
+    proc = _fresh("-c", "import sys, klreg.cli; print('argparse' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

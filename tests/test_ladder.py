@@ -25,7 +25,6 @@ from klreg.ladder import (
     p_zip,
     perm_of,
     rank_constraints,
-    region_of,
     regularity_ladder,
     render_paths,
     se_corner,
@@ -85,7 +84,7 @@ def test_corners():
 def test_cell_counts_and_region():
     assert cell_count(LAD_A) == 21
     assert cell_count(LAD_B) == 60
-    assert region_of(LAD_A).rows == ((1, 3), (1, 4), (1, 5), (1, 5), (4, 5), (4, 5))
+    assert LAD_A.region.rows == ((1, 3), (1, 4), (1, 5), (1, 5), (4, 5), (4, 5))
 
 
 def test_json_round_trip():
@@ -125,7 +124,7 @@ def _max_matching(rows, cols, present) -> int:
 def _validate_minimal_reference(ladder):
     """validate_minimal with a full augmenting-path matching on every cell's
     block less the cell's row and column."""
-    region = region_of(ladder)
+    region = ladder.region
     cells = set(region.cells())
     end_col = se_corner(ladder)[1]
     covered = set()
@@ -179,7 +178,7 @@ def test_validate_minimal_matches_reference_on_random_boards():
         rep = validate_minimal(board)
         assert rep == _validate_minimal_reference(board)
         failed += not rep.passed
-        region = region_of(board)
+        region = board.region
         for p, r in board.marked:
             single = Ladder(board.lam, board.mu, ((p, r),))
             single_rep = validate_minimal(single)
@@ -303,7 +302,7 @@ def test_p_bot_blanks_equal_top_diagram():
     for lad in ALL_LADDERS:
         v, w = perm_of(lad)
         region, _ = compress(v)
-        assert region == region_of(lad)
+        assert region == lad.region
         assert frozenset(blanks(lad, p_bot(lad))) == d_top(v, w).pluses
     assert frozenset(blanks(LAD_A, p_bot(LAD_A))) == D_TOP_LAD_A
 
@@ -378,7 +377,7 @@ def test_droop_replays_every_excited_state():
     blanks, recording the moves to each state, reaches the oracle's excited
     closure, and replaying each move sequence as droops lands on it."""
     v, w = perm_of(LAD_C)
-    region = region_of(LAD_C)
+    region = LAD_C.region
     bottom = p_bot(LAD_C)
     moves_to = {frozenset(blanks(LAD_C, bottom)): ()}
     queue = list(moves_to)

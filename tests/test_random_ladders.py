@@ -25,7 +25,6 @@ from klreg.ladder import (
     p_zip,
     perm_of,
     rank_constraints,
-    region_of,
     validate_minimal,
     weight,
 )
@@ -69,7 +68,7 @@ def test_random_minimal_boards_all_correspondences():
         checked += 1
         assert is_321_avoiding(v) and is_321_avoiding(w) and bruhat_leq(w, v)
         region, maps = compress(v)
-        assert region == region_of(board)
+        assert region == board.region
         assert w == oracle.brute_minimal_w(v.n, rank_constraints(board, v))
         top = d_top(v, w)
         assert frozenset(blanks(board, p_bot(board))) == top.pluses
