@@ -19,7 +19,7 @@ from klreg import (
     render_paths,
     weight,
 )
-from klreg.ladder import a_invariant_ladder, cell_count, regularity_ladder
+from klreg.ladder import a_invariant_ladder, regularity_ladder
 
 board_file = pathlib.Path(__file__).parent / "boards" / "large_board.json"
 ladder = ladder_from_json(json.loads(board_file.read_text()))
@@ -39,5 +39,5 @@ print()
 v, w = perm_of(ladder)
 print(f"permutation pair: v = {v.word}")
 print(f"                  w = {w.word}")
-print(f"cells {cell_count(ladder)}, weight {weight(ladder)}, unforced elbows {len(elbows(ladder, zipped))}")
+print(f"cells {ladder.region.size()}, weight {weight(ladder)}, unforced elbows {len(elbows(ladder, zipped))}")
 print(f"regularity {regularity_ladder(ladder)}, a-invariant {a_invariant_ladder(ladder)}")

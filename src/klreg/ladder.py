@@ -33,7 +33,11 @@ Point = tuple[float, float]
 
 @dataclass(frozen=True)
 class Ladder:
-    """A skew board with marked points (p_i, r_i) on its southwest border; `region` holds its cells."""
+    """A skew board with marked points (p_i, r_i) on its southwest border.
+
+    `region`, with `n_rows` and `width`, is the one source of the board's
+    drawn geometry: its walls, corners, border points and cutout are all
+    read off `region.rows`."""
 
     lam: tuple[int, ...]
     mu: tuple[int, ...]
@@ -65,16 +69,15 @@ class Ladder:
         marks = tuple(sorted(marks))
         if any(r <= 0 for _, r in marks):
             raise ValidationError("marked point multiplicities must be positive")
-        border = _sw_border_points(lam, mu)
+        rows = tuple((lam[0] - l + 1, lam[0] - m) for l, m in zip(lam, mu))  # drawn coordinates
         for p, _ in marks:
-            if p not in border:
+            if not _on_sw_border(rows, lam[0], p):
                 raise ValidationError(f"marked point {p} is not on the southwest border")
             if p[0] == 0:  # its block, rows 1..0, is empty
                 raise ValidationError(f"marked point {p} is on row 0, where its block has no rows")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "marked", marks)
-        rows = tuple((lam[0] - l + 1, lam[0] - m) for l, m in zip(lam, mu))  # drawn coordinates
         object.__setattr__(self, "region", SkewRegion(rows))
 
     @property
@@ -86,81 +89,35 @@ class Ladder:
         return self.lam[0]
 
 
-def _west_walls(lam) -> list[int]:
-    return [lam[0] - l for l in lam]
-
-
-def _east_walls(lam, mu) -> list[int]:
-    return [lam[0] - m for m in mu]
-
-
-def _sw_border_points(lam, mu) -> set:
-    """All lattice points on the southwest border polyline, from the
-    northwest corner to the southeast corner."""
-    ws = _west_walls(lam)
-    pts = set()
-    row = 0
-    col = 0
-    for r in range(1, len(lam) + 1):
-        while row < r:
-            row += 1
-            pts.add((row, col))
-        nxt = ws[r] if r < len(lam) else lam[0] - mu[-1]
-        while col < nxt:
-            col += 1
-            pts.add((row, col))
-    pts.add((0, 0))
-    return pts
+def _on_sw_border(rows, width: int, p: Cell) -> bool:
+    """Is p a lattice point of the southwest border polyline, from the
+    northwest corner (0, 0) to the southeast corner?  Row i of the polyline
+    runs east from row i's west wall to row i+1's (to the east edge on the
+    last row); the west wall of a row [a, b] is a - 1."""
+    i, j = p
+    if not 1 <= i <= len(rows):
+        return (i, j) == (0, 0)
+    return rows[i - 1][0] - 1 <= j <= (rows[i][0] - 1 if i < len(rows) else width)
 
 
 def partition_cells(ladder: Ladder) -> frozenset:
     """All cells of the full outer shape, including the northeast cutout."""
     w = ladder.width
-    return frozenset(
-        (i, j)
-        for i, l in enumerate(ladder.lam, 1)
-        for j in range(w - l + 1, w + 1)
-    )
-
-
-def cutout_cells(ladder: Ladder) -> frozenset:
-    """Cells of the outer shape that are not ladder cells."""
-    w = ladder.width
-    return frozenset(
-        (i, j)
-        for i, m in enumerate(ladder.mu, 1)
-        for j in range(w - m + 1, w + 1)
-    )
-
-
-def cell_count(ladder: Ladder) -> int:
-    return sum(l - m for l, m in zip(ladder.lam, ladder.mu))
+    return frozenset((i, j) for i, (a, _) in enumerate(ladder.region.rows, 1) for j in range(a, w + 1))
 
 
 def sw_corners(ladder: Ladder) -> tuple[Cell, ...]:
     """Convex corners along the southwest border, northwest to southeast."""
-    ws = _west_walls(ladder.lam)
-    corners = []
-    for r in range(1, ladder.n_rows):
-        if ws[r] > ws[r - 1]:
-            corners.append((r, ws[r - 1]))
+    ws = [a - 1 for a, _ in ladder.region.rows]  # west walls
+    corners = [(r, ws[r - 1]) for r in range(1, ladder.n_rows) if ws[r] > ws[r - 1]]
     corners.append((ladder.n_rows, ws[-1]))
     return tuple(corners)
 
 
 def ne_corners(ladder: Ladder) -> tuple[Cell, ...]:
     """Convex corners along the northeast border, northwest to southeast."""
-    ee = _east_walls(ladder.lam, ladder.mu)
-    corners = [(0, ee[0])]
-    for r in range(1, ladder.n_rows):
-        if ee[r] > ee[r - 1]:
-            corners.append((r, ee[r]))
-    return tuple(corners)
-
-
-def se_corner(ladder: Ladder) -> Cell:
-    ee = _east_walls(ladder.lam, ladder.mu)
-    return (ladder.n_rows, ee[-1])
+    ee = [b for _, b in ladder.region.rows]  # east walls
+    return ((0, ee[0]),) + tuple((r, ee[r]) for r in range(1, ladder.n_rows) if ee[r] > ee[r - 1])
 
 
 def ladder_from_json(data) -> Ladder:
@@ -369,7 +326,7 @@ def boundary_points(ladder: Ladder) -> BoundaryPoints:
                 raise ValidationError(f"no mark determines the corner fill-in at {corner}")
             extended.append((corner, int(rval)))
     extended.append(((0, 0), 1))
-    extended.append((se_corner(ladder), 1))
+    extended.append(((ladder.n_rows, ladder.width), 1))
 
     v_points: list[Point] = []
     h_points: list[Point] = []
@@ -502,7 +459,7 @@ def blanks(ladder: Ladder, family: PathFamily) -> tuple[Cell, ...]:
 
 def weight(ladder: Ladder) -> int:
     """Number of ladder cells covered by paths; constant across families."""
-    return cell_count(ladder) - len(blanks(ladder, p_bot(ladder)))
+    return ladder.region.size() - len(blanks(ladder, p_bot(ladder)))
 
 
 def elbows(ladder: Ladder, family: PathFamily) -> tuple[Cell, ...]:
@@ -530,7 +487,6 @@ def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
     """Do the routes form disjoint west/north paths H_i -> V_i inside the
     shape whose visits to the cutout satisfy the occupancy conditions?"""
     lam_cells = partition_cells(ladder)
-    cut = cutout_cells(ladder)
     if len(family.routes) != len(family.endpoints):
         return False
     occupied: set = set()
@@ -544,7 +500,7 @@ def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
             return False
         occupied.update(route)
     for cell, entry, exit_ in _passages(family):
-        if cell in cut:
+        if cell in lam_cells and cell not in ladder.region:  # in the cutout
             if (entry, exit_) == ("E", "N"):
                 return False
             i, j = cell
@@ -634,7 +590,6 @@ _GLYPH = {  # by the edges a path enters and leaves a box through
 def render_paths(ladder: Ladder, family: PathFamily) -> str:
     """ASCII grid of the path glyphs and blank cells, plus a legend of labeled endpoints."""
     glyphs = {cell: _GLYPH[entry, exit_] for cell, entry, exit_ in _passages(family)}
-    lcells = set(ladder.region.cells())
     lines = []
     for i in range(1, ladder.n_rows + 1):
         chars = []
@@ -642,7 +597,7 @@ def render_paths(ladder: Ladder, family: PathFamily) -> str:
             cell = (i, j)
             if cell in glyphs:
                 chars.append(glyphs[cell])
-            elif cell in lcells:
+            elif cell in ladder.region:
                 chars.append("·")  # ·
             else:
                 chars.append(" ")

@@ -24,7 +24,7 @@ from .perm import (
     rank,
     right_mult_s,
 )
-from .pipes import _reading_cells, box_labels, reading_order
+from .pipes import _reading_cells
 from .skew import d_top
 
 DEFAULT_BUDGET = 1_000_000
@@ -111,8 +111,7 @@ def enumerate_pipes(
 ) -> Iterator[tuple[Cell, ...]]:
     """All subsets of D(v) whose reading word has Demazure product w,
     by direct subset search over the reading order."""
-    order = reading_order(v)
-    labels = box_labels(v)
+    read = tuple(_reading_cells(v))
     n = v.n
     count = 0
 
@@ -121,15 +120,15 @@ def enumerate_pipes(
         count += 1
         if count > budget:
             raise ResourceError(f"pipe enumeration budget {budget} exceeded")
-        if k == len(order):
+        if k == len(read):
             if u == w:
                 yield chosen
             return
         if not bruhat_leq(u, w):
             return
         yield from rec(k + 1, u, chosen)
-        cell = order[k]
-        yield from rec(k + 1, demazure_step(u, labels[cell]), chosen + (cell,))
+        cell, a = read[k]
+        yield from rec(k + 1, demazure_step(u, a), chosen + (cell,))
 
     yield from rec(0, identity(n), ())
 
@@ -137,8 +136,7 @@ def enumerate_pipes(
 def brute_earliest_subword(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET) -> tuple[Cell, ...]:
     """Lexicographically earliest index subsequence of the reading word of
     D(v) that is a reduced word for w, by backtracking in lex order."""
-    order = reading_order(v)
-    labels = box_labels(v)
+    read = tuple(_reading_cells(v))
     need = coxeter_length(w)
     nodes = 0
 
@@ -149,12 +147,11 @@ def brute_earliest_subword(v: Permutation, w: Permutation, budget: int = DEFAULT
             raise ResourceError(f"subword search budget {budget} exceeded")
         if len(taken) == need:
             return u == w
-        if len(order) - k < need - len(taken):
+        if len(read) - k < need - len(taken):
             return False
         if not bruhat_leq(u, w):
             return False
-        cell = order[k]
-        a = labels[cell]
+        cell, a = read[k]
         if u.word[a - 1] < u.word[a]:
             taken.append(cell)
             if rec(k + 1, right_mult_s(u, a), taken):

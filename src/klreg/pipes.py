@@ -1,5 +1,4 @@
-"""Box labelings of Rothe diagrams, reading words, and the northeast-most
-reduced pipe set."""
+"""Reading words of Rothe diagrams and the northeast-most reduced pipe set."""
 
 from __future__ import annotations
 
@@ -15,27 +14,13 @@ from .perm import (
 )
 
 
-def box_labels(v: Permutation) -> dict[Cell, int]:
-    """Label the kth leftmost box in row i of the Rothe diagram with i + k - 1,
-    from one free-values pass (keys in row-major order)."""
-    return {
-        (i, j): i + t
-        for i, (k, free) in enumerate(_free_values(v.word), 1)
-        for t, j in enumerate(free[:k])
-    }
-
-
 def _reading_cells(v: Permutation) -> Iterator[tuple[Cell, int]]:
     """(cell, label) in the reading order of D(v): each row of one
-    free-values pass read right to left, so no sort is needed."""
+    free-values pass read right to left, so no sort is needed.  The kth
+    leftmost box in row i is labelled i + k - 1."""
     for i, (k, free) in enumerate(_free_values(v.word), 1):
         for t in range(k - 1, -1, -1):
             yield (i, free[t]), i + t
-
-
-def reading_order(v: Permutation) -> tuple[Cell, ...]:
-    """Rothe-diagram cells scanned right to left along rows, top to bottom."""
-    return tuple(cell for cell, _ in _reading_cells(v))
 
 
 def reading_word(v: Permutation, cells: Iterable[Cell]) -> tuple[int, ...]:

@@ -34,17 +34,15 @@ class SkewRegion:
         for (a1, b1), (a2, b2) in zip(rows, rows[1:]):
             if a2 < a1 or b2 < b1:
                 raise ValidationError("row starts/ends must weakly increase")
-        object.__setattr__(
-            self,
-            "_cells",
-            frozenset((i, j) for i, (a, b) in enumerate(rows, 1) for j in range(a, b + 1)),
-        )
+        cells = tuple((i, j) for i, (a, b) in enumerate(rows, 1) for j in range(a, b + 1))  # row-major, so sorted
+        object.__setattr__(self, "_ordered", cells)
+        object.__setattr__(self, "_cells", frozenset(cells))
 
     def __contains__(self, cell: Cell) -> bool:
         return cell in self._cells
 
     def cells(self) -> tuple[Cell, ...]:
-        return tuple(sorted(self._cells))
+        return self._ordered
 
     def size(self) -> int:
         return len(self._cells)

@@ -12,7 +12,6 @@ from typing import Iterable
 
 from klreg import Ladder, Permutation
 from klreg.errors import ValidationError
-from klreg.ladder import _sw_border_points
 from klreg.perm import Cell, coxeter_length, demazure_step, identity, is_321_avoiding
 from klreg.pipes import reading_word
 
@@ -48,6 +47,26 @@ def all_permutations(n: int) -> list[Permutation]:
 def all_321_avoiding(n: int) -> list[Permutation]:
     """All 321-avoiding elements of S_n, sorted by (length, word)."""
     return [u for u in all_permutations(n) if is_321_avoiding(u)]
+
+
+def _sw_border_points(lam, mu) -> set:
+    """All lattice points on the southwest border polyline, from the
+    northwest corner to the southeast corner: the reference enumeration for
+    `Ladder`'s border test, walked step by step."""
+    ws = [lam[0] - l for l in lam]  # west walls
+    pts = set()
+    row = 0
+    col = 0
+    for r in range(1, len(lam) + 1):
+        while row < r:
+            row += 1
+            pts.add((row, col))
+        nxt = ws[r] if r < len(lam) else lam[0] - mu[-1]
+        while col < nxt:
+            col += 1
+            pts.add((row, col))
+    pts.add((0, 0))
+    return pts
 
 
 def random_board_dict(rng: random.Random):

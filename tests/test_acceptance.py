@@ -15,7 +15,6 @@ from klreg.ideals import k_polynomial, kl_generators, ladder_generators
 from klreg.ladder import (
     blanks,
     boundary_points,
-    cell_count,
     p_bot,
     perm_of,
     rank_constraints,
@@ -194,7 +193,7 @@ def test_criterion_07_big_ladder_statistics():
         regularity_ladder(LAD_B),
         a_invariant_ladder(LAD_B),
         weight(LAD_B),
-        cell_count(LAD_B),
+        LAD_B.region.size(),
         len(blanks(LAD_B, p_bot(LAD_B))),
     )
     ok = stats == (7, -33, 40, 60, 20)

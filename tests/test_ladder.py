@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -9,11 +10,9 @@ from klreg.errors import ValidationError
 from klreg.ladder import (
     Ladder,
     MinimalityReport,
-    _sw_border_points,
     a_invariant_ladder,
     blanks,
     boundary_points,
-    cell_count,
     droop,
     elbows,
     family_from_routes,
@@ -23,11 +22,11 @@ from klreg.ladder import (
     nilp_is_valid,
     p_bot,
     p_zip,
+    partition_cells,
     perm_of,
     rank_constraints,
     regularity_ladder,
     render_paths,
-    se_corner,
     sw_corners,
     validate_minimal,
     weight,
@@ -57,6 +56,7 @@ from knowndata import (
     V_LAD_A,
     V_LAD_B,
     W_LAD_A,
+    _sw_border_points,
     all_boards,
     rank_envelope_perm,
 )
@@ -73,17 +73,60 @@ def test_ladder_validation():
         Ladder((3, 3, 2), (1, 0, 0), (((3, 0), 2),))  # point off the border
 
 
+def _small_boards():
+    """Every unmarked board that `Ladder` accepts with at most 4 rows and parts at most 5."""
+    for rows in range(1, 5):
+        for lam in combinations_with_replacement(range(5, 0, -1), rows):
+            for mu in product(*(range(l) for l in lam)):
+                try:
+                    yield Ladder(lam, mu, ())
+                except ValidationError:
+                    pass
+
+
+def test_geometry_and_marks_match_the_partitions_on_small_shapes():
+    shapes = 0
+    for board in _small_boards():
+        shapes += 1
+        lam, mu = board.lam, board.mu
+        rows, w = len(lam), lam[0]
+        assert (board.n_rows, board.width) == (rows, w)
+        ws = [w - l for l in lam]  # west walls
+        ee = [w - m for m in mu]  # east walls
+        sw = [(r, ws[r - 1]) for r in range(1, rows) if ws[r] > ws[r - 1]] + [(rows, ws[-1])]
+        ne = [(0, ee[0])] + [(r, ee[r]) for r in range(1, rows) if ee[r] > ee[r - 1]]
+        assert sw_corners(board) == tuple(sw)
+        assert ne_corners(board) == tuple(ne)
+        outer = {(i, j) for i, l in enumerate(lam, 1) for j in range(w - l + 1, w + 1)}
+        cutout = {(i, j) for i, m in enumerate(mu, 1) for j in range(w - m + 1, w + 1)}
+        assert partition_cells(board) == outer
+        assert board.region.cells() == tuple(sorted(outer - cutout))
+        border = _sw_border_points(lam, mu)
+        for p in product(range(-1, rows + 2), range(-1, w + 2)):
+            try:
+                Ladder(lam, mu, ((p, 1),))
+            except ValidationError as exc:
+                if p == (0, 0):
+                    assert str(exc) == "marked point (0, 0) is on row 0, where its block has no rows"
+                else:
+                    assert p not in border, p
+                    assert str(exc) == f"marked point {p} is not on the southwest border"
+            else:
+                assert p in border and p[0] != 0, p
+    assert shapes == 1414
+
+
 def test_corners():
     assert sw_corners(LAD_A) == ((4, 0), (6, 3))
     assert ne_corners(LAD_A) == ((0, 3), (1, 4), (2, 5))
-    assert se_corner(LAD_A) == (6, 5)
+    assert (LAD_A.n_rows, LAD_A.width) == (6, 5)
     assert sw_corners(LAD_B) == ((4, 0), (5, 2), (8, 6), (10, 8))
     assert ne_corners(LAD_B) == ((0, 8), (2, 10))
 
 
 def test_cell_counts_and_region():
-    assert cell_count(LAD_A) == 21
-    assert cell_count(LAD_B) == 60
+    assert LAD_A.region.size() == 21
+    assert LAD_B.region.size() == 60
     assert LAD_A.region.rows == ((1, 3), (1, 4), (1, 5), (1, 5), (4, 5), (4, 5))
 
 
@@ -126,7 +169,7 @@ def _validate_minimal_reference(ladder):
     block less the cell's row and column."""
     region = ladder.region
     cells = set(region.cells())
-    end_col = se_corner(ladder)[1]
+    end_col = ladder.width
     covered = set()
     for (p, r) in ladder.marked:
         rows = [i for i in range(1, p[0] + 1)]
@@ -264,7 +307,7 @@ def test_perm_of_invariants_all_ladders():
         v, w = perm_of(lad)
         assert is_321_avoiding(v) and is_321_avoiding(w)
         assert bruhat_leq(w, v)
-        assert coxeter_length(v) == cell_count(lad)
+        assert coxeter_length(v) == lad.region.size()
         assert weight(lad) == coxeter_length(v) - coxeter_length(w)
 
 
@@ -328,7 +371,7 @@ def test_all_blank_family_is_valid():
     assert fam.routes == ()
     assert nilp_is_valid(LAD_FULL, fam)
     assert elbows(LAD_FULL, fam) == ()
-    assert len(blanks(LAD_FULL, fam)) == cell_count(LAD_FULL)
+    assert len(blanks(LAD_FULL, fam)) == LAD_FULL.region.size()
 
 
 def test_fully_covered_family():
@@ -337,7 +380,7 @@ def test_fully_covered_family():
     fam = p_bot(LAD_EMPTYW)
     assert blanks(LAD_EMPTYW, fam) == ()
     assert regularity_ladder(LAD_EMPTYW) == 0
-    assert a_invariant_ladder(LAD_EMPTYW) == -cell_count(LAD_EMPTYW)
+    assert a_invariant_ladder(LAD_EMPTYW) == -LAD_EMPTYW.region.size()
 
 
 def test_weight_and_elbows_big_ladder():

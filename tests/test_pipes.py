@@ -12,7 +12,7 @@ from klreg.perm import (
     right_mult_s,
     rothe_diagram,
 )
-from klreg.pipes import box_labels, d_ne, reading_order, reading_word
+from klreg.pipes import _reading_cells, d_ne, reading_word
 from klreg import oracle
 
 from knowndata import (
@@ -28,7 +28,7 @@ from knowndata import (
 
 
 def test_box_labels():
-    labels = box_labels(V10)
+    labels = dict(_reading_cells(V10))
     assert labels[(1, 1)] == 1 and labels[(1, 3)] == 3
     assert labels[(2, 5)] == 5  # fourth leftmost box in row 2
     assert labels[(9, 7)] == 9
@@ -118,9 +118,9 @@ def _d_ne_reference(v, w):
     but failed the Bruhat test.  The lifting-property lemma in d_ne's
     docstring says there are none, which is why d_ne has no Bruhat test.
     """
-    order = reading_order(v)
-    labels = box_labels(v)
-    letters = [labels[c] for c in order]
+    read = tuple(_reading_cells(v))
+    order = [c for c, _ in read]
+    letters = [a for _, a in read]
     m = len(letters)
     suffix_delta = [identity(v.n)] * (m + 1)
     for k in range(m - 1, -1, -1):

@@ -13,7 +13,7 @@ from klreg.perm import (
     right_mult_s,
     rothe_diagram,
 )
-from klreg.pipes import box_labels, d_ne, reading_word
+from klreg.pipes import _reading_cells, d_ne, reading_word
 from klreg.skew import PlusDiagram, SkewRegion, compress, d_top
 from klreg.zipdiag import (
     a_invariant,
@@ -314,7 +314,7 @@ def _groth_degree_recursive_reference(v: Permutation, w: Permutation) -> int:
             top = maps.image(d_ne(v, w))
             z = min(top, key=lambda c: (c[0], -c[1]))
             zp = (1, region.rows[0][1])
-            labels = box_labels(v)
+            labels = dict(_reading_cells(v))
             ip = labels[maps.backward[zp]]
             v_next = left_mult_s(v, ip)
             if z != zp:
