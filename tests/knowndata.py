@@ -266,3 +266,8 @@ ZIP_UNDERCOUNT = (
     (Permutation((4, 5, 6, 7, 1, 2, 3)), Permutation((2, 1, 4, 6, 3, 5, 7)), 7),
     (Permutation((2, 4, 6, 8, 1, 3, 5, 7)), Permutation((2, 4, 1, 6, 3, 8, 5, 7)), 8),
 )
+
+# sha256 of the zip records of every comparable pair of S_7, as folded by
+# test_zip_degree_matches_recurrence_on_all_of_s7 (region rows, sorted top
+# diagram, chains, sorted slid diagram, move log, sorted rooms).
+S7_ZIP_RECORD_SHA256 = "f809c4759fd9198af8b15c477e46df264c8505d57302e3271f4419ca77c4b7be"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -47,6 +48,7 @@ from knowndata import (
     W10,
     W11,
     W16,
+    S7_ZIP_RECORD_SHA256,
     ZIP_UNDERCOUNT,
     all_321_avoiding,
     left_mult_s,
@@ -197,6 +199,18 @@ def test_rectangular_grassmannian_at_k20():
     assert [len(chain) for chain in res.chains] == [k]
 
 
+def test_one_cell_components_are_their_own_chains():
+    # corner-sharing pluses only: every component is one cell
+    diagrams = [
+        d_top(Permutation((2, 1, 4, 3)), Permutation((2, 1, 4, 3))),
+        PlusDiagram(SkewRegion(((1, 4),) * 4), frozenset({(1, 3), (2, 1), (2, 4), (3, 2), (4, 4)})),
+    ]
+    for top in diagrams:
+        comps = components(top)
+        assert all(len(comp) == 1 for comp in comps)
+        assert minimizing_diag(top) == tuple(max_diag(comp) for comp in comps) == comps
+
+
 def test_minimizing_equals_max_for_single_component():
     from klreg.ladder import perm_of
 
@@ -269,21 +283,36 @@ def test_zip_degree_on_undercount_pins():
 
 def test_zip_degree_matches_recurrence_on_all_of_s7():
     # every comparable pair of S_7; the zip route is one short exactly on
-    # the pinned S_7 under-counts
+    # the pinned S_7 under-counts.  The digest pins the rest of each zip
+    # record (region, top, chains, slid diagram, moves, rooms), so a faster
+    # construction must rebuild it exactly; it leaves out d_zip_k and the
+    # degree, which a correct degree route would change on the under-counts.
     pinned = {(v.word, w.word): d for v, w, d in ZIP_UNDERCOUNT if v.n == 7}
     avoid = all_321_avoiding(7)
     pairs = 0
     misses = {}
+    digest = hashlib.sha256()
     for v in avoid:
         for w in avoid:
             if bruhat_leq(w, v):
                 pairs += 1
-                by_zip, by_rec = groth_degree(v, w), groth_degree_recursive(v, w)
+                res = zip_result(v, w)
+                by_zip, by_rec = res.degree, groth_degree_recursive(v, w)
                 if by_zip != by_rec:
                     misses[v.word, w.word] = (by_zip, by_rec)
+                record = (
+                    res.region.rows,
+                    sorted(res.d_top.pluses),
+                    res.chains,
+                    sorted(res.d_zip.pluses),
+                    res.move_log,
+                    sorted(res.rooms.items()),
+                )
+                digest.update(repr(record).encode())
     assert pairs == 26_021
     assert misses == {key: (d - 1, d) for key, d in pinned.items()}
     assert len(misses) == 5
+    assert digest.hexdigest() == S7_ZIP_RECORD_SHA256
 
 
 # The peel-off recurrence with a whole d_ne per node: the reference for
