@@ -135,11 +135,11 @@ def ladder_generators(ladder: Ladder) -> frozenset:
     ladder (the classical ladder-determinantal convention, and the one under
     which the generator sets match the Kazhdan-Lusztig side).
     """
-    region = ladder.region
+    cells = ladder.region.cellset
     end_col = ladder.width
 
     def entry(i, j):
-        return (i, j) if (i, j) in region else 0
+        return (i, j) if (i, j) in cells else 0
 
     memo: dict = {}
     gens = set()
@@ -150,7 +150,7 @@ def ladder_generators(ladder: Ladder) -> frozenset:
             continue
         for rows in combinations(all_rows, r):
             for cols in combinations(all_cols, r):
-                if any((i, j) not in region for i in rows for j in cols):
+                if any((i, j) not in cells for i in rows for j in cols):
                     continue
                 poly = Poly.from_dict(_det(entry, rows, cols, memo))
                 if poly is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import InternalError, ValidationError
 from .perm import Cell, Permutation, _free_values, is_321_avoiding
@@ -19,7 +20,8 @@ from .pipes import d_ne
 
 @dataclass(frozen=True)
 class SkewRegion:
-    """Contiguous column interval [start_i, end_i] per row, 1-indexed."""
+    """Contiguous column interval [start_i, end_i] per row, 1-indexed.  Hot
+    loops test membership on `cellset`, sparing `in region` a method call."""
 
     rows: tuple[tuple[int, int], ...]
 
@@ -36,16 +38,16 @@ class SkewRegion:
                 raise ValidationError("row starts/ends must weakly increase")
         cells = tuple((i, j) for i, (a, b) in enumerate(rows, 1) for j in range(a, b + 1))  # row-major, so sorted
         object.__setattr__(self, "_ordered", cells)
-        object.__setattr__(self, "_cells", frozenset(cells))
+        object.__setattr__(self, "cellset", frozenset(cells))
 
     def __contains__(self, cell: Cell) -> bool:
-        return cell in self._cells
+        return cell in self.cellset
 
     def cells(self) -> tuple[Cell, ...]:
         return self._ordered
 
     def size(self) -> int:
-        return len(self._cells)
+        return len(self.cellset)
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class PlusDiagram:
     def __post_init__(self):
         pluses = frozenset(self.pluses)
         object.__setattr__(self, "pluses", pluses)
-        bad = [c for c in pluses if c not in self.region]
+        bad = pluses - self.region.cellset
         if bad:
             raise ValidationError(f"pluses outside region: {sorted(bad)}")
 
@@ -77,6 +79,24 @@ class CellMaps:
         return frozenset(self.forward[c] for c in cells)
 
 
+def _compression(word: tuple[int, ...]) -> tuple[SkewRegion, list, dict, dict]:
+    """compress's region, the nonempty rows of D(v) as (i, columns), and the
+    row and column maps, for a 321-avoiding word v.  Column j of D(v) is
+    nonempty exactly when j lies below an earlier value of v, so one
+    free-values pass gives it all: O(n log n), the rows being list slices."""
+    rows = [(i, free[:k]) for i, (k, free) in enumerate(_free_values(word), 1) if k]
+    rmap = {i: r for r, (i, _) in enumerate(rows, 1)}
+    nonempty = sorted(x for x, top in zip(word, accumulate(word, max)) if x < top)
+    cmap = {c: k for k, c in enumerate(nonempty, 1)}
+    intervals = []
+    for r, (_, cols) in enumerate(rows, 1):
+        first, last = cmap[cols[0]], cmap[cols[-1]]
+        if last - first + 1 != len(cols):
+            raise InternalError(f"compressed row {r} is not contiguous")
+        intervals.append((first, last))
+    return SkewRegion(tuple(intervals)), rows, rmap, cmap
+
+
 def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
     """Delete empty rows and columns of D(v), shifting up and left.
 
@@ -84,39 +104,30 @@ def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
     case in which the compressed diagram is a valid skew region.  Rows stay
     contiguous: if row i has cells in columns j1 < j3 but not in a nonempty
     column j2 between them, then v^-1(j2) < i, some row k < v^-1(j2) has
-    v(k) > j2, and k < v^-1(j2) < v^-1(j1) is a 321.  The rows come grouped
-    from one free-values pass over v, so the cost is O(n log n) plus
-    O(ell(v)) for the maps, not a rescan of D(v) per row.
+    v(k) > j2, and k < v^-1(j2) < v^-1(j1) is a 321.  The region and the
+    row and column maps come from _compression's one free-values pass,
+    O(n log n); the cell maps add O(ell(v)).
     """
     if not is_321_avoiding(v):
         raise ValidationError(f"{v.word} is not 321-avoiding")
-    rows = [(i, free[:k]) for i, (k, free) in enumerate(_free_values(v.word), 1) if k]
-    cmap = {c: k for k, c in enumerate(sorted({j for _, cols in rows for j in cols}), 1)}
-    forward = {}
-    intervals = []
-    for r, (i, cols) in enumerate(rows, 1):
-        first, last = cmap[cols[0]], cmap[cols[-1]]
-        if last - first + 1 != len(cols):
-            raise InternalError(f"compressed row {r} is not contiguous")
-        intervals.append((first, last))
-        for j in cols:
-            forward[(i, j)] = (r, cmap[j])
+    region, rows, rmap, cmap = _compression(v.word)
+    forward = {(i, j): (rmap[i], cmap[j]) for i, cols in rows for j in cols}
     backward = {img: src for src, img in forward.items()}
-    return SkewRegion(tuple(intervals)), CellMaps(forward, backward)
+    return region, CellMaps(forward, backward)
 
 
 @lru_cache(maxsize=1)
 def _top_data(v: Permutation, w: Permutation) -> tuple[SkewRegion, PlusDiagram]:
-    """compress(v) and the top diagram, shared by the zip route and the
-    closure oracle.  Every repeat lookup is the oracle certifying the pair
-    that zip_result has just built: 1 of 2 lookups in `klreg pair
-    --oracle`, 50 of 100 in a 50-sample `klreg sweep`.  One entry serves
-    them all and spares a second d_ne and compress, about a seventh of a
-    sweep sample at n = 10..16; a larger memo would only keep old pairs'
-    regions and diagrams alive."""
-    pipe_set = d_ne(v, w)  # validates the pair before compress does
-    region, maps = compress(v)
-    return region, PlusDiagram(region, maps.image(pipe_set))
+    """compress(v)'s region and the top diagram, shared by the zip route and
+    the closure oracle.  d_ne checks the pair, v included, and _compression's
+    row and column maps place the ell(w) pluses, with no ell(v)-sized cell
+    maps.  Every repeat lookup is the oracle certifying the pair that
+    zip_result has just built: 1 of 2 lookups in `klreg pair --oracle`, 50 of
+    100 in a 50-sample `klreg sweep`.  One entry serves them all and spares a
+    second d_ne; a larger memo would only keep old pairs' data alive."""
+    pipe_set = d_ne(v, w)
+    region, _, rmap, cmap = _compression(v.word)
+    return region, PlusDiagram(region, frozenset((rmap[i], cmap[j]) for i, j in pipe_set))
 
 
 def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
@@ -133,7 +144,9 @@ def can_move(region: SkewRegion, pluses, b: Cell) -> bool:
     True
     """
     i, j = b
-    return all(c in region and c not in pluses for c in ((i + 1, j - 1), (i + 1, j), (i, j - 1)))
+    t, s, w = (i + 1, j - 1), (i + 1, j), (i, j - 1)
+    cells = region.cellset
+    return t in cells and s in cells and w in cells and not (t in pluses or s in pluses or w in pluses)
 
 
 def render_diagram(diagram: PlusDiagram, bold=()) -> str:

@@ -6,7 +6,7 @@ with an independent degree recurrence.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -23,47 +23,48 @@ from .skew import PlusDiagram, SkewRegion, _top_data, can_move
 
 
 def components(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
-    """Edge-connected components of the plus set, ordered northwest to
-    southeast by their lexicographically minimal cell.
+    """Edge-connected components of the plus set, each sorted row-major,
+    ordered northwest to southeast by their lexicographically minimal cell:
+    seeds go in sorted order, so each is its component's minimal cell.
 
     Two pluses sharing only a corner fall in different components.  The
     lexicographic key is a total order, so no tie-breaking is needed; rare
     interlocking layouts (one component nested in another's northeast
     notch) are ordered by it as well.
     """
-    pluses = set(diagram.pluses)
+    unseen = set(diagram.pluses)
     comps = []
-    while pluses:
-        seed = min(pluses)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            i, j = frontier.pop()
+    for seed in sorted(unseen):
+        if seed not in unseen:
+            continue
+        unseen.remove(seed)
+        comp = [seed]
+        for i, j in comp:  # comp grows while it is read: a breadth-first search
             for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if nb in pluses and nb not in comp:
-                    comp.add(nb)
-                    frontier.append(nb)
-        pluses -= comp
+                if nb in unseen:
+                    unseen.remove(nb)
+                    comp.append(nb)
         comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda cells: min(cells))
     return tuple(comps)
 
 
 def psi_east(component: tuple[Cell, ...], b: Cell) -> Cell:
-    """(b(1), c') where c' is the largest column of the component in row b(1)."""
-    if b not in component:
+    """(b(1), c') where c' is the largest column of the component in row b(1).
+    The component is sorted row-major, as components returns it: O(log c)."""
+    k = bisect_left(component, b)
+    if component[k : k + 1] != (b,):
         raise ValidationError(f"{b} is not in the component")
-    return (b[0], max(j for i, j in component if i == b[0]))
+    return component[bisect_left(component, (b[0] + 1,), k) - 1]
 
 
 def _chain_lengths(cells, ends) -> dict[Cell, int]:
-    """For each cell, the length of the longest chain from it to a cell of
-    `ends` (0 if none).  One sweep of the rows from the south; below[x] is
-    the longest chain from a swept row at column lo + x or east of it."""
+    """For each cell of `cells` (sorted row-major), the longest chain from it
+    to a cell of `ends` (0 if none).  One sweep of the rows from the south;
+    below[x] is the longest chain from a swept row at column lo + x or east."""
     lo = min(j for _, j in cells)
     below = [0] * (max(j for _, j in cells) - lo + 2)
     length = {}
-    for _, row in groupby(sorted(cells, reverse=True), key=itemgetter(0)):
+    for _, row in groupby(reversed(cells), key=itemgetter(0)):
         row = list(row)  # east to west
         for c in row:
             longest = below[c[1] - lo + 1]
@@ -76,11 +77,11 @@ def _chain_lengths(cells, ends) -> dict[Cell, int]:
 
 
 def _first_chain(cells, ends) -> tuple[Cell, ...]:
-    """max_diag's walk over the maximal chains that end in `ends`."""
+    """max_diag's walk over the maximal chains of `cells` that end in `ends`."""
     length = _chain_lengths(cells, ends)
     by_length: dict[int, list[Cell]] = {}
     col_rows: dict[int, list[int]] = {}
-    for c in sorted(cells, key=lambda c: (c[1], c[0])):
+    for c in sorted(cells, key=itemgetter(1)):  # stable: column-major
         by_length.setdefault(length[c], []).append(c)
         col_rows.setdefault(c[1], []).append(c[0])
     cols = []
@@ -106,8 +107,9 @@ def max_diag(component: tuple[Cell, ...]) -> tuple[Cell, ...]:
     smallest such row, whose continuations include those of every row
     south of it.  With the columns fixed, each box moves south, last to
     first, to the largest row of its column north of the next box: the
-    pointwise, so lexicographic, maximum of the row tuple.  O(c log c + r*s)
-    for c cells in r rows spanning s columns.
+    pointwise, so lexicographic, maximum of the row tuple.  On a component
+    sorted row-major, as components returns it, with c cells in r rows
+    spanning s columns: O(c + r*s) for the sweep, O(c log c) for the walk.
 
     >>> max_diag(((1, 1), (2, 1), (3, 2)))
     ((2, 1), (3, 2))
@@ -117,19 +119,23 @@ def max_diag(component: tuple[Cell, ...]) -> tuple[Cell, ...]:
 
 def _minimizing_diag(comps) -> tuple[tuple[Cell, ...], ...]:
     chains = []
-    taken_levels: set[int] = set()
+    levels: list[int] = []  # the distinct levels taken so far, sorted
     for comp in reversed(comps):
-        mirrored = frozenset((-i, -j) for i, j in comp)
-        ending = _chain_lengths(mirrored, mirrored)  # longest chain ending at each cell
-        top = max(ending.values())
-        score = {}  # badness of each row in which a maximal chain ends
-        for (i, j), n in ending.items():
-            if n == top and -i not in score:
-                last = psi_east(comp, (-i, -j))
-                score[-i] = sum(1 for lev in taken_levels if lev <= last[0] + last[1] + 1)
-        least = min(score.values())
-        chains.append(_first_chain(comp, frozenset(c for c in comp if score.get(c[0]) == least)))
-        taken_levels.update(i + j for i, j in chains[-1])
+        if len(comp) == 1:
+            chain = comp
+        else:
+            mirrored = [(-i, -j) for i, j in reversed(comp)]  # row-major again
+            ending = _chain_lengths(mirrored, frozenset(mirrored))  # longest chain ending at each cell
+            top = max(ending.values())
+            score = {}  # badness of each row in which a maximal chain ends
+            for (i, j), n in ending.items():
+                if n == top and -i not in score:
+                    last = psi_east(comp, (-i, -j))
+                    score[-i] = bisect_right(levels, last[0] + last[1] + 1)
+            least = min(score.values())
+            chain = _first_chain(comp, frozenset(c for c in comp if score.get(c[0]) == least))
+        chains.append(chain)
+        levels = sorted(set(levels).union(i + j for i, j in chain))
     return tuple(reversed(chains))
 
 
@@ -141,7 +147,10 @@ def minimizing_diag(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
     on the row of the chain's last box (through psi_east), so a
     longest-chain sweep from the southeast finds the rows where a maximal
     chain ends, each is scored once, and the max_diag walk runs on the
-    chains ending in a least-scored row: O(c log c + r*s) per component.
+    chains ending in a least-scored row; a one-cell component is its own
+    chain.  Per component of c cells in r rows spanning s columns, with L
+    levels taken: O(c log c + r*s) for the sweep and the walk, O(log c +
+    log L) per scored row (bisections), O(L log L) to add the chain's levels.
     """
     return _minimizing_diag(components(diagram))
 
@@ -197,7 +206,8 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
     length(v); d_ne takes a letter exactly when the remainder's length
     drops by one and raises InternalError unless it reaches 0, so it takes
     length(w) cells, and the compression map keeps them distinct:
-    |d_top| = length(w)."""
+    |d_top| = length(w).  The pair is validated once, by d_ne's check_pair
+    inside _top_data; nothing after it checks v or w again."""
     region, top = _top_data(v, w)
     comps = components(top)
     chains = _minimizing_diag(comps)
@@ -205,12 +215,14 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
     pluses = set(top.pluses)
     log: list[Cell] = []
     for comp, chain in zip(comps, chains):
-        chainset = set(chain)
-        sources = [
-            b
-            for b in comp
-            if b not in chainset and any(b[0] >= d[0] and b[1] <= d[1] for d in chain)
-        ]
+        # b slides when weakly southwest of a chain box and not one.  The chain rises
+        # in row and column, so its last box in rows <= b(1) is the eastmost of them.
+        rows = [d[0] for d in chain]
+        sources = []
+        for b in comp:
+            t = bisect_right(rows, b[0])
+            if t and chain[t - 1][1] >= b[1] and chain[t - 1] != b:
+                sources.append(b)
         sources.sort(key=lambda b: (b[1], -b[0]))  # left to right, bottom to top
         log.extend(_slide_all(region, pluses, sources))
     zipped = PlusDiagram(region, frozenset(pluses))
