@@ -271,3 +271,8 @@ ZIP_UNDERCOUNT = (
 # test_zip_degree_matches_recurrence_on_all_of_s7 (region rows, sorted top
 # diagram, chains, sorted slid diagram, move log, sorted rooms).
 S7_ZIP_RECORD_SHA256 = "f809c4759fd9198af8b15c477e46df264c8505d57302e3271f4419ca77c4b7be"
+
+# The same fold over oracle.random_avoiding_pair(random.Random(seed), n) for
+# seeds 0..4 and n = 4..60, as test_zip_records_of_random_pair_draws_are_pinned
+# folds it.
+DRAWS_ZIP_RECORD_SHA256 = "2a25b746f4d6055c2b53d7de5ae2987604543ba67a534c3e8a39fad07c5245c0"

@@ -38,6 +38,7 @@ from knowndata import (
     DEGREE10,
     DEGREE16,
     DIAG_16_C2,
+    DRAWS_ZIP_RECORD_SHA256,
     LAD_A,
     MAX_DIAG_16_C1,
     MIN_DIAG_16_C1,
@@ -281,6 +282,19 @@ def test_zip_degree_on_undercount_pins():
     assert [groth_degree(v, w) for v, w, _ in ZIP_UNDERCOUNT] == [d for _, _, d in ZIP_UNDERCOUNT]
 
 
+def _zip_record(res) -> bytes:
+    """The zip record without d_zip_k and the degree, for a digest."""
+    record = (
+        res.region.rows,
+        sorted(res.d_top.pluses),
+        res.chains,
+        sorted(res.d_zip.pluses),
+        res.move_log,
+        sorted(res.rooms.items()),
+    )
+    return repr(record).encode()
+
+
 def test_zip_degree_matches_recurrence_on_all_of_s7():
     # every comparable pair of S_7; the zip route is one short exactly on
     # the pinned S_7 under-counts.  The digest pins the rest of each zip
@@ -300,19 +314,21 @@ def test_zip_degree_matches_recurrence_on_all_of_s7():
                 by_zip, by_rec = res.degree, groth_degree_recursive(v, w)
                 if by_zip != by_rec:
                     misses[v.word, w.word] = (by_zip, by_rec)
-                record = (
-                    res.region.rows,
-                    sorted(res.d_top.pluses),
-                    res.chains,
-                    sorted(res.d_zip.pluses),
-                    res.move_log,
-                    sorted(res.rooms.items()),
-                )
-                digest.update(repr(record).encode())
+                digest.update(_zip_record(res))
     assert pairs == 26_021
     assert misses == {key: (d - 1, d) for key, d in pinned.items()}
     assert len(misses) == 5
     assert digest.hexdigest() == S7_ZIP_RECORD_SHA256
+
+
+def test_zip_records_of_random_pair_draws_are_pinned():
+    # the 285 draws that test_random_pair_draws_are_pinned pins (seeds 0..4,
+    # n = 4..60), folded as on S_7: the zip record well past n = 7.
+    digest = hashlib.sha256()
+    for seed in range(5):
+        for n in range(4, 61):
+            digest.update(_zip_record(zip_result(*oracle.random_avoiding_pair(random.Random(seed), n))))
+    assert digest.hexdigest() == DRAWS_ZIP_RECORD_SHA256
 
 
 # The peel-off recurrence with a whole d_ne per node: the reference for
