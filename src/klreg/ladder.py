@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 from math import inf
 
 from .errors import InternalError, ValidationError
-from .perm import (
-    Cell,
-    Permutation,
-    bruhat_leq,
-    from_lehmer_code,
-    is_321_avoiding,
-    rank,
-)
+from .perm import Cell, Permutation, check_pair, from_lehmer_code, rank
 from .skew import SkewRegion
 from .zipdiag import ZipResult, zip_result
 
@@ -267,6 +260,7 @@ def perm_of(ladder: Ladder) -> tuple[Permutation, Permutation]:
     v is cut out by the row-length code of the ladder; w is the Bruhat-least
     permutation under the marked rank caps, built by one sweep over the rows
     (`_least_perm`), and then verified to meet every cap with equality.
+    check_pair then rejects the pair unless it is 321-avoiding and w <= v.
     """
     lam, mu = ladder.lam, ladder.mu
     code = []
@@ -280,10 +274,7 @@ def perm_of(ladder: Ladder) -> tuple[Permutation, Permutation]:
     for ((a, b), c), got in zip(cons, counts):
         if got != c:
             raise ValidationError(f"envelope permutation violates rank({a},{b}) = {c}")
-    if not (is_321_avoiding(v) and is_321_avoiding(w)):
-        raise ValidationError("ladder pair is not 321-avoiding")
-    if not bruhat_leq(w, v):
-        raise ValidationError("ladder pair is not Bruhat-comparable")
+    check_pair(v, w)
     return v, w
 
 

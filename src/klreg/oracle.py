@@ -13,6 +13,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from . import ladder as lad
 from .errors import ResourceError, ValidationError
 from .perm import (
     Cell,
@@ -188,14 +189,9 @@ def brute_minimal_w(
     raise ValidationError("no permutation satisfies the rank constraints")
 
 
-def enumerate_nilp(ladder, budget: int = DEFAULT_BUDGET, allow_partial: bool = False):
-    """All valid non-intersecting path families on the ladder.
-
-    With allow_partial=True the enumeration stops quietly once `budget`
-    families are collected; otherwise exceeding the budget is an error.
-    """
-    from . import ladder as lad
-
+def enumerate_nilp(ladder, budget: int = DEFAULT_BUDGET):
+    """All valid non-intersecting path families on the ladder; more than
+    `budget` of them is a ResourceError."""
     bp = lad.boundary_points(ladder)
     lam_cells = lad.partition_cells(ladder)
     ell = len(bp.h)
@@ -214,24 +210,19 @@ def enumerate_nilp(ladder, budget: int = DEFAULT_BUDGET, allow_partial: bool = F
             for rest in routes(nxt, goal, used):
                 yield (start,) + rest
 
-    def place(i: int, used: frozenset, acc: list) -> bool:
-        """Place paths i.. after acc; False once a partial run is full."""
+    def place(i: int, used: frozenset, acc: list) -> None:
+        """Place paths i.. after acc."""
         if i == ell:
             fam = lad.family_from_routes(bp, tuple(acc))
             if lad.nilp_is_valid(ladder, fam):
                 results.append(fam)
-                if allow_partial:
-                    return len(results) < budget
                 if len(results) > budget:
                     raise ResourceError(f"path enumeration budget {budget} exceeded")
-            return True
+            return
         for route in routes(lad._start_box(bp.h[i]), lad._goal_box(bp.v[i]), used):
             acc.append(route)
-            more = place(i + 1, used | frozenset(route), acc)
+            place(i + 1, used | frozenset(route), acc)
             acc.pop()
-            if not more:
-                return False
-        return True
 
     place(0, frozenset(), [])
     return tuple(results)

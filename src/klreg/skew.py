@@ -165,5 +165,5 @@ def render_diagram(diagram: PlusDiagram, bold=()) -> str:
                 chars.append("+")
             else:
                 chars.append(".")
-        lines.append("".join(chars).rstrip() or "")
+        lines.append("".join(chars).rstrip())
     return "\n".join(lines)

@@ -174,32 +174,29 @@ class ZipResult:
     a_invariant: int
 
 
-def _slide_all(region: SkewRegion, pluses: set, sources) -> list[Cell]:
-    """Slide each source plus as far as possible; mutates pluses, returns
-    the elementary move log."""
-    log = []
-    for cur in sources:
-        while can_move(region, pluses, cur):
-            log.append(cur)
-            pluses.remove(cur)
-            cur = (cur[0] + 1, cur[1] - 1)
-            pluses.add(cur)
-    return log
-
-
-def _room_of(region: SkewRegion, zipped: frozenset, b: Cell) -> int:
-    k = 0
-    while can_move(region, zipped, (b[0] + k, b[1] - k)):
-        k += 1
-    return k
+def _walk(region: SkewRegion, pluses, b: Cell) -> list[Cell]:
+    """The cells b+(k,-k), k >= 1, that excited moves carry a plus at b
+    through while the other pluses stay put.  The step from b+(k,-k) tests
+    b+(k+1,-k-1), b+(k+1,-k) and b+(k,-k-1), none of which is b or an
+    earlier cell of the walk, so walking on the unmoved set gives the same
+    cells as moving the plus one step at a time."""
+    walk = []
+    while can_move(region, pluses, b):
+        b = (b[0] + 1, b[1] - 1)
+        walk.append(b)
+    return walk
 
 
 def zip_result(v: Permutation, w: Permutation) -> ZipResult:
     """The slid diagram and its saturation, built afresh on every call;
-    a caller that needs the record twice keeps it.  Every slide step and
-    every K-step lands on a cell that can_move found plus-free in the
-    current diagram, so the cardinality and collision checks can only fail
-    on a bug.
+    a caller that needs the record twice keeps it.  Both stages read
+    _walk: a slide source moves to the end of its walk on the diagram slid
+    so far, and each chain box's walk on the slid diagram is its room (the
+    walk's length) and its K-saturation cells.  The walks run on the
+    unmoved set, so no K-walk sees the cells another one adds; every cell
+    they reach was plus-free in the diagram walked, so the cardinality
+    check and the collision check of the K-saturation against the slid
+    diagram can only fail on a bug.
 
     The record holds both lengths, so none is recomputed: compress(v) maps
     the cells of D(v) one to one onto the region, so |region| = #D(v) =
@@ -224,15 +221,19 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
             if t and chain[t - 1][1] >= b[1] and chain[t - 1] != b:
                 sources.append(b)
         sources.sort(key=lambda b: (b[1], -b[0]))  # left to right, bottom to top
-        log.extend(_slide_all(region, pluses, sources))
+        for b in sources:
+            walk = _walk(region, pluses, b)
+            if walk:
+                log += [b, *walk[:-1]]
+                pluses.remove(b)
+                pluses.add(walk[-1])
     zipped = PlusDiagram(region, frozenset(pluses))
     if zipped.size() != top.size():
         raise InternalError("slid diagram changed cardinality")
 
-    rooms = {b: _room_of(region, zipped.pluses, b) for chain in chains for b in chain}
-    extra = {
-        (b[0] + k, b[1] - k) for b, r in rooms.items() for k in range(1, r + 1)
-    }
+    walks = {b: _walk(region, zipped.pluses, b) for chain in chains for b in chain}
+    rooms = {b: len(walk) for b, walk in walks.items()}
+    extra = {c for walk in walks.values() for c in walk}
     if extra & zipped.pluses:
         raise InternalError("K-saturation collided with the slid diagram")
     saturated = PlusDiagram(region, zipped.pluses | extra)
@@ -267,19 +268,6 @@ def room(v: Permutation, w: Permutation, b: Cell) -> int:
 def d_zip_k(v: Permutation, w: Permutation) -> PlusDiagram:
     """The slid diagram plus its full anti-diagonal K-saturation."""
     return zip_result(v, w).d_zip_k
-
-
-def k_saturation_by_moves(v: Permutation, w: Permutation) -> PlusDiagram:
-    """Independent construction of d_zip_k by literally applying a maximal
-    run of K-theoretic excited moves below each chain box."""
-    res = zip_result(v, w)
-    pluses = set(res.d_zip.pluses)
-    for chain in res.chains:
-        for cur in chain:
-            while can_move(res.region, pluses, cur):
-                cur = (cur[0] + 1, cur[1] - 1)
-                pluses.add(cur)
-    return PlusDiagram(res.region, frozenset(pluses))
 
 
 def groth_degree(v: Permutation, w: Permutation) -> int:

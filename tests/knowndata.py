@@ -14,6 +14,8 @@ from klreg import Ladder, Permutation
 from klreg.errors import ValidationError
 from klreg.perm import Cell, coxeter_length, demazure_step, identity, is_321_avoiding
 from klreg.pipes import reading_word
+from klreg.skew import PlusDiagram, can_move
+from klreg.zipdiag import zip_result
 
 
 def left_mult_s(u: Permutation, i: int) -> Permutation:
@@ -141,6 +143,19 @@ def rank_envelope_perm(n: int, constraints) -> Permutation:
         word[a - 1] = hits[0]
         seen_cols.add(hits[0])
     return Permutation(tuple(word))
+
+
+def k_saturation_by_moves(v: Permutation, w: Permutation) -> PlusDiagram:
+    """Independent construction of d_zip_k by literally applying a maximal
+    run of K-theoretic excited moves below each chain box."""
+    res = zip_result(v, w)
+    pluses = set(res.d_zip.pluses)
+    for chain in res.chains:
+        for cur in chain:
+            while can_move(res.region, pluses, cur):
+                cur = (cur[0] + 1, cur[1] - 1)
+                pluses.add(cur)
+    return PlusDiagram(res.region, frozenset(pluses))
 
 
 def is_grassmannian(u: Permutation) -> bool:

@@ -19,7 +19,6 @@ UNCHECKED = {SRC / "oracle.py", SRC / "errors.py", SRC / "__init__.py"}
 # Definitions kept on purpose although no program code reads them.
 KEPT = {
     "k_polynomial": "the K-polynomial, which the tests check against the degree routes",
-    "k_saturation_by_moves": "the tests' move-by-move reference for d_zip_k",
     "max_diag": "the tests' reference for the chain that minimizing_diag picks on one component",
     "room": "a named statistic of the paper",
     "lehmer_code": "a named statistic of the paper",

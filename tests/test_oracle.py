@@ -20,7 +20,6 @@ from knowndata import (
     D_NE_10,
     DEGREE10,
     LAD_A,
-    LAD_B,
     LAD_C,
     LAD_FULL,
     V10,
@@ -135,13 +134,6 @@ def test_enumerate_nilp_budget_is_the_largest_allowed_count():
     assert len(oracle.enumerate_nilp(LAD_A, budget=62)) == 62
     with pytest.raises(ResourceError):
         oracle.enumerate_nilp(LAD_A, budget=61)
-
-
-def test_enumerate_nilp_partial_on_big_ladder():
-    fams = oracle.enumerate_nilp(LAD_B, budget=400, allow_partial=True)
-    assert len(fams) == 400
-    for fam in fams:
-        assert len(blanks(LAD_B, fam)) == 20
 
 
 def test_random_pair_draws_are_pinned():

@@ -23,7 +23,6 @@ from klreg.zipdiag import (
     d_zip_k,
     groth_degree,
     groth_degree_recursive,
-    k_saturation_by_moves,
     max_diag,
     minimizing_diag,
     psi_east,
@@ -52,6 +51,7 @@ from knowndata import (
     S7_ZIP_RECORD_SHA256,
     ZIP_UNDERCOUNT,
     all_321_avoiding,
+    k_saturation_by_moves,
     left_mult_s,
 )
 
