@@ -129,10 +129,11 @@ def run_ladder(opts: dict) -> tuple[dict, int]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     ladder = lad.ladder_from_json(data)
+    minimal = lad.validate_minimal(ladder).passed
     try:
         (v, w), res, fam = lad._zipped(ladder)
     except ValidationError as exc:
-        if lad.validate_minimal(ladder).passed:
+        if minimal:
             raise
         raise ValidationError(f"the board is not minimal: {exc}") from exc
     reg = len(lad.elbows(ladder, fam))
@@ -155,7 +156,7 @@ def run_ladder(opts: dict) -> tuple[dict, int]:
             "H": [list(h) for h, _ in fam.endpoints],
             "V": [list(vpt) for _, vpt in fam.endpoints],
         },
-        "minimal": lad.validate_minimal(ladder).passed,
+        "minimal": minimal,
     }
     code = EXIT_OK
     if opts.get("oracle"):

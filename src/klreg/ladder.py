@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import inf
 
 from .errors import InternalError, ValidationError
 from .perm import Cell, Permutation, check_pair, from_lehmer_code, rank
@@ -225,7 +224,10 @@ def _least_perm(n: int, constraints) -> tuple[Permutation, list[int]]:
     E(a, b) = E(a-1, b) + 1, so E's own column in row a is at most b).
     Otherwise it may return a Bruhat-minimal w where E raised: caps
     {((1,1),0), ((2,2),1)} in S_3 give 231.  Caps with c >= a' + b' - n,
-    as a board's are, leave every row a free column.
+    as a board's are, leave every row a free column, so running out is an
+    InternalError: if a filled cap with a <= a' bars the columns up to b',
+    rows 1..a-1 put at most a-1-c entries above b', which leaves at least
+    n - b' - (a-1-c) >= a' - a + 1 >= 1 of those columns free.
     """
     counts = [0] * len(constraints)
     free = list(range(1, n + 1))
@@ -234,7 +236,7 @@ def _least_perm(n: int, constraints) -> tuple[Permutation, list[int]]:
         caps = [(k, bk, ck) for k, ((ak, bk), ck) in enumerate(constraints) if a <= ak]
         i = bisect_right(free, max((bk for k, bk, ck in caps if counts[k] >= ck), default=0))
         if i == len(free):
-            raise ValidationError(f"no free column for row {a} under the rank caps")
+            raise InternalError(f"no free column for row {a} under the rank caps")
         b = free.pop(i)
         word.append(b)
         for k, bk, _ in caps:
@@ -243,7 +245,9 @@ def _least_perm(n: int, constraints) -> tuple[Permutation, list[int]]:
 
 
 def rank_constraints(ladder: Ladder, v: Permutation) -> tuple[tuple[Cell, int], ...]:
-    """The rank equalities that define w: one per (marked point, NE corner)."""
+    """The rank equalities that define w: one per (marked point, NE corner).
+    Each is at least a + b - n, as `_least_perm` needs: rank(v, a, b) is,
+    r >= 1, and a, b <= n = rows + width."""
     betas = ne_corners(ladder)
     out = []
     for (p, r) in ladder.marked:
@@ -261,6 +265,19 @@ def perm_of(ladder: Ladder) -> tuple[Permutation, Permutation]:
     permutation under the marked rank caps, built by one sweep over the rows
     (`_least_perm`), and then verified to meet every cap with equality.
     check_pair then rejects the pair unless it is 321-avoiding and w <= v.
+
+    v compresses to the board's region, so a mismatch in `_zipped` is an
+    InternalError.  Write l_i, m_i for row i's parts; the code puts l_i - m_i
+    at row i's position P_i, then l_i - l_{i+1} zeros (l past the last row
+    is 0).  With U_i the values free at P_i, row P_i of D(v) is the first
+    l_i - m_i values of U_i and v(P_i) the next one; each zero takes the
+    least free value, so, as m_i <= l_{i+1}, the zeros after P_i take values
+    of that row.  The l_{i+1} - m_i values of the row left below v(P_i) are
+    at most row i+1's length, so v(P_{i+1}) > v(P_i): the v(P_i) are the
+    left-to-right maxima and the zeros' values are D(v)'s nonempty columns.
+    The W - l_i zeros before P_i (W the width) took values below min U_i,
+    and a used value inside row P_i's span is some v(P_j), so that row
+    compresses to columns W - l_i + 1 .. W - m_i: the region's row i.
     """
     lam, mu = ladder.lam, ladder.mu
     code = []
@@ -298,30 +315,21 @@ def boundary_points(ladder: Ladder) -> BoundaryPoints:
     """Half-integer start and end points for the path family, read off the
     rank jumps between consecutive marks along each border segment."""
     alphas = sw_corners(ladder)
-    s = len(alphas)
-    marks = list(ladder.marked)
-
-    def min_r(pred):
-        vals = [r for (p, r) in marks if pred(p)]
-        return min(vals) if vals else inf
-
-    r_h = {i: min_r(lambda p, a=a: p[0] == a[0]) for i, a in enumerate(alphas, 1)}
-    r_v = {i: min_r(lambda p, a=a: p[1] == a[1]) for i, a in enumerate(alphas, 1)}
-
+    marks = ladder.marked
     extended = list(marks)
-    for i in range(1, s):
-        corner = (alphas[i - 1][0], alphas[i][1])
-        if not any(p == corner for p, _ in extended):
-            rval = min(r_h[i], r_v[i + 1])
-            if rval == inf:
+    for a, b in zip(alphas, alphas[1:]):
+        corner = (a[0], b[1])  # corner rows strictly increase: fill-ins never collide
+        if not any(p == corner for p, _ in marks):
+            rval = min((r for p, r in marks if p[0] == a[0] or p[1] == b[1]), default=None)
+            if rval is None:
                 raise ValidationError(f"no mark determines the corner fill-in at {corner}")
-            extended.append((corner, int(rval)))
+            extended.append((corner, rval))
     extended.append(((0, 0), 1))
     extended.append(((ladder.n_rows, ladder.width), 1))
 
     v_points: list[Point] = []
     h_points: list[Point] = []
-    for i, a in enumerate(alphas, 1):
+    for a in alphas:
         seg_v = sorted((m for m in extended if m[0][1] == a[1]), key=lambda m: m[0][0])
         for (p1, r1), (_, r2) in zip(seg_v, seg_v[1:]):
             for kp in range(1, r2 - r1 + 1):
@@ -383,22 +391,6 @@ def _passages(family: PathFamily):
             entry = "S" if exit_ == "N" else "E"
 
 
-def family_from_routes(bp: BoundaryPoints, routes) -> PathFamily:
-    """The family of per-path box routes, after checking that they are
-    disjoint and step west or north."""
-    seen: set = set()
-    for route in routes:
-        for k, box in enumerate(route):
-            if box in seen:
-                raise ValidationError(f"routes overlap at {box}")
-            seen.add(box)
-            if k + 1 < len(route):
-                nxt = route[k + 1]
-                if nxt not in ((box[0], box[1] - 1), (box[0] - 1, box[1])):
-                    raise ValidationError(f"non-monotone step {box} -> {nxt}")
-    return PathFamily(tuple(tuple(route) for route in routes), bp.pairs())
-
-
 def _reaching(goal: Cell, free) -> set:
     """The cells with a north/west monotone route to goal through free
     cells, goal included even when it is not free.  A route never leaves
@@ -417,7 +409,7 @@ def p_bot(ladder: Ladder) -> PathFamily:
     paths are placed innermost first, always stepping west when a completion
     still exists."""
     bp = boundary_points(ladder)
-    lcells = set(ladder.region.cells())
+    lcells = ladder.region.cellset
     used: set = set()
     routes: list = [()] * len(bp.h)
     for i in range(len(bp.h), 0, -1):
@@ -439,7 +431,7 @@ def p_bot(ladder: Ladder) -> PathFamily:
                 raise ValidationError("southwest-hugging walk wedged; ladder is not minimal?")
         used |= set(route)
         routes[i - 1] = tuple(route)
-    return family_from_routes(bp, routes)
+    return PathFamily(tuple(routes), bp.pairs())
 
 
 def blanks(ladder: Ladder, family: PathFamily) -> tuple[Cell, ...]:
@@ -540,7 +532,7 @@ def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipResult,
     pair = perm_of(ladder)
     res = zip_result(*pair)
     if res.region != ladder.region:
-        raise ValidationError("compressed diagram of v does not match the ladder region")
+        raise InternalError("compressed diagram of v does not match the ladder region")
     family = p_bot(ladder)
     if frozenset(blanks(ladder, family)) != res.d_top.pluses:
         raise ValidationError("bottom family does not match the top diagram")

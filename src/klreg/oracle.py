@@ -213,7 +213,7 @@ def enumerate_nilp(ladder, budget: int = DEFAULT_BUDGET):
     def place(i: int, used: frozenset, acc: list) -> None:
         """Place paths i.. after acc."""
         if i == ell:
-            fam = lad.family_from_routes(bp, tuple(acc))
+            fam = lad.PathFamily(tuple(acc), bp.pairs())
             if lad.nilp_is_valid(ladder, fam):
                 results.append(fam)
                 if len(results) > budget:

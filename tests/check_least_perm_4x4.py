@@ -4,7 +4,10 @@
 On every board with lambda in a 4 x 4 box, every mu that `Ladder` accepts
 and 1-3 marks off row 0 with r <= 3, the min-plus rank envelope
 (knowndata.rank_envelope_perm) must be a permutation rank matrix and the
-sweep must build the same w from the same caps.  Prints the counts.
+sweep must build the same w from the same caps.  On the boards perm_of
+accepts, v must also compress to the board's region; and the minimal ones
+that `_zipped` (the ladder route) still rejects are counted by message.
+Prints the counts, and exits non-zero on a different w or a region mismatch.
 
 Run from the root of a checkout:
 `PYTHONPATH=src:tests python tests/check_least_perm_4x4.py`
@@ -15,6 +18,7 @@ from collections import Counter
 
 from klreg import ladder
 from klreg.errors import ValidationError
+from klreg.skew import _compression
 
 from knowndata import all_boards, rank_envelope_perm
 
@@ -29,15 +33,24 @@ def main() -> int:
         return out
 
     ladder._least_perm = spy
-    counts = Counter()
+    counts = Counter({"boards": 0, "region mismatches": 0})
     for board in all_boards(4, 4, 3, 3):
         counts["boards"] += 1
         last.clear()
         try:
-            ladder.perm_of(board)
+            v, _ = ladder.perm_of(board)
             counts["perm_of accepts"] += 1
         except ValidationError as exc:
             counts[f"perm_of rejects: {str(exc).split(' rank(')[0]}"] += 1
+        else:
+            if _compression(v.word)[0] != board.region:
+                counts["region mismatches"] += 1
+            if ladder.validate_minimal(board).passed:
+                counts["minimal and accepted"] += 1
+                try:
+                    ladder._zipped(board)
+                except ValidationError as exc:
+                    counts[f"_zipped rejects a minimal board: {exc}"] += 1
         n, constraints, w = last
         try:
             reference = rank_envelope_perm(n, constraints)
@@ -47,7 +60,7 @@ def main() -> int:
         counts["same w" if w == reference else "different w"] += 1
     for key, value in counts.items():
         print(f"{key}: {value}")
-    return int(counts["same w"] != counts["boards"])
+    return int(counts["same w"] != counts["boards"] or counts["region mismatches"] > 0)
 
 
 if __name__ == "__main__":

@@ -268,6 +268,21 @@ LAD_FULL = Ladder((2, 2), (0, 0), (((2, 0), 1),))
 # A board whose marked minors are vacuous: no blanks at all.
 LAD_EMPTYW = Ladder((2, 2), (0, 0), (((2, 0), 3),))
 
+# Minimal boards that perm_of accepts but the ladder route rejects (exit 3
+# from `klreg ladder`), while the recurrence on perm_of's pair gives their
+# regularity: 1, 2 and 1.  In the first and the third, the r = 3 mark's
+# block holds no 3-minor: "unbalanced boundary points: 2 vertical, 1
+# horizontal".  The second has two blocks that meet at a corner: "no path
+# from H_1 to V_1; ladder is not minimal?".  The first two are the fewest
+# cells with their message in all_boards(3, 3, 3, 3) and all_boards(4, 4,
+# 2, 3), where such boards are 57 of the 182 minimal, perm_of-accepted
+# boards and 154 of 1,059.
+LADDER_ROUTE_REJECTS = (
+    Ladder((2, 2), (0, 0), (((1, 0), 3), ((2, 0), 2))),
+    Ladder((4, 4, 2, 2), (2, 2, 0, 0), (((2, 0), 2), ((4, 2), 2))),
+    Ladder((3, 3, 3, 3), (2, 2, 1, 0), (((3, 0), 3), ((4, 0), 2))),
+)
+
 # Pairs on which the zip route under-counts the degree by one, as
 # (v, w, degree): the five witnesses in S_7, where v is Grassmannian, and
 # the smallest S_8 pair that no choice of maximal chains repairs, a

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -10,12 +9,12 @@ from klreg.errors import ValidationError
 from klreg.ladder import (
     Ladder,
     MinimalityReport,
+    PathFamily,
     a_invariant_ladder,
     blanks,
     boundary_points,
     droop,
     elbows,
-    family_from_routes,
     ladder_from_json,
     ladder_to_json,
     ne_corners,
@@ -50,6 +49,7 @@ from knowndata import (
     LAD_D,
     LAD_EMPTYW,
     LAD_FULL,
+    LADDER_ROUTE_REJECTS,
     ROUTES_BAD_B,
     ROUTES_BOT_B,
     ROUTES_MID_B,
@@ -336,7 +336,7 @@ def test_boundary_points_no_jumps():
 
 def test_p_bot_matches_traced_routes():
     bp = boundary_points(LAD_B)
-    expected = family_from_routes(bp, ROUTES_BOT_B)
+    expected = PathFamily(ROUTES_BOT_B, bp.pairs())
     assert p_bot(LAD_B) == expected
     assert nilp_is_valid(LAD_B, expected)
 
@@ -352,18 +352,43 @@ def test_p_bot_blanks_equal_top_diagram():
 
 def test_nilp_validity_of_known_families():
     bp = boundary_points(LAD_B)
-    assert nilp_is_valid(LAD_B, family_from_routes(bp, ROUTES_MID_B))
-    bad = family_from_routes(bp, ROUTES_BAD_B)
+    assert nilp_is_valid(LAD_B, PathFamily(ROUTES_MID_B, bp.pairs()))
+    bad = PathFamily(ROUTES_BAD_B, bp.pairs())
     assert not nilp_is_valid(LAD_B, bad)
     # the offending path runs through (2, 9) in the cutout, above the blank (3, 8)
     route = next(r for r in bad.routes if (2, 9) in r)
     k = route.index((2, 9))
     assert route[k - 1 : k + 2] == ((2, 10), (2, 9), (2, 8))
     assert all((3, 8) not in r for r in bad.routes)
-    # a route that skips a box is no path, although it keeps its ends
-    outer, inner = p_bot(LAD_A).routes
-    jump = replace(p_bot(LAD_A), routes=(outer[:3] + outer[4:], inner))
-    assert nilp_is_valid(LAD_A, p_bot(LAD_A)) and not nilp_is_valid(LAD_A, jump)
+    # the hand-traced bottom family of LAD_A, then three faults: a route
+    # that skips a box (it keeps its ends), routes that overlap only at
+    # (3, 2), and a route whose one fault is the step (4, 2) -> (3, 1)
+    bp = boundary_points(LAD_A)
+    outer = ((6, 5), (6, 4), (5, 4), (4, 4), (4, 3), (3, 3), (3, 2), (2, 2), (1, 2), (1, 1))
+    inner = ((4, 2), (4, 1), (3, 1), (2, 1))
+    assert PathFamily((outer, inner), bp.pairs()) == p_bot(LAD_A)
+    assert nilp_is_valid(LAD_A, p_bot(LAD_A))
+    for routes in (
+        (outer[:3] + outer[4:], inner),
+        (outer, ((4, 2), (3, 2), (3, 1), (2, 1))),
+        (outer, ((4, 2), (3, 1), (2, 1))),
+    ):
+        assert not nilp_is_valid(LAD_A, PathFamily(routes, bp.pairs()))
+
+
+def test_ladder_route_rejects_are_minimal_boards_with_a_pair():
+    for board in LADDER_ROUTE_REJECTS:
+        assert validate_minimal(board).passed
+        perm_of(board)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=ValidationError, reason="ROADMAP item 4: the ladder route rejects these minimal boards"
+)
+def test_ladder_route_regularity_on_rejected_minimal_boards():
+    for board in LADDER_ROUTE_REJECTS:
+        v, w = perm_of(board)
+        assert regularity_ladder(board) == zipdiag.groth_degree_recursive(v, w) - coxeter_length(w)
 
 
 def test_all_blank_family_is_valid():
@@ -401,14 +426,6 @@ def test_droop_is_one_excited_move():
 
 def test_droop_rejections_on_the_bottom_family():
     fam = p_bot(LAD_A)
-    bp = boundary_points(LAD_A)
-    outer = ((6, 5), (6, 4), (5, 4), (4, 4), (4, 3), (3, 3), (3, 2), (2, 2), (1, 2), (1, 1))
-    inner = ((4, 2), (4, 1), (3, 1), (2, 1))
-    assert family_from_routes(bp, (outer, inner)) == fam
-    with pytest.raises(ValidationError, match=r"^routes overlap at \(3, 2\)$"):
-        family_from_routes(bp, (outer, ((4, 2), (3, 2))))
-    with pytest.raises(ValidationError, match=r"^non-monotone step \(4, 2\) -> \(3, 3\)$"):
-        family_from_routes(bp, (((4, 2), (3, 3)),))
     with pytest.raises(ValidationError, match=r"^cell \(1, 1\) is occupied$"):
         droop(fam, ((1, 1),))
     with pytest.raises(ValidationError, match=r"^no northeast elbow at \(2, 2\)$"):

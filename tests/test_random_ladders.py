@@ -35,9 +35,9 @@ from knowndata import random_board_dict
 
 
 # perm_of's messages when the marks admit no exact permutation: the row
-# sweep finds no free column, its verification fails, or check_pair rejects
+# sweep's verification fails, or check_pair rejects
 _NO_EXACT_SOLUTION = re.compile(
-    r"no free column for row|envelope permutation violates rank"
+    r"envelope permutation violates rank"
     r"|\(.*\) is not (321-avoiding|below .* in Bruhat order)"
 )
 
