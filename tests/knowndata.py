@@ -306,3 +306,8 @@ S7_ZIP_RECORD_SHA256 = "f809c4759fd9198af8b15c477e46df264c8505d57302e3271f4419ca
 # seeds 0..4 and n = 4..60, as test_zip_records_of_random_pair_draws_are_pinned
 # folds it.
 DRAWS_ZIP_RECORD_SHA256 = "2a25b746f4d6055c2b53d7de5ae2987604543ba67a534c3e8a39fad07c5245c0"
+
+# sha256 of repr((v.word, w.word, groth_degree_recursive(v, w))) over the same
+# draws for seeds 0..4 and n = 4..30, as
+# test_recurrence_values_of_random_pair_draws_are_pinned folds it.
+DRAWS_RECURRENCE_SHA256 = "e152b2ba24f29b524f56b4b895c970a034bef3a69e937bc68982837a76391e90"

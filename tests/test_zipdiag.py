@@ -37,6 +37,7 @@ from knowndata import (
     DEGREE10,
     DEGREE16,
     DIAG_16_C2,
+    DRAWS_RECURRENCE_SHA256,
     DRAWS_ZIP_RECORD_SHA256,
     LAD_A,
     MAX_DIAG_16_C1,
@@ -329,6 +330,17 @@ def test_zip_records_of_random_pair_draws_are_pinned():
         for n in range(4, 61):
             digest.update(_zip_record(zip_result(*oracle.random_avoiding_pair(random.Random(seed), n))))
     assert digest.hexdigest() == DRAWS_ZIP_RECORD_SHA256
+
+
+def test_recurrence_values_of_random_pair_draws_are_pinned():
+    # the recurrence's value on the same draws up to n = 30, pinned so that
+    # a rewrite of groth_degree_recursive must give the same degrees
+    digest = hashlib.sha256()
+    for seed in range(5):
+        for n in range(4, 31):
+            v, w = oracle.random_avoiding_pair(random.Random(seed), n)
+            digest.update(repr((v.word, w.word, groth_degree_recursive(v, w))).encode())
+    assert digest.hexdigest() == DRAWS_RECURRENCE_SHA256
 
 
 # The peel-off recurrence with a whole d_ne per node: the reference for
