@@ -58,7 +58,7 @@ def parse_permutation(text: str) -> Permutation:
             return Permutation(tuple(int(x) for x in cleaned))
         except (ValueError, ValidationError) as exc:
             raise ParseError(f"bad permutation word {text!r}: {exc}") from exc
-    if text.isdigit():
+    if text.isdecimal():  # isdigit() also accepts superscripts, which int() rejects
         if len(text) > 9:
             raise ParseError(
                 f"{text!r} is ambiguous: entries above 9 need separators or JSON"

@@ -133,21 +133,18 @@ def from_lehmer_code(code: Sequence[int]) -> Permutation:
 
 
 def is_321_avoiding(u: Permutation) -> bool:
-    """True iff there are no positions i < j < k with u(i) > u(j) > u(k)."""
-    w = u.word
-    n = len(w)
-    prefix_max = 0
-    suffix_min = [0] * (n + 1)  # suffix_min[j] = min(w[j:]), sentinel past the end
-    m = n + 1
-    suffix_min[n] = m
-    for j in range(n - 1, -1, -1):
-        m = min(m, w[j])
-        suffix_min[j] = m
-    for j in range(1, n - 1):
-        if prefix_max < w[j - 1]:
-            prefix_max = w[j - 1]
-        if prefix_max > w[j] > suffix_min[j + 1]:
+    """True iff there are no positions i < j < k with u(i) > u(j) > u(k):
+    iff the entries below an earlier entry increase, since the last two of
+    a 321 are such entries.  One pass keeps the running maximum and the
+    last entry below it."""
+    top = low = 0
+    for x in u.word:
+        if x > top:
+            top = x
+        elif x < low:
             return False
+        else:
+            low = x
     return True
 
 

@@ -83,10 +83,11 @@ def _compression(word: tuple[int, ...]) -> tuple[SkewRegion, list, dict, dict]:
     """compress's region, the nonempty rows of D(v) as (i, columns), and the
     row and column maps, for a 321-avoiding word v.  Column j of D(v) is
     nonempty exactly when j lies below an earlier value of v, so one
-    free-values pass gives it all: O(n log n), the rows being list slices."""
+    free-values pass gives it all: O(n log n), the rows being list slices.
+    A 321 would end in two of them, so in v they already increase."""
     rows = [(i, free[:k]) for i, (k, free) in enumerate(_free_values(word), 1) if k]
     rmap = {i: r for r, (i, _) in enumerate(rows, 1)}
-    nonempty = sorted(x for x, top in zip(word, accumulate(word, max)) if x < top)
+    nonempty = [x for x, top in zip(word, accumulate(word, max)) if x < top]
     cmap = {c: k for k, c in enumerate(nonempty, 1)}
     intervals = []
     for r, (_, cols) in enumerate(rows, 1):

@@ -16,7 +16,6 @@ from .perm import (
     Cell,
     Permutation,
     check_pair,
-    coxeter_length,
     word_bruhat_leq,
 )
 from .skew import PlusDiagram, SkewRegion, _top_data, can_move
@@ -303,44 +302,37 @@ def groth_degree_recursive(v: Permutation, w: Permutation) -> int:
     v's reading order: row i, the first with v(i) != i, whose label is
     a = i + c_i - 1 = v(i) - 1.  z = z' exactly when a is a left descent of
     w, since d_ne takes a letter exactly when it is a left descent of the
-    remainder.  The lifting-property lemma in d_ne's docstring, applied to
-    this first letter (v = s_a*Dem(rest) is reduced, so s_a*v < v), also
-    keeps the branch each case names comparable, so it is never minus
-    infinity (an InternalError if it is).  Every branch shortens v, so no
-    node is reached again while it is open.  Left descents keep words
-    321-avoiding, so only the root is validated.  A node costs O(n) on
-    one-line words plus one Bruhat pass, and the memo is evaluated on an
-    explicit stack, not by recursion.
+    remainder.  Both branches delete z', so the letters peeled off v are its
+    reading word whatever w is (checked on all 321-avoiding v of S_1..S_8),
+    and the recurrence is one forward pass over them.  A level maps each
+    remainder of w to the most letters taken to reach it; a remainder that
+    reaches the identity leaves with its count, and the degree is the
+    largest.  The lifting-property lemma in d_ne's docstring, applied to
+    this first letter (v = s_a*Dem(rest) is reduced, so s_a*v < v), keeps
+    the remainder each case names below the rest of v (an InternalError if
+    it is not); the absorbed copy is dropped when it is not.  Left descents
+    keep words 321-avoiding, so only the root is validated.
     """
     check_pair(v, w)
-    pending = object()  # the memo value of a node whose branches are not done
-    memo: dict = {}  # (v, w) -> degree, None for minus infinity, or pending
-    stack = [(v.word, w.word, coxeter_length(w), None)]
-    while stack:
-        vw, ww, lw, branches = stack.pop()
-        key = (vw, ww)
-        if branches is not None:  # second visit: the branches are done
-            values = [memo[b[:2]] for b in branches]
-            if values[0] is None:
-                raise InternalError("a branch the lifting property keeps comparable is not")
-            best = max(x for x in values if x is not None)
-            memo[key] = best + 1 if len(values) == 2 else best
-        elif memo.get(key) is pending:
-            raise InternalError("the recurrence came back to an open node")
-        elif key in memo:
-            pass  # reached again by another path
-        elif not word_bruhat_leq(ww, vw):
-            memo[key] = None
-        elif lw == 0:
-            memo[key] = 0
-        else:
-            i = next(i for i, x in enumerate(vw) if x != i + 1)
-            a = vw[i] - 1  # the first reading letter
-            v_next = _swap(vw, i, vw.index(a, i))
-            p, q = ww.index(a + 1), ww.index(a)
-            branches = [(v_next, _swap(ww, p, q), lw - 1)] if p < q else []  # a+1 before a
-            branches.append((v_next, ww, lw))
-            memo[key] = pending
-            stack.append((vw, ww, lw, branches))
-            stack.extend((*b, None) for b in branches)
-    return memo[v.word, w.word]
+    identity_word = tuple(range(1, v.n + 1))
+    best, vw, level = 0, v.word, {w.word: 0}  # remainder of w -> letters taken
+    while True:
+        best = max(best, level.pop(identity_word, 0))
+        if not level:
+            return best
+        i = next(i for i, x in enumerate(vw) if x != i + 1)
+        a = vw[i] - 1  # the first reading letter of what is left of v
+        vw = _swap(vw, i, vw.index(a, i))
+        taken: dict = {}
+        for z, count in level.items():
+            p, q = z.index(a + 1), z.index(a)
+            if p < q:  # a+1 before a: a is a left descent, taken or absorbed
+                branches = ((_swap(z, p, q), count + 1), (z, count + 1))
+            else:
+                branches = ((z, count),)
+            for k, (y, c) in enumerate(branches):
+                if word_bruhat_leq(y, vw):
+                    taken[y] = max(c, taken.get(y, c))
+                elif k == 0:
+                    raise InternalError("a branch the lifting property keeps comparable is not")
+        level = taken

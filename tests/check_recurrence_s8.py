@@ -1,0 +1,50 @@
+"""Exhaustive check of the zip route against the degree recurrence on S_8,
+too slow for the test suite (about 1.5 minutes on one core).
+
+Over every comparable pair w <= v of 321-avoiding permutations of S_8
+(1,430 permutations, 221,997 pairs) it prints the pair count, a sha256 of
+every repr((v.word, w.word, recurrence degree)), the number of pairs on
+which the zip degree is below the recurrence's, and how many of those have
+a Grassmannian v.  Exits 1 if the zip degree is above the recurrence's
+anywhere, which no under-count can explain.
+
+Run from the root of a checkout:
+`PYTHONPATH=src:tests python tests/check_recurrence_s8.py`
+"""
+
+import hashlib
+import sys
+
+from klreg.perm import bruhat_leq
+from klreg.zipdiag import groth_degree_recursive, zip_result
+
+from knowndata import all_321_avoiding, is_grassmannian
+
+
+def main() -> int:
+    avoid = all_321_avoiding(8)
+    digest = hashlib.sha256()
+    pairs = below = below_grassmannian = above = 0
+    for v in avoid:
+        for w in avoid:
+            if not bruhat_leq(w, v):
+                continue
+            pairs += 1
+            by_rec = groth_degree_recursive(v, w)
+            by_zip = zip_result(v, w).degree
+            digest.update(repr((v.word, w.word, by_rec)).encode())
+            if by_zip < by_rec:
+                below += 1
+                below_grassmannian += is_grassmannian(v)
+            above += by_zip > by_rec
+    print(f"321-avoiding permutations: {len(avoid)}")
+    print(f"comparable pairs: {pairs}")
+    print(f"sha256 of (v, w, recurrence degree): {digest.hexdigest()}")
+    print(f"zip below recurrence: {below}")
+    print(f"  of them with a Grassmannian v: {below_grassmannian}")
+    print(f"zip above recurrence: {above}")
+    return int(above > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

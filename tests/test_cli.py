@@ -69,6 +69,9 @@ def test_parse_errors(capsys):
     # ten or more entries without separators are ambiguous
     code, _, err = run(capsys, ["pair", "--v", "1234567891", "--w", "12"])
     assert code == 2
+    # a superscript digit is a digit to str.isdigit() but not to int()
+    code, _, err = run(capsys, ["pair", "--v", "²", "--w", "1"])
+    assert code == 2 and "parse error" in err
 
 
 def test_boolean_entries_are_parse_errors(capsys):

@@ -108,7 +108,7 @@ def test_pattern_checks():
     assert is_321_avoiding(V11) and brute_avoids_321(V11.word)
     assert not is_grassmannian(V10)
     assert is_grassmannian(Permutation((1, 3, 4, 2)))
-    for n in range(1, 7):
+    for n in range(1, 8):
         for word in permutations(range(1, n + 1)):
             u = Permutation(word)
             assert is_321_avoiding(u) == brute_avoids_321(word)
