@@ -311,3 +311,8 @@ DRAWS_ZIP_RECORD_SHA256 = "2a25b746f4d6055c2b53d7de5ae2987604543ba67a534c3e8a39f
 # draws for seeds 0..4 and n = 4..30, as
 # test_recurrence_values_of_random_pair_draws_are_pinned folds it.
 DRAWS_RECURRENCE_SHA256 = "e152b2ba24f29b524f56b4b895c970a034bef3a69e937bc68982837a76391e90"
+
+# sha256 of the zipped family of every board of all_boards(3, 3, 2, 3), as
+# test_zipped_families_of_small_boards_are_pinned folds it: the board's JSON
+# with the family's routes and endpoints, or the ValidationError message.
+SMALL_BOARDS_ZIPPED_SHA256 = "531d57924a99b60ce82864c455d3cb791fcbe13adbf4c1abc4bcd31d1a408a79"

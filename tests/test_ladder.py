@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations_with_replacement, product
 
@@ -50,6 +51,7 @@ from knowndata import (
     LAD_EMPTYW,
     LAD_FULL,
     LADDER_ROUTE_REJECTS,
+    SMALL_BOARDS_ZIPPED_SHA256,
     ROUTES_BAD_B,
     ROUTES_BOT_B,
     ROUTES_MID_B,
@@ -464,6 +466,23 @@ def test_p_zip_matches_zip_diagram():
         assert nilp_is_valid(lad, zipped)
         added = zipdiag.d_zip_k(v, w).pluses - zipdiag.d_zip(v, w).pluses
         assert frozenset(elbows(lad, zipped)) == added
+
+
+def test_zipped_families_of_small_boards_are_pinned():
+    # the zipped family of every small board, or the message that rejects
+    # it, pinned so that a rewrite of _zipped must build the same routes
+    digest = hashlib.sha256()
+    accepted = 0
+    for board in all_boards(3, 3, 2, 3):  # 6,600 boards
+        try:
+            family = ladder_module._zipped(board)[2]
+        except ValidationError as exc:
+            digest.update(str(exc).encode())
+        else:
+            accepted += 1
+            digest.update(repr((ladder_to_json(board), family.routes, family.endpoints)).encode())
+    assert accepted == 529
+    assert digest.hexdigest() == SMALL_BOARDS_ZIPPED_SHA256
 
 
 def test_ladder_statistics_match_pair_statistics():
