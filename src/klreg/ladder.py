@@ -404,18 +404,16 @@ def _reaching(goal: Cell, free) -> set:
     return reach
 
 
-def p_bot(ladder: Ladder) -> PathFamily:
-    """The family in which every path hugs the southwest border maximally:
-    paths are placed innermost first, always stepping west when a completion
-    still exists."""
-    bp = boundary_points(ladder)
-    lcells = ladder.region.cellset
+def _hugging_family(bp: BoundaryPoints, cells) -> PathFamily:
+    """The family on `cells` in which every path hugs the southwest border
+    maximally: paths are placed innermost first, always stepping west when
+    a completion through the cells still free exists."""
     used: set = set()
     routes: list = [()] * len(bp.h)
     for i in range(len(bp.h), 0, -1):
         start = _start_box(bp.h[i - 1])
         goal = _goal_box(bp.v[i - 1])
-        free = lcells - used
+        free = cells - used
         reach = _reaching(goal, free)
         if start not in free or start not in reach:
             raise ValidationError(f"no path from H_{i} to V_{i}; ladder is not minimal?")
@@ -432,6 +430,11 @@ def p_bot(ladder: Ladder) -> PathFamily:
         used |= set(route)
         routes[i - 1] = tuple(route)
     return PathFamily(tuple(routes), bp.pairs())
+
+
+def p_bot(ladder: Ladder) -> PathFamily:
+    """The family in which every path hugs the southwest border maximally."""
+    return _hugging_family(boundary_points(ladder), ladder.region.cellset)
 
 
 def blanks(ladder: Ladder, family: PathFamily) -> tuple[Cell, ...]:
@@ -499,46 +502,42 @@ def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# droops and the zipped family
-
-
-def droop(family: PathFamily, moves) -> PathFamily:
-    """Apply the droops at the cells `moves`, in order, to one family.  A
-    droop at the blank cell b replaces sw = b+(1,-1) with b in the route
-    that runs b+(1,0) -> sw -> b+(0,-1), so the route keeps its ends and
-    its west/north steps; it is one excited move of the blank from b to sw."""
-    routes = [list(route) for route in family.routes]
-    where = {box: (p, k) for p, route in enumerate(routes) for k, box in enumerate(route)}
-    for b in moves:
-        s = (b[0] + 1, b[1])
-        sw = (b[0] + 1, b[1] - 1)
-        west = (b[0], b[1] - 1)
-        if b in where:
-            raise ValidationError(f"cell {b} is occupied")
-        p, k = where.get(sw, (None, 0))
-        route = routes[p] if k else ()
-        if not 0 < k < len(route) - 1 or (route[k - 1], route[k + 1]) != (s, west):
-            raise ValidationError(f"no northeast elbow at {sw}")
-        route[k] = b
-        where[b] = where.pop(sw)
-    return PathFamily(tuple(map(tuple, routes)), family.endpoints)
+# the zipped family
 
 
 def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipResult, PathFamily]:
-    """perm_of(ladder), its zip result and p_zip(ladder), from one run of
-    perm_of and of zip_result.  A droop at b moves one blank from b to
-    b+(1,-1), as the logged slide moves its plus, so a replay from the
-    matching bottom family that completes lands on the slid diagram."""
+    """perm_of(ladder), its zip result and p_zip(ladder), from one run each
+    of perm_of, zip_result and boundary_points.  The southwest-hugging walk
+    gives the bottom family on the region, and the zipped family on the
+    cells that d_zip leaves free, as such a family exists and is unique:
+
+    - zip_result reaches d_zip by excited moves from d_top, the bottom
+      family's blanks (checked).  A move of a blank b to t = b+(1,-1) is a
+      one-cell route edit.  With t in the region, s = b+(1,0) is no goal
+      box and w = b+(0,-1) no start box, and b is blank, so the route
+      through s steps west to t and on to w; b takes t's place in it.
+    - A west/north route from box (r, c) to box (r', c') has
+      (r - r') + (c - c') + 1 boxes, so every family covers `weight` =
+      |region| - |d_top| = |region| - |d_zip| cells: all the free ones.
+    - Where the innermost unplaced path steps west, its rest completes the
+      step; where it steps north, the cell west of it lies southwest of
+      it, where no outer path goes, so it is not free.  The walk follows
+      that path, then the next one on the cells left.
+    """
     pair = perm_of(ladder)
     res = zip_result(*pair)
     if res.region != ladder.region:
         raise InternalError("compressed diagram of v does not match the ladder region")
-    family = p_bot(ladder)
-    if frozenset(blanks(ladder, family)) != res.d_top.pluses:
+    bp = boundary_points(ladder)
+    cells = ladder.region.cellset
+    if frozenset(blanks(ladder, _hugging_family(bp, cells))) != res.d_top.pluses:
         raise ValidationError("bottom family does not match the top diagram")
-    family = droop(family, res.move_log)
+    try:
+        family = _hugging_family(bp, cells - res.d_zip.pluses)
+    except ValidationError as exc:  # the family exists, as above
+        raise InternalError(f"no zipped family: {exc}") from exc
     if frozenset(blanks(ladder, family)) != res.d_zip.pluses:
-        raise InternalError("droop replay did not land on the slid diagram")
+        raise InternalError("the zipped family's blanks are not the slid diagram")
     return pair, res, family
 
 

@@ -118,22 +118,18 @@ def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
 
 
 @lru_cache(maxsize=1)
-def _top_data(v: Permutation, w: Permutation) -> tuple[SkewRegion, PlusDiagram]:
-    """compress(v)'s region and the top diagram, shared by the zip route and
-    the closure oracle.  d_ne checks the pair, v included, and _compression's
-    row and column maps place the ell(w) pluses, with no ell(v)-sized cell
-    maps.  Every repeat lookup is the oracle certifying the pair that
-    zip_result has just built: 1 of 2 lookups in `klreg pair --oracle`, 50 of
-    100 in a 50-sample `klreg sweep`.  One entry serves them all and spares a
-    second d_ne; a larger memo would only keep old pairs' data alive."""
+def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
+    """Compressed image of the northeast-most reduced pipe set, on
+    compress(v)'s region, shared by the zip route and the closure oracle.
+    d_ne checks the pair, v included, and _compression's row and column
+    maps place the ell(w) pluses, with no ell(v)-sized cell maps.  Every
+    repeat lookup is the oracle certifying the pair that zip_result has
+    just built: 1 of 2 lookups in `klreg pair --oracle`, 50 of 100 in a
+    50-sample `klreg sweep`.  One entry serves them all and spares a second
+    d_ne; a larger memo would only keep old pairs' data alive."""
     pipe_set = d_ne(v, w)
     region, _, rmap, cmap = _compression(v.word)
-    return region, PlusDiagram(region, frozenset((rmap[i], cmap[j]) for i, j in pipe_set))
-
-
-def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
-    """Compressed image of the northeast-most reduced pipe set."""
-    return _top_data(v, w)[1]
+    return PlusDiagram(region, frozenset((rmap[i], cmap[j]) for i, j in pipe_set))
 
 
 def can_move(region: SkewRegion, pluses, b: Cell) -> bool:

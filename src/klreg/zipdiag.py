@@ -18,7 +18,7 @@ from .perm import (
     check_pair,
     word_bruhat_leq,
 )
-from .skew import PlusDiagram, SkewRegion, _top_data, can_move
+from .skew import PlusDiagram, SkewRegion, can_move, d_top
 
 
 def components(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
@@ -203,8 +203,9 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
     drops by one and raises InternalError unless it reaches 0, so it takes
     length(w) cells, and the compression map keeps them distinct:
     |d_top| = length(w).  The pair is validated once, by d_ne's check_pair
-    inside _top_data; nothing after it checks v or w again."""
-    region, top = _top_data(v, w)
+    inside d_top; nothing after it checks v or w again."""
+    top = d_top(v, w)
+    region = top.region
     comps = components(top)
     chains = _minimizing_diag(comps)
 

@@ -6,13 +6,15 @@ and 1-3 marks off row 0 with r <= 3, the min-plus rank envelope
 (knowndata.rank_envelope_perm) must be a permutation rank matrix and the
 sweep must build the same w from the same caps.  On the boards perm_of
 accepts, v must also compress to the board's region; and the minimal ones
-that `_zipped` (the ladder route) still rejects are counted by message.
-Prints the counts, and exits non-zero on a different w or a region mismatch.
+that `_zipped` (the ladder route) still rejects are counted by message,
+and the routes of the families it builds on the rest are folded into one
+sha256.  Prints the counts and the digest, and exits non-zero on a different w or a region mismatch.
 
 Run from the root of a checkout:
 `PYTHONPATH=src:tests python tests/check_least_perm_4x4.py`
 """
 
+import hashlib
 import sys
 from collections import Counter
 
@@ -34,6 +36,7 @@ def main() -> int:
 
     ladder._least_perm = spy
     counts = Counter({"boards": 0, "region mismatches": 0})
+    routes = hashlib.sha256()
     for board in all_boards(4, 4, 3, 3):
         counts["boards"] += 1
         last.clear()
@@ -48,9 +51,11 @@ def main() -> int:
             if ladder.validate_minimal(board).passed:
                 counts["minimal and accepted"] += 1
                 try:
-                    ladder._zipped(board)
+                    family = ladder._zipped(board)[2]
                 except ValidationError as exc:
                     counts[f"_zipped rejects a minimal board: {exc}"] += 1
+                else:
+                    routes.update(repr(family.routes).encode())
         n, constraints, w = last
         try:
             reference = rank_envelope_perm(n, constraints)
@@ -60,6 +65,7 @@ def main() -> int:
         counts["same w" if w == reference else "different w"] += 1
     for key, value in counts.items():
         print(f"{key}: {value}")
+    print(f"zipped routes sha256: {routes.hexdigest()}")
     return int(counts["same w"] != counts["boards"] or counts["region mismatches"] > 0)
 
 

@@ -107,7 +107,9 @@ def test_resource_exit_reports_partial_counts(capsys, monkeypatch):
     assert json.loads(last) == {"visited": 5, "expanded": 2}
 
 
-@pytest.mark.parametrize("fault", [KeyError("d_top"), InternalError("droop replay did not land")])
+@pytest.mark.parametrize(
+    "fault", [KeyError("d_top"), InternalError("the zipped family's blanks are not the slid diagram")]
+)
 def test_internal_fault_exit(capsys, monkeypatch, fault):
     # a crash is not an oracle disagreement (exit 1): it gets its own code
     def broken(v, w):
@@ -172,9 +174,9 @@ def _count_calls(monkeypatch, module, name) -> list:
     ],
 )
 def test_each_command_builds_the_construction_once(capsys, monkeypatch, argv):
-    # the ladder oracle reads the zip record that the droop replay used, and
+    # the ladder oracle reads the zip record that the zipped family comes from, and
     # the closure oracle reads the top diagram that the zip route built
-    skew._top_data.cache_clear()
+    skew.d_top.cache_clear()
     zips = _count_calls(monkeypatch, zipdiag, "components")
     tops = _count_calls(monkeypatch, skew, "d_ne")
     code, _, _ = run(capsys, argv)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from itertools import combinations_with_replacement, product
@@ -6,7 +7,7 @@ import pytest
 
 from klreg import ladder as ladder_module
 from klreg import oracle, zipdiag
-from klreg.errors import ValidationError
+from klreg.errors import InternalError, ValidationError
 from klreg.ladder import (
     Ladder,
     MinimalityReport,
@@ -14,7 +15,6 @@ from klreg.ladder import (
     a_invariant_ladder,
     blanks,
     boundary_points,
-    droop,
     elbows,
     ladder_from_json,
     ladder_to_json,
@@ -38,7 +38,7 @@ from klreg.perm import (
     is_321_avoiding,
     lehmer_code,
 )
-from klreg.skew import can_move, compress, d_top
+from klreg.skew import PlusDiagram, compress, d_top
 
 from knowndata import (
     CORNER_FILLS_B,
@@ -417,45 +417,40 @@ def test_weight_and_elbows_big_ladder():
     assert len(elbows(LAD_B, zipped)) == 7
 
 
-def test_droop_is_one_excited_move():
-    fam = p_bot(LAD_A)
-    before = frozenset(blanks(LAD_A, fam))
-    b = (3, 4)  # blank with an occupied hook southwest of it
-    after = droop(fam, (b,))
-    assert frozenset(blanks(LAD_A, after)) == before - {b} | {(4, 3)}
-    assert nilp_is_valid(LAD_A, after)
-
-
-def test_droop_rejections_on_the_bottom_family():
-    fam = p_bot(LAD_A)
-    with pytest.raises(ValidationError, match=r"^cell \(1, 1\) is occupied$"):
-        droop(fam, ((1, 1),))
-    with pytest.raises(ValidationError, match=r"^no northeast elbow at \(2, 2\)$"):
-        droop(fam, ((1, 3),))
-
-
-def test_droop_replays_every_excited_state():
-    """A breadth-first search of excited moves from the bottom family's
-    blanks, recording the moves to each state, reaches the oracle's excited
-    closure, and replaying each move sequence as droops lands on it."""
+def test_walk_builds_a_family_for_every_excited_state():
+    """On the cells that any diagram of the oracle's excited closure leaves
+    free, the southwest-hugging walk builds a valid family whose blanks are
+    that diagram."""
     v, w = perm_of(LAD_C)
-    region = LAD_C.region
-    bottom = p_bot(LAD_C)
-    moves_to = {frozenset(blanks(LAD_C, bottom)): ()}
-    queue = list(moves_to)
-    for state in queue:
-        for b in sorted(state):
-            if can_move(region, state, b):
-                nxt = state - {b} | {(b[0] + 1, b[1] - 1)}
-                if nxt not in moves_to:
-                    moves_to[nxt] = moves_to[state] + (b,)
-                    queue.append(nxt)
-    assert set(moves_to) == oracle.closure(v, w, moves="excited").as_sets()
-    assert len(moves_to) > 1
-    for state, moves in moves_to.items():
-        fam = droop(bottom, moves)
+    bp = boundary_points(LAD_C)
+    states = oracle.closure(v, w, moves="excited").as_sets()
+    assert frozenset(blanks(LAD_C, p_bot(LAD_C))) in states
+    assert len(states) > 1
+    for state in states:
+        fam = ladder_module._hugging_family(bp, LAD_C.region.cellset - state)
         assert nilp_is_valid(LAD_C, fam)
         assert frozenset(blanks(LAD_C, fam)) == state
+
+
+@pytest.mark.parametrize(
+    "slid, message",
+    [
+        (lambda res: res.d_zip.pluses - {min(res.d_zip.pluses)}, r"^the zipped family's blanks are not the slid"),
+        (lambda res: res.region.cellset, r"^no zipped family: no path from H_1 to V_1;"),
+    ],
+)
+def test_zipped_family_faults_are_internal(monkeypatch, slid, message):
+    # a slid diagram that is no excited diagram of d_top is a fault of the
+    # pair route, not of the board: a lost plus, and one that blocks every path
+    real = ladder_module.zip_result
+
+    def broken(v, w):
+        res = real(v, w)
+        return dataclasses.replace(res, d_zip=PlusDiagram(res.region, slid(res)))
+
+    monkeypatch.setattr(ladder_module, "zip_result", broken)
+    with pytest.raises(InternalError, match=message):
+        ladder_module._zipped(LAD_C)
 
 
 def test_p_zip_matches_zip_diagram():
