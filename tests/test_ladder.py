@@ -51,10 +51,10 @@ from knowndata import (
     LAD_EMPTYW,
     LAD_FULL,
     LADDER_ROUTE_REJECTS,
-    SMALL_BOARDS_ZIPPED_SHA256,
     ROUTES_BAD_B,
     ROUTES_BOT_B,
     ROUTES_MID_B,
+    SMALL_BOARDS_ZIPPED_SHA256,
     V_LAD_A,
     V_LAD_B,
     W_LAD_A,
