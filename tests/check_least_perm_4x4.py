@@ -8,7 +8,8 @@ sweep must build the same w from the same caps.  On the boards perm_of
 accepts, v must also compress to the board's region; and the minimal ones
 that `_zipped` (the ladder route) still rejects are counted by message,
 and the routes of the families it builds on the rest are folded into one
-sha256.  Prints the counts and the digest, and exits non-zero on a different w or a region mismatch.
+sha256.  Prints the counts and the digest, and exits non-zero on a
+different w or a region mismatch.
 
 Run from the root of a checkout:
 `PYTHONPATH=src:tests python tests/check_least_perm_4x4.py`
