@@ -312,6 +312,9 @@ DRAWS_ZIP_RECORD_SHA256 = "2a25b746f4d6055c2b53d7de5ae2987604543ba67a534c3e8a39f
 # test_recurrence_values_of_random_pair_draws_are_pinned folds it.
 DRAWS_RECURRENCE_SHA256 = "e152b2ba24f29b524f56b4b895c970a034bef3a69e937bc68982837a76391e90"
 
+# The same fold for seeds 0..2 and n = 31..36, past the sizes above.
+LARGE_DRAWS_RECURRENCE_SHA256 = "69e346281ec988be79063d66a2bf3e5290193ec97065d39ee6db060ced2f1452"
+
 # sha256 of the zipped family of every board of all_boards(3, 3, 2, 3), as
 # test_zipped_families_of_small_boards_are_pinned folds it: the board's JSON
 # with the family's routes and endpoints, or the ValidationError message.

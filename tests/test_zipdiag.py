@@ -40,6 +40,7 @@ from knowndata import (
     DRAWS_RECURRENCE_SHA256,
     DRAWS_ZIP_RECORD_SHA256,
     LAD_A,
+    LARGE_DRAWS_RECURRENCE_SHA256,
     MAX_DIAG_16_C1,
     MIN_DIAG_16_C1,
     ROOMS_16,
@@ -333,14 +334,19 @@ def test_zip_records_of_random_pair_draws_are_pinned():
 
 
 def test_recurrence_values_of_random_pair_draws_are_pinned():
-    # the recurrence's value on the same draws up to n = 30, pinned so that
-    # a rewrite of groth_degree_recursive must give the same degrees
-    digest = hashlib.sha256()
-    for seed in range(5):
-        for n in range(4, 31):
-            v, w = oracle.random_avoiding_pair(random.Random(seed), n)
-            digest.update(repr((v.word, w.word, groth_degree_recursive(v, w))).encode())
-    assert digest.hexdigest() == DRAWS_RECURRENCE_SHA256
+    # the recurrence's value on the same draws up to n = 30, and on seeds
+    # 0..2 at n = 31..36, pinned so that a rewrite of groth_degree_recursive
+    # must give the same degrees
+    for seeds, sizes, pinned in (
+        (range(5), range(4, 31), DRAWS_RECURRENCE_SHA256),
+        (range(3), range(31, 37), LARGE_DRAWS_RECURRENCE_SHA256),
+    ):
+        digest = hashlib.sha256()
+        for seed in seeds:
+            for n in sizes:
+                v, w = oracle.random_avoiding_pair(random.Random(seed), n)
+                digest.update(repr((v.word, w.word, groth_degree_recursive(v, w))).encode())
+        assert digest.hexdigest() == pinned
 
 
 # The peel-off recurrence with a whole d_ne per node: the reference for
