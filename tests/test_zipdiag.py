@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import permutations
 
 import pytest
 
@@ -17,6 +18,7 @@ from klreg.perm import (
 from klreg.pipes import _reading_cells, d_ne, reading_word
 from klreg.skew import PlusDiagram, SkewRegion, compress, d_top
 from klreg.zipdiag import (
+    _column_leq,
     a_invariant,
     components,
     d_zip,
@@ -431,6 +433,31 @@ def test_recursive_degree_rejects_bad_roots():
     # neither 321-avoiding nor comparable: the pattern is checked first
     with pytest.raises(ValidationError, match=r"^\(1, 4, 3, 2\) is not 321-avoiding$"):
         groth_degree_recursive(Permutation((1, 4, 3, 2)), Permutation((2, 1, 3, 4)))
+
+
+def test_column_test_is_bruhat_order_after_one_peel():
+    # the lemma in groth_degree_recursive's docstring: for z <= u and a with
+    # a+1 before a in u, column a of the rank criterion decides y <= s_a*u
+    # for y = z, and for y = s_a*z when a is also a left descent of z
+    def left_mult(u, a):  # s_a*u: swap the values a and a+1
+        return Permutation(tuple({a: a + 1, a + 1: a}.get(x, x) for x in u.word))
+
+    groups = [[Permutation(p) for p in permutations(range(1, n + 1))] for n in range(1, 6)]
+    outcomes = {True: 0, False: 0}
+    for group in [*groups, all_321_avoiding(6)]:
+        for u in group:
+            below = [z for z in group if bruhat_leq(z, u)]
+            for a in range(1, u.n):
+                if u.word.index(a + 1) > u.word.index(a):
+                    continue
+                peeled = left_mult(u, a)
+                for z in below:
+                    ys = [z, left_mult(z, a)] if z.word.index(a + 1) < z.word.index(a) else [z]
+                    for y in ys:
+                        expected = bruhat_leq(y, peeled)
+                        assert _column_leq(y.word, peeled.word, a) == expected, (y, u, a)
+                        outcomes[expected] += 1
+    assert min(outcomes.values()) > 0
 
 
 def test_recursive_degree_on_32_by_32_rectangle():
