@@ -186,7 +186,17 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """
     if u.n != w.n:
         raise ValidationError("size mismatch in Bruhat comparison")
-    return word_bruhat_leq(u.word, w.word)
+    gap = [0] * (u.n + 1)
+    for x, y in zip(u.word, w.word):
+        if x < y:
+            for j in range(x, y):
+                gap[j] += 1
+        else:
+            for j in range(y, x):
+                gap[j] -= 1
+                if gap[j] < 0:
+                    return False
+    return True
 
 
 def check_pair(v: Permutation, w: Permutation) -> None:
@@ -199,19 +209,4 @@ def check_pair(v: Permutation, w: Permutation) -> None:
             raise ValidationError(f"{u.word} is not 321-avoiding")
     if not bruhat_leq(w, v):
         raise ValidationError(f"{w.word} is not below {v.word} in Bruhat order")
-
-
-def word_bruhat_leq(u: Sequence[int], w: Sequence[int]) -> bool:
-    """bruhat_leq on one-line words of one length, without the size check."""
-    gap = [0] * (len(u) + 1)
-    for x, y in zip(u, w):
-        if x < y:
-            for j in range(x, y):
-                gap[j] += 1
-        else:
-            for j in range(y, x):
-                gap[j] -= 1
-                if gap[j] < 0:
-                    return False
-    return True
 
