@@ -323,9 +323,9 @@ def groth_degree_recursive(v: Permutation, w: Permutation) -> int:
     Each branch is tested on one column of the rank criterion for Bruhat
     order (Bjorner-Brenti, Thm 2.1.5: y <= u iff rank_y(i, j) >=
     rank_u(i, j) for all i, j, where rank_u(i, j) = #{k <= i : u(k) <= j}).
-    Every remainder z of a level is below what is left of v, u: at the root
-    by check_pair, and later because it passed this test.  Peeling a gives
-    u' = s_a*u, and each branch y is z or s_a*z.  Left multiplication by s_a
+    Let u be what is left of v.  Every remainder z of a level lies below u:
+    at the root by check_pair, and later because it passed this test.
+    Peeling a gives u' = s_a*u, and each branch y is z or s_a*z.  Left multiplication by s_a
     swaps the values a and a+1, which changes rank(i, j) only for j = a, so
     for j != a, rank_y(i, j) = rank_z(i, j) >= rank_u(i, j) = rank_u'(i, j).
     Hence y <= u' exactly when rank_y(i, a) >= rank_u'(i, a) for every i,
