@@ -15,7 +15,7 @@ from klreg.errors import ValidationError
 from klreg.perm import Cell, coxeter_length, demazure_step, identity, is_321_avoiding
 from klreg.pipes import reading_word
 from klreg.skew import PlusDiagram, can_move
-from klreg.zipdiag import zip_result
+from klreg.zipdiag import minimizing_diag, zip_result
 
 
 def left_mult_s(u: Permutation, i: int) -> Permutation:
@@ -150,12 +150,26 @@ def k_saturation_by_moves(v: Permutation, w: Permutation) -> PlusDiagram:
     run of K-theoretic excited moves below each chain box."""
     res = zip_result(v, w)
     pluses = set(res.d_zip.pluses)
-    for chain in res.chains:
+    for chain in minimizing_diag(res.d_top):
         for cur in chain:
             while can_move(res.region, pluses, cur):
                 cur = (cur[0] + 1, cur[1] - 1)
                 pluses.add(cur)
     return PlusDiagram(res.region, frozenset(pluses))
+
+
+def rooms_by_moves(res) -> dict[Cell, int]:
+    """The room under each chain box of a zip record, box by box in chain
+    order: how many K-theoretic excited moves carry a plus from the box
+    down its anti-diagonal while the slid diagram stays put."""
+    rooms = {}
+    for chain in minimizing_diag(res.d_top):
+        for b in chain:
+            cur, rooms[b] = b, 0
+            while can_move(res.region, res.d_zip.pluses, cur):
+                cur = (cur[0] + 1, cur[1] - 1)
+                rooms[b] += 1
+    return rooms
 
 
 def is_grassmannian(u: Permutation) -> bool:
@@ -299,13 +313,13 @@ ZIP_UNDERCOUNT = (
 
 # sha256 of the zip records of every comparable pair of S_7, as folded by
 # test_zip_degree_matches_recurrence_on_all_of_s7 (region rows, sorted top
-# diagram, chains, sorted slid diagram, move log, sorted rooms).
-S7_ZIP_RECORD_SHA256 = "f809c4759fd9198af8b15c477e46df264c8505d57302e3271f4419ca77c4b7be"
+# diagram, chains, sorted slid diagram, sorted rooms).
+S7_ZIP_RECORD_SHA256 = "ad7d143548ab5ea1304726988a0a07e7cce98da80f3071aa1293e053273cb728"
 
 # The same fold over oracle.random_avoiding_pair(random.Random(seed), n) for
 # seeds 0..4 and n = 4..60, as test_zip_records_of_random_pair_draws_are_pinned
 # folds it.
-DRAWS_ZIP_RECORD_SHA256 = "2a25b746f4d6055c2b53d7de5ae2987604543ba67a534c3e8a39fad07c5245c0"
+DRAWS_ZIP_RECORD_SHA256 = "14ad3c590946252e4c0c7d3da422b73704232fe32dda41470ef56bf34302d407"
 
 # sha256 of repr((v.word, w.word, groth_degree_recursive(v, w))) over the same
 # draws for seeds 0..4 and n = 4..30, as

@@ -57,6 +57,7 @@ from knowndata import (
     all_321_avoiding,
     k_saturation_by_moves,
     left_mult_s,
+    rooms_by_moves,
 )
 
 
@@ -201,7 +202,7 @@ def test_rectangular_grassmannian_at_k20():
     v = Permutation(tuple(range(m + 1, m + k + 1)) + tuple(range(1, m + 1)))
     res = zip_result(v, v)
     assert (res.degree, res.regularity, res.a_invariant) == (k * m, 0, 0)
-    assert [len(chain) for chain in res.chains] == [k]
+    assert [len(chain) for chain in minimizing_diag(res.d_top)] == [k]
 
 
 def test_one_cell_components_are_their_own_chains():
@@ -287,14 +288,14 @@ def test_zip_degree_on_undercount_pins():
 
 
 def _zip_record(res) -> bytes:
-    """The zip record without d_zip_k and the degree, for a digest."""
+    """The zip record without d_zip_k and the degree, with its chains and
+    rooms, for a digest."""
     record = (
         res.region.rows,
         sorted(res.d_top.pluses),
-        res.chains,
+        minimizing_diag(res.d_top),
         sorted(res.d_zip.pluses),
-        res.move_log,
-        sorted(res.rooms.items()),
+        sorted(rooms_by_moves(res).items()),
     )
     return repr(record).encode()
 
@@ -302,7 +303,7 @@ def _zip_record(res) -> bytes:
 def test_zip_degree_matches_recurrence_on_all_of_s7():
     # every comparable pair of S_7; the zip route is one short exactly on
     # the pinned S_7 under-counts.  The digest pins the rest of each zip
-    # record (region, top, chains, slid diagram, moves, rooms), so a faster
+    # record (region, top, chains, slid diagram, rooms), so a faster
     # construction must rebuild it exactly; it leaves out d_zip_k and the
     # degree, which a correct degree route would change on the under-counts.
     pinned = {(v.word, w.word): d for v, w, d in ZIP_UNDERCOUNT if v.n == 7}
@@ -470,7 +471,7 @@ def test_zip_result_bundle():
     res = zip_result(V16, W16)
     assert res.degree == 29 and res.regularity == 13 and res.a_invariant == -29
     assert res.d_zip.pluses <= res.d_zip_k.pluses
-    assert res.rooms == ROOMS_16
+    assert {b: room(V16, W16, b) for chain in minimizing_diag(res.d_top) for b in chain} == ROOMS_16
     assert res.d_zip.size() == coxeter_length(W16)
 
 
