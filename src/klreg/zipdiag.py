@@ -151,17 +151,14 @@ def minimizing_diag(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
 
 @dataclass
 class ZipResult:
-    """Everything the headline construction produces for one pair: the
-    compressed region, the top diagram, the chosen chains, the slid
-    diagram with the positions from which a plus slid one step, the room
-    under each chain box, the K-saturation and the three formulas."""
+    """The degree record of one pair: the compressed region, the top
+    diagram, the slid diagram, its K-saturation and the three formulas.
+    The chains are minimizing_diag(d_top) and the rooms are room(v, w, b);
+    both are views computed on request, not stored."""
 
     region: SkewRegion
     d_top: PlusDiagram
-    chains: tuple[tuple[Cell, ...], ...]
     d_zip: PlusDiagram
-    move_log: tuple[Cell, ...]
-    rooms: dict
     d_zip_k: PlusDiagram
     degree: int
     regularity: int
@@ -185,12 +182,11 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
     """The slid diagram and its saturation, built afresh on every call;
     a caller that needs the record twice keeps it.  Both stages read
     _walk: a slide source moves to the end of its walk on the diagram slid
-    so far, and each chain box's walk on the slid diagram is its room (the
-    walk's length) and its K-saturation cells.  The walks run on the
-    unmoved set, so no K-walk sees the cells another one adds; every cell
-    they reach was plus-free in the diagram walked, so the cardinality
-    check and the collision check of the K-saturation against the slid
-    diagram can only fail on a bug.
+    so far, and the K-saturation adds each chain box's walk on the slid
+    diagram.  The walks run on the unmoved set, so no K-walk sees the
+    cells another one adds; every cell they reach was plus-free in the
+    diagram walked, so the cardinality check and the collision check of
+    the K-saturation against the slid diagram can only fail on a bug.
 
     The record holds both lengths, so none is recomputed: compress(v) maps
     the cells of D(v) one to one onto the region, so |region| = #D(v) =
@@ -205,7 +201,6 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
     chains = _minimizing_diag(comps)
 
     pluses = set(top.pluses)
-    log: list[Cell] = []
     for comp, chain in zip(comps, chains):
         # b slides when weakly southwest of a chain box and not one.  The chain rises
         # in row and column, so its last box in rows <= b(1) is the eastmost of them.
@@ -219,16 +214,13 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
         for b in sources:
             walk = _walk(region, pluses, b)
             if walk:
-                log += [b, *walk[:-1]]
                 pluses.remove(b)
                 pluses.add(walk[-1])
     zipped = PlusDiagram(region, frozenset(pluses))
     if zipped.size() != top.size():
         raise InternalError("slid diagram changed cardinality")
 
-    walks = {b: _walk(region, zipped.pluses, b) for chain in chains for b in chain}
-    rooms = {b: len(walk) for b, walk in walks.items()}
-    extra = {c for walk in walks.values() for c in walk}
+    extra = {c for chain in chains for b in chain for c in _walk(region, zipped.pluses, b)}
     if extra & zipped.pluses:
         raise InternalError("K-saturation collided with the slid diagram")
     saturated = PlusDiagram(region, zipped.pluses | extra)
@@ -236,10 +228,7 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
     return ZipResult(
         region=region,
         d_top=top,
-        chains=chains,
         d_zip=zipped,
-        move_log=tuple(log),
-        rooms=rooms,
         d_zip_k=saturated,
         degree=deg,
         regularity=deg - top.size(),
@@ -253,11 +242,12 @@ def d_zip(v: Permutation, w: Permutation) -> PlusDiagram:
 
 
 def room(v: Permutation, w: Permutation, b: Cell) -> int:
-    """How many anti-diagonal K-steps fit under the chain box b."""
-    rooms = zip_result(v, w).rooms
-    if b not in rooms:
+    """How many anti-diagonal K-steps fit under the chain box b: the length
+    of b's walk on the slid diagram, which zip_result adds to it."""
+    res = zip_result(v, w)
+    if not any(b in chain for chain in minimizing_diag(res.d_top)):
         raise ValidationError(f"{b} is not a chain box of the pair")
-    return rooms[b]
+    return len(_walk(res.region, res.d_zip.pluses, b))
 
 
 def d_zip_k(v: Permutation, w: Permutation) -> PlusDiagram:

@@ -1,12 +1,14 @@
 """Guard against API that only the tests call: every public function,
-class and method of the program (src/klreg, bench/ and demos/) is
-referenced somewhere in the program outside its own definition.
+class, method and annotated class field of the program (src/klreg, bench/
+and demos/) is referenced somewhere in the program outside its own
+definition.
 
 The oracles are independent references by design, errors.py has its own
 guard in test_errors.py, and __init__.py only re-exports, so their
 definitions are not checked; their references still count.  A reference is
-a name or an attribute read, matched by name alone: a method counts as used
-when any attribute of that name is read.
+a name or an attribute read, matched by name alone: a method or a field
+counts as used when any attribute of that name is read.  Passing a field
+by keyword to a constructor is not a read.
 """
 
 import ast
@@ -20,10 +22,12 @@ UNCHECKED = {SRC / "oracle.py", SRC / "errors.py", SRC / "__init__.py"}
 KEPT = {
     "k_polynomial": "the K-polynomial, which the tests check against the degree routes",
     "max_diag": "the tests' reference for the chain that minimizing_diag picks on one component",
-    "room": "a named statistic of the paper",
     "lehmer_code": "a named statistic of the paper",
     "ladder_to_json": "the inverse of the board file format",
     "reading_word": "bench/tests checks the benchmark's own reading word against it",
+    "extended_marks": "the marks with their corner fill-ins, which criterion 06 checks",
+    "row_offset_violations": "why a board is not minimal: the row offsets that break it",
+    "col_offset_violations": "why a board is not minimal: the column offsets that break it",
 }
 
 
@@ -37,14 +41,20 @@ def _program_files() -> list[Path]:
 
 def _definitions(path: Path):
     """(name, line) of each public module-level function or class and of
-    each public method of a module-level class."""
+    each public method or annotated field of a module-level class."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node.lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield item.name, item.lineno
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield name, item.lineno
 
 
 class _References(ast.NodeVisitor):
