@@ -7,8 +7,9 @@ Subcommands:
 
 Permutations are JSON arrays or separator-delimited words; compact digit
 strings are accepted only below S_10.  The KLREG_BUDGET environment
-variable, a positive integer, overrides the oracle enumeration budget;
---n and --samples are non-negative.  Options are spelled in full, as
+variable, a positive integer, overrides the budget of the oracle
+enumerations and of --export-ideal's minors; --n and --samples are
+non-negative.  Options are spelled in full, as
 --flag value or --flag=value; --help prints this text.  Exit codes: 0
 success, 1 oracle disagreement, 2 parse or usage error, 3 validation error,
 4 budget exhausted (what the enumeration counted goes to stderr as one JSON
@@ -174,7 +175,7 @@ def run_ladder(opts: dict) -> tuple[dict, int]:
     if target:
         from .ideals import ideal_script, ladder_generators
 
-        gens = ladder_generators(ladder)
+        gens = ladder_generators(ladder, budget=_budget())
         variables = {c for g in gens for m, _ in g.terms for c in m}
         try:
             with open(target, "w", encoding="utf-8") as fh:

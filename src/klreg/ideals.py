@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import ValidationError
+from .errors import ResourceError, ValidationError
 from .ladder import Ladder
 from .oracle import DEFAULT_BUDGET, enumerate_pipes
 from .perm import Cell, Permutation, bruhat_leq, coxeter_length, rank, rothe_diagram
@@ -129,14 +129,19 @@ def kl_generators(v: Permutation, w: Permutation) -> frozenset:
     return frozenset(gens)
 
 
-def ladder_generators(ladder: Ladder) -> frozenset:
+def ladder_generators(ladder: Ladder, budget: int = DEFAULT_BUDGET) -> frozenset:
     """For each marked point (p, r): the r-minors of the ladder matrix over
     rows [p(1)] and columns [p(2)+1, end] whose entries all lie inside the
     ladder (the classical ladder-determinantal convention, and the one under
-    which the generator sets match the Kazhdan-Lusztig side).
+    which the generator sets match the Kazhdan-Lusztig side).  Before any
+    determinant is expanded, more than `budget` candidate minors, the sum
+    of C(p(1), r) * C(end - p(2), r), raise ResourceError with that count.
     """
     cells = ladder.region.cellset
     end_col = ladder.width
+    count = sum(comb(p[0], r) * comb(end_col - p[1], r) for p, r in ladder.marked)
+    if count > budget:
+        raise ResourceError(f"minor budget {budget} exceeded", partial={"minors": count})
 
     def entry(i, j):
         return (i, j) if (i, j) in cells else 0

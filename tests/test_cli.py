@@ -3,6 +3,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
+from math import comb
 
 import pytest
 
@@ -151,6 +153,33 @@ def test_ladder_render_and_export(tmp_path, capsys):
     assert code == 0
     assert "H1=" in data["render"]
     assert "I = ideal(" in script.read_text()
+
+
+def test_export_ideal_refuses_a_board_over_the_minor_budget(tmp_path, capsys):
+    # C(24, 6)^2, about 1.8e10 candidate minors: refused before any is expanded
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"lambda": [24] * 24, "mu": [0] * 24, "marked": [{"point": [24, 0], "r": 6}]}))
+    script = tmp_path / "ideal.m2"
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["ladder", "--file", str(path), "--export-ideal", str(script)])
+    assert time.perf_counter() - start < 5
+    assert code == 4 and out == "" and not script.exists()
+    first, last = err.splitlines()
+    assert first == f"budget exhausted: minor budget {oracle.DEFAULT_BUDGET} exceeded"
+    assert json.loads(last) == {"minors": comb(24, 6) ** 2}
+
+
+def test_export_ideal_minors_obey_klreg_budget(tmp_path, capsys, monkeypatch):
+    # LAD_A's mark blocks hold 73 candidate minors
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(ladder_to_json(LAD_A)))
+    script = tmp_path / "ideal.m2"
+    monkeypatch.setenv("KLREG_BUDGET", "72")
+    code, out, err = run(capsys, ["ladder", "--file", str(path), "--export-ideal", str(script)])
+    assert code == 4 and out == "" and json.loads(err.splitlines()[-1]) == {"minors": 73}
+    monkeypatch.setenv("KLREG_BUDGET", "73")
+    code, out, _ = run(capsys, ["ladder", "--file", str(path), "--export-ideal", str(script)])
+    assert code == 0 and "I = ideal(" in script.read_text()
 
 
 def _count_calls(monkeypatch, module, name) -> list:
