@@ -8,15 +8,16 @@ Subcommands:
 Permutations are JSON arrays or separator-delimited words; compact digit
 strings are accepted only below S_10.  The KLREG_BUDGET environment
 variable, a positive integer, overrides the budget of the oracle
-enumerations and of --export-ideal's minors; --n and --samples are
-non-negative.  Options are spelled in full, as
---flag value or --flag=value; --help prints this text.  Exit codes: 0
-success, 1 oracle disagreement, 2 parse or usage error, 3 validation error,
-4 budget exhausted (what the enumeration counted goes to stderr as one JSON
-line), 5 internal fault (a failed invariant or any other crash; the
-traceback goes to stderr).  sweep always prints its report: a sample whose
-oracle runs out of budget is listed under "exhausted" with what it counted,
-and it exits 1 on any disagreement, else 4 if any sample ran out, else 0.
+enumerations, of the recurrence and of --export-ideal's minors; --n and
+--samples are non-negative.  Options are spelled in full, as --flag value
+or --flag=value; --help prints this text.  Exit codes: 0 success, 1 oracle
+disagreement, 2 parse or usage error, 3 validation error, 4 budget
+exhausted (what the enumeration counted goes to stderr as one JSON line),
+5 internal fault (a failed invariant or any other crash; the traceback
+goes to stderr).  sweep always prints its report: a sample whose
+recurrence or oracle runs out of budget is listed under "exhausted" with
+what it counted, and it exits 1 on any disagreement, else 4 if any sample
+ran out, else 0.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def run_pair(opts: dict) -> tuple[dict, int]:
     }
     code = EXIT_OK
     if opts.get("recurrence"):
-        report["recurrence_degree"] = zipdiag.groth_degree_recursive(v, w)
+        report["recurrence_degree"] = zipdiag.groth_degree_recursive(v, w, budget=_budget())
     if opts.get("oracle"):
         closure_max = oracle.max_closure_size(v, w, budget=_budget())
         agree = closure_max == result.degree
@@ -196,9 +197,9 @@ def run_sweep(opts: dict) -> tuple[dict, int]:
     for _ in range(samples):
         v, w = oracle.random_avoiding_pair(rng, n)
         by_zip = zipdiag.groth_degree(v, w)
-        by_rec = zipdiag.groth_degree_recursive(v, w)
         try:
             by_closure = oracle.max_closure_size(v, w, budget=budget)
+            by_rec = zipdiag.groth_degree_recursive(v, w, budget=budget)
         except ResourceError as exc:
             exhausted.append({"v": list(v.word), "w": list(w.word), "partial": exc.partial})
             continue

@@ -9,6 +9,8 @@ KlregError is their common base.  Any other exception escaping the CLI is
 also reported with exit code 5.
 """
 
+DEFAULT_BUDGET = 1_000_000  # what an enumeration may count before it raises ResourceError
+
 
 class KlregError(Exception):
     """Base class for all errors raised by klreg."""

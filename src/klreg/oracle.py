@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import ladder as lad
-from .errors import ResourceError, ValidationError
+from .errors import DEFAULT_BUDGET, ResourceError, ValidationError
 from .perm import (
     Cell,
     Permutation,
@@ -27,8 +27,6 @@ from .perm import (
 )
 from .pipes import _reading_cells
 from .skew import d_top
-
-DEFAULT_BUDGET = 1_000_000
 
 
 @dataclass

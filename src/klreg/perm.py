@@ -36,16 +36,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.word)
 
-    def inverse(self) -> "Permutation":
-        """
-        >>> Permutation((3, 1, 2)).inverse().word
-        (2, 3, 1)
-        """
-        inv = [0] * self.n
-        for i, x in enumerate(self.word, 1):
-            inv[x - 1] = i
-        return Permutation(tuple(inv))
-
     def __repr__(self):
         return f"Permutation({self.word!r})"
 
@@ -199,14 +189,18 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     return True
 
 
-def check_pair(v: Permutation, w: Permutation) -> None:
-    """Reject a pair unless w <= v are 321-avoiding of one size, checked in
-    that order: size, then each pattern, then Bruhat order."""
+def check_avoiding(v: Permutation, w: Permutation) -> None:
+    """Reject a pair unless v and w are 321-avoiding of one size, in that order."""
     if v.n != w.n:
         raise ValidationError("size mismatch")
     for u in (v, w):
         if not is_321_avoiding(u):
             raise ValidationError(f"{u.word} is not 321-avoiding")
+
+
+def check_pair(v: Permutation, w: Permutation) -> None:
+    """check_avoiding, then reject the pair unless w <= v in Bruhat order."""
+    check_avoiding(v, w)
     if not bruhat_leq(w, v):
         raise ValidationError(f"{w.word} is not below {v.word} in Bruhat order")
 

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import InternalError, ValidationError
-from .perm import (
-    Cell,
-    Permutation,
-    _free_values,
-    check_pair,
-    coxeter_length,
-)
+from .errors import ValidationError
+from .perm import Cell, Permutation, _free_values
+from .skew import _lines, _ne_scan
 
 
 def _reading_cells(v: Permutation) -> Iterator[tuple[Cell, int]]:
@@ -39,46 +34,17 @@ def reading_word(v: Permutation, cells: Iterable[Cell]) -> tuple[int, ...]:
 
 
 def d_ne(v: Permutation, w: Permutation) -> tuple[Cell, ...]:
-    """The northeast-most reduced pipe set for (v, w) as a subset of D(v).
-
-    Greedy scan of the reading order with remainder z = u^-1 w, u the
-    product of the letters taken so far: a letter a is taken exactly when
-    it is a left descent of z (s_a*z < z), and then z becomes s_a*z.
-    Returns the cells in reading order; their index set is the
-    lexicographically earliest one whose reading word is a reduced word
-    for w.
-
-    Any other letter would lengthen z, and every left descent can be taken
-    with no Bruhat test, because the scan keeps the invariant
-    z <= Dem(unread suffix) in Bruhat order, which says the suffix still
-    holds a reduced word for z.  It holds at the start, as w <= v = Dem(the
-    whole word).  Let a be the next letter, s = Dem(a, rest) and
-    s' = Dem(rest).  If s = s', then z <= s' and, when a is taken,
-    s_a*z < z <= s'.  Otherwise s = s_a*s' > s', and the lifting property
-    (Bjorner-Brenti, Prop. 2.2.7) gives z <= s' when a is not a descent of
-    z, and s_a*z <= s' when it is (apply it to s_a*z < s).  At the end the
-    suffix is empty, so z is the identity.
-
-    The input checks cost O(n^2) in the worst case (the Bruhat test), and
-    the scan walks the (cell, label) pairs of one free-values pass over v,
-    O(n log n) plus O(1) per letter, stopping once z is the identity.
+    """The northeast-most reduced pipe set for (v, w) as a subset of D(v),
+    in reading order: the lexicographically earliest index set whose
+    reading word is a reduced word for w.  A view of d_top's one scan
+    (skew._ne_scan, proved in d_top's docstring), its pluses mapped back
+    from the region to D(v); d_top's memo is left alone.  Raises
+    ValidationError unless w <= v are 321-avoiding of one size.
 
     >>> from .perm import Permutation
     >>> d_ne(Permutation((2, 4, 1, 3)), Permutation((1, 3, 2, 4)))
     ((2, 1),)
     """
-    check_pair(v, w)
-
-    zinv = [0, *w.inverse().word]  # z^-1 as a 1-indexed word (entry 0 unused)
-    zlen = coxeter_length(w)
-    chosen: list[Cell] = []
-    for cell, a in _reading_cells(v):
-        if zlen == 0:
-            break
-        if zinv[a] > zinv[a + 1]:  # a + 1 precedes a in z: a left descent
-            zinv[a], zinv[a + 1] = zinv[a + 1], zinv[a]
-            zlen -= 1
-            chosen.append(cell)
-    if zlen != 0:
-        raise InternalError("greedy subword search failed to reach w")
-    return tuple(chosen)
+    pluses = _ne_scan(v, w)[1]
+    rows, cols = _lines(v.word)
+    return tuple((rows[r - 1], cols[c - 1]) for r, c in pluses)

@@ -14,8 +14,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import InternalError, ValidationError
-from .perm import Cell, Permutation, _free_values, is_321_avoiding
-from .pipes import d_ne
+from .perm import Cell, Permutation, _free_values, check_avoiding, identity
 
 
 @dataclass(frozen=True)
@@ -79,23 +78,14 @@ class CellMaps:
         return frozenset(self.forward[c] for c in cells)
 
 
-def _compression(word: tuple[int, ...]) -> tuple[SkewRegion, list, dict, dict]:
-    """compress's region, the nonempty rows of D(v) as (i, columns), and the
-    row and column maps, for a 321-avoiding word v.  Column j of D(v) is
-    nonempty exactly when j lies below an earlier value of v, so one
-    free-values pass gives it all: O(n log n), the rows being list slices.
-    A 321 would end in two of them, so in v they already increase."""
-    rows = [(i, free[:k]) for i, (k, free) in enumerate(_free_values(word), 1) if k]
-    rmap = {i: r for r, (i, _) in enumerate(rows, 1)}
-    nonempty = [x for x, top in zip(word, accumulate(word, max)) if x < top]
-    cmap = {c: k for k, c in enumerate(nonempty, 1)}
-    intervals = []
-    for r, (_, cols) in enumerate(rows, 1):
-        first, last = cmap[cols[0]], cmap[cols[-1]]
-        if last - first + 1 != len(cols):
-            raise InternalError(f"compressed row {r} is not contiguous")
-        intervals.append((first, last))
-    return SkewRegion(tuple(intervals)), rows, rmap, cmap
+def _lines(word: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The nonempty rows of D(v), those i with v(i) above a later value, and
+    its nonempty columns, the values below an earlier one (increasing, as a
+    321 would end in two): row r and column c of compress(v)'s region."""
+    lows = list(accumulate(reversed(word), min))[::-1]
+    rows = [i for i, (x, low) in enumerate(zip(word, lows), 1) if x > low]
+    cols = [x for x, top in zip(word, accumulate(word, max)) if x < top]
+    return rows, cols
 
 
 def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
@@ -105,34 +95,76 @@ def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
     case in which the compressed diagram is a valid skew region.  Rows stay
     contiguous: if row i has cells in columns j1 < j3 but not in a nonempty
     column j2 between them, then v^-1(j2) < i, some row k < v^-1(j2) has
-    v(k) > j2, and k < v^-1(j2) < v^-1(j1) is a 321.  The region and the
-    row and column maps come from _compression's one free-values pass,
-    O(n log n); the cell maps add O(ell(v)).
+    v(k) > j2, and k < v^-1(j2) < v^-1(j1) is a 321.  The region comes
+    from _ne_scan with w = id, O(n log n); the cell maps add O(ell(v)).
     """
-    if not is_321_avoiding(v):
-        raise ValidationError(f"{v.word} is not 321-avoiding")
-    region, rows, rmap, cmap = _compression(v.word)
-    forward = {(i, j): (rmap[i], cmap[j]) for i, cols in rows for j in cols}
+    region = SkewRegion(tuple(_ne_scan(v, identity(v.n))[0]))
+    lines, cols = _lines(v.word)
+    forward = {(lines[r - 1], cols[c - 1]): (r, c) for r, c in region.cells()}
     backward = {img: src for src, img in forward.items()}
     return region, CellMaps(forward, backward)
 
 
+def _ne_scan(v: Permutation, w: Permutation) -> tuple[list[tuple[int, int]], list[Cell]]:
+    """compress(v)'s row intervals and d_top's pluses: d_top's one scan."""
+    check_avoiding(v, w)
+    zinv = [0] * (v.n + 1)  # z^-1 as a 1-indexed word (entry 0 unused); z = w at the start
+    for p, x in enumerate(w.word, 1):
+        zinv[x] = p
+    rows, pluses = [], []
+    top = low = placed = 0  # running maximum, last value below it, nonempty columns so far
+    for i, (x, (k, free)) in enumerate(zip(v.word, _free_values(v.word)), 1):
+        if k:
+            if low > free[0]:
+                raise InternalError(f"compressed row {len(rows) + 1} is not contiguous")
+            rows.append((first := placed + 1, placed + k))
+            r = len(rows)
+            for a in range(i + k - 1, i - 1, -1):  # right to left; column free[a - i] has label a
+                if zinv[a] > zinv[a + 1]:  # a + 1 precedes a in z: a left descent
+                    zinv[a], zinv[a + 1] = zinv[a + 1], zinv[a]
+                    pluses.append((r, a - i + first))
+        if x > top:
+            top = x
+        else:
+            low, placed = x, placed + 1
+    if zinv != list(range(v.n + 1)):
+        raise ValidationError(f"{w.word} is not below {v.word} in Bruhat order")
+    return rows, pluses
+
+
 @lru_cache(maxsize=1)
 def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
-    """Compressed image of the northeast-most reduced pipe set, on
+    """Compressed image of the northeast-most reduced pipe set on
     compress(v)'s region, shared by the zip route and the closure oracle.
-    d_ne checks the pair, v included, and _compression's row and column
-    maps place the ell(w) pluses, with no ell(v)-sized cell maps.  Every
-    repeat lookup is the oracle certifying the pair that zip_result has
-    just built: 1 of 2 lookups in `klreg pair --oracle`, 50 of 100 in a
-    50-sample `klreg sweep`.  One entry serves them all and spares a second
-    d_ne, which is worth it: on the 105 seed-7 sweep ops of bench's certify
-    workload an uncached d_top takes 6.8 ms, the three degree routes 51.3 ms
-    (13%; Python 3.11, 2-core Xeon VM).  A larger memo would only keep old
-    pairs' data alive."""
-    pipe_set = d_ne(v, w)
-    region, _, rmap, cmap = _compression(v.word)
-    return PlusDiagram(region, frozenset((rmap[i], cmap[j]) for i, j in pipe_set))
+
+    _ne_scan builds it in one free-values pass over v after the size and
+    pattern checks: O(n log n) plus n list deletes and O(1) per letter, no
+    Bruhat test, inverse Permutation, cell maps or row slices.  Row i's k
+    cells free[:k] fill compressed columns first..first+k-1, first = 1 +
+    the earlier values below the running maximum (the nonempty columns
+    passed; they increase, and one above free[0] would need a 321, an
+    InternalError).  Right to left, column free[t] has label a = i + t,
+    taken exactly when it is a left descent of z = u^-1*w (u the product of
+    the letters taken, z^-1 a plain list); its plus goes to (r, first + t).
+
+    The end test is the Bruhat test: w <= v exactly when z is the identity
+    after the last letter, else ValidationError.  If it is, each taken
+    letter lowered length(z) by one, so the letters taken spell a reduced
+    word of w inside the reading word of D(v), a reduced word of v, and
+    w <= v by the subword property (Bjorner-Brenti, Thm 2.2.2).  Conversely,
+    if w <= v = Dem(the whole word), the scan keeps z <= Dem(unread suffix):
+    with a the next letter, s = Dem(a, rest) and s' = Dem(rest), either
+    s = s', so z <= s' (and s_a*z < z when a is taken), or s = s_a*s' > s',
+    and the lifting property (Bjorner-Brenti, Prop. 2.2.7) gives z <= s'
+    when a is not a descent of z and s_a*z <= s' when it is (apply it to
+    s_a*z < s).  At the end the suffix is empty, so z is the identity.
+
+    The one memo serves the oracle certifying the pair that zip_result has
+    just built (1 of 2 lookups in `klreg pair --oracle`, 50 of 100 in a
+    50-sample `sweep`).  Uncached, d_top takes 2.0 ms on bench's 105 seed-7
+    certify sweep ops, the three routes 27.0 ms (7%; 2-core Xeon, Py 3.11)."""
+    rows, pluses = _ne_scan(v, w)
+    return PlusDiagram(SkewRegion(tuple(rows)), frozenset(pluses))
 
 
 def can_move(region: SkewRegion, pluses, b: Cell) -> bool:

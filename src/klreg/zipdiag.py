@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
-from .errors import InternalError, ValidationError
+from .errors import DEFAULT_BUDGET, InternalError, ResourceError, ValidationError
 from .perm import Cell, Permutation, check_pair
 from .skew import PlusDiagram, SkewRegion, can_move, d_top
 
@@ -190,11 +190,10 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
 
     The record holds both lengths, so none is recomputed: compress(v) maps
     the cells of D(v) one to one onto the region, so |region| = #D(v) =
-    length(v); d_ne takes a letter exactly when the remainder's length
-    drops by one and raises InternalError unless it reaches 0, so it takes
-    length(w) cells, and the compression map keeps them distinct:
-    |d_top| = length(w).  The pair is validated once, by d_ne's check_pair
-    inside d_top; nothing after it checks v or w again."""
+    length(v); d_top's scan takes a letter exactly when the remainder's
+    length drops by one, and it ends at the identity, so |d_top| =
+    length(w).  The pair is validated once, inside d_top; nothing after it
+    checks v or w again."""
     top = d_top(v, w)
     region = top.region
     comps = components(top)
@@ -280,13 +279,14 @@ def _column_leq(y: tuple[int, ...], u: tuple[int, ...], a: int) -> bool:
     criterion, one pass over both words."""
     gap = 0
     for x, z in zip(y, u):
-        gap += (x <= a) - (z <= a)
-        if gap < 0:
-            return False
+        if x != z:  # equal values add 0
+            gap += (x <= a) - (z <= a)
+            if gap < 0:
+                return False
     return True
 
 
-def groth_degree_recursive(v: Permutation, w: Permutation) -> int:
+def groth_degree_recursive(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET) -> int:
     """The degree again, via the peel-off recurrence on the northeast box.
 
     z is the northmost-then-eastmost plus of the top diagram and z' the
@@ -298,13 +298,13 @@ def groth_degree_recursive(v: Permutation, w: Permutation) -> int:
     Compression keeps the (row, -column) order, so z' is the first cell of
     v's reading order: row i, the first with v(i) != i, whose label is
     a = i + c_i - 1 = v(i) - 1.  z = z' exactly when a is a left descent of
-    w, since d_ne takes a letter exactly when it is a left descent of the
-    remainder.  Both branches delete z', so the letters peeled off v are its
-    reading word whatever w is (checked on all 321-avoiding v of S_1..S_8),
-    and the recurrence is one forward pass over them.  A level maps each
+    w, since d_top's scan takes a letter exactly when it is a left descent
+    of the remainder.  Both branches delete z', so the letters peeled off v
+    are its reading word whatever w is (checked on all 321-avoiding v of
+    S_1..S_8), and the recurrence is one forward pass over them.  A level maps each
     remainder of w to the most letters taken to reach it; a remainder that
     reaches the identity leaves with its count, and the degree is the
-    largest.  The lifting-property lemma in d_ne's docstring, applied to
+    largest.  The lifting-property lemma in d_top's docstring, applied to
     this first letter (v = s_a*Dem(rest) is reduced, so s_a*v < v), keeps
     the remainder each case names below the rest of v (an InternalError if
     it is not); the absorbed copy is dropped when it is not.  Left descents
@@ -320,14 +320,21 @@ def groth_degree_recursive(v: Permutation, w: Permutation) -> int:
     for j != a, rank_y(i, j) = rank_z(i, j) >= rank_u(i, j) = rank_u'(i, j).
     Hence y <= u' exactly when rank_y(i, a) >= rank_u'(i, a) for every i,
     one O(n) pass per branch in place of a whole Bruhat test.
+
+    The remainders past each level's first (one per level is an
+    O(n*length(v)) chain, the rest exponential branching) count against
+    `budget`, summed over the levels; past it, a ResourceError.
     """
     check_pair(v, w)
     identity_word = tuple(range(1, v.n + 1))
-    best, vw, level = 0, v.word, {w.word: 0}  # remainder of w -> letters taken
+    best, vw, level, spent = 0, v.word, {w.word: 0}, 0  # level: remainder of w -> letters taken
     while True:
         best = max(best, level.pop(identity_word, 0))
         if not level:
             return best
+        spent += len(level) - 1
+        if spent > budget:
+            raise ResourceError(f"recurrence budget {budget} exceeded", partial={"remainders": spent})
         i = next(i for i, x in enumerate(vw) if x != i + 1)
         a = vw[i] - 1  # the first reading letter of what is left of v
         vw = _swap(vw, i, vw.index(a, i))

@@ -21,7 +21,7 @@ from collections import Counter
 
 from klreg import ladder
 from klreg.errors import ValidationError
-from klreg.skew import _compression
+from klreg.skew import compress
 
 from knowndata import all_boards, rank_envelope_perm
 
@@ -47,7 +47,7 @@ def main() -> int:
         except ValidationError as exc:
             counts[f"perm_of rejects: {str(exc).split(' rank(')[0]}"] += 1
         else:
-            if _compression(v.word)[0] != board.region:
+            if compress(v)[0] != board.region:
                 counts["region mismatches"] += 1
             if ladder.validate_minimal(board).passed:
                 counts["minimal and accepted"] += 1

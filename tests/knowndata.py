@@ -18,6 +18,11 @@ from klreg.skew import PlusDiagram, can_move
 from klreg.zipdiag import minimizing_diag, zip_result
 
 
+def inverse_word(u: Permutation) -> tuple[int, ...]:
+    """u^-1 in one-line notation (the reference loops' inverse)."""
+    return tuple(sorted(range(1, u.n + 1), key=lambda i: u.word[i - 1]))
+
+
 def left_mult_s(u: Permutation, i: int) -> Permutation:
     """s_i * u: swap the values i and i+1 (the reference loops' left action)."""
     if not 1 <= i <= u.n - 1:

@@ -109,6 +109,20 @@ def test_resource_exit_reports_partial_counts(capsys, monkeypatch):
     assert json.loads(last) == {"visited": 5, "expanded": 2}
 
 
+def test_recurrence_exit_under_a_small_budget(capsys, monkeypatch):
+    # V10/W10's recurrence keeps 8 remainders past the first of each level
+    argv = ["pair", "--v", json.dumps(list(V10.word)), "--w", json.dumps(list(W10.word)), "--recurrence"]
+    monkeypatch.setenv("KLREG_BUDGET", "7")
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    first, last = err.splitlines()
+    assert first == "budget exhausted: recurrence budget 7 exceeded"
+    assert json.loads(last) == {"remainders": 8}
+    monkeypatch.setenv("KLREG_BUDGET", "8")
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["recurrence_degree"] == zipdiag.groth_degree_recursive(V10, W10)
+
+
 @pytest.mark.parametrize(
     "fault", [KeyError("d_top"), InternalError("the zipped family's blanks are not the slid diagram")]
 )
@@ -207,7 +221,7 @@ def test_each_command_builds_the_construction_once(capsys, monkeypatch, argv):
     # the closure oracle reads the top diagram that the zip route built
     skew.d_top.cache_clear()
     zips = _count_calls(monkeypatch, zipdiag, "components")
-    tops = _count_calls(monkeypatch, skew, "d_ne")
+    tops = _count_calls(monkeypatch, skew, "_ne_scan")
     code, _, _ = run(capsys, argv)
     assert code == 0
     assert (len(zips), len(tops)) == (1, 1)
@@ -328,6 +342,20 @@ def test_sweep_keeps_the_samples_around_an_exhausted_one(capsys, monkeypatch):
     with pytest.raises(ResourceError):
         oracle.max_closure_size(v, w, budget=10)
     assert oracle.max_closure_size(v, w) == zipdiag.groth_degree_recursive(v, w)
+
+
+def test_sweep_lists_a_sample_whose_recurrence_runs_out(capsys, monkeypatch):
+    # the 14th n = 7 sample of seed 0 has a closure of at most 10 diagrams, but its
+    # recurrence keeps 12 remainders past the first of each level
+    monkeypatch.setenv("KLREG_BUDGET", "10")
+    code, out, err = run(capsys, ["sweep", "--n", "7", "--samples", "20", "--seed", "0"])
+    assert code == 4 and err == ""
+    data = json.loads(out)
+    assert data["checked"] == 19 and data["disagreements"] == []
+    (sample,) = data["exhausted"]
+    assert sample["partial"] == {"remainders": 12}
+    v, w = Permutation(tuple(sample["v"])), Permutation(tuple(sample["w"]))
+    assert oracle.max_closure_size(v, w, budget=10) == zipdiag.groth_degree_recursive(v, w)
 
 
 def test_sweep_disagreement_outranks_an_exhausted_sample(capsys, monkeypatch):

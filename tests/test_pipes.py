@@ -13,6 +13,7 @@ from klreg.perm import (
     rothe_diagram,
 )
 from klreg.pipes import _reading_cells, d_ne, reading_word
+from klreg.skew import d_top
 from klreg import oracle
 
 from knowndata import (
@@ -23,6 +24,7 @@ from knowndata import (
     all_321_avoiding,
     delta,
     demazure_product,
+    inverse_word,
     left_mult_s,
 )
 
@@ -59,6 +61,23 @@ def test_d_ne_examples():
         d_ne(Permutation((3, 2, 1)), identity(3))
     with pytest.raises(ValidationError, match=r"\(2, 1, 3\) is not below \(1, 3, 2\) in Bruhat order"):
         d_ne(Permutation((1, 3, 2)), Permutation((2, 1, 3)))
+
+
+def test_d_ne_spells_a_reduced_word_of_w():
+    # multiplied out with perm's primitives, not the scan; d_ne is a view that leaves d_top's memo empty
+    d_top.cache_clear()
+    for n in range(1, 7):
+        perms = all_321_avoiding(n)
+        for v in perms:
+            for w in perms:
+                if bruhat_leq(w, v):
+                    word = reading_word(v, d_ne(v, w))
+                    assert len(word) == coxeter_length(w)
+                    u = identity(n)
+                    for a in word:
+                        u = right_mult_s(u, a)
+                    assert u == w
+    assert d_top.cache_info().currsize == 0
 
 
 def test_d_ne_matches_brute_search_exhaustively():
@@ -125,7 +144,7 @@ def _d_ne_reference(v, w):
     suffix_delta = [identity(v.n)] * (m + 1)
     for k in range(m - 1, -1, -1):
         s, a = suffix_delta[k + 1], letters[k]
-        inv = s.inverse().word
+        inv = inverse_word(s)
         suffix_delta[k] = left_mult_s(s, a) if inv[a - 1] < inv[a] else s
     chosen, rejected = [], []
     u = identity(v.n)
@@ -136,7 +155,7 @@ def _d_ne_reference(v, w):
             break
         if u.word[a - 1] > u.word[a]:
             continue  # u * s_a not longer
-        zinv = z.inverse().word
+        zinv = inverse_word(z)
         if zinv[a - 1] < zinv[a]:
             continue  # s_a * z not shorter: off the geodesic
         znew = left_mult_s(z, a)

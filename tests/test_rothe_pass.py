@@ -18,12 +18,12 @@ from klreg.pipes import _reading_cells, d_ne, reading_word
 from klreg.skew import compress
 from klreg.zipdiag import zip_result
 
-from knowndata import all_321_avoiding, delta
+from knowndata import all_321_avoiding, delta, inverse_word
 
 
 def _rothe_diagram_reference(u):
     """Every cell of the n x n grid tested against the definition."""
-    inv = u.inverse().word
+    inv = inverse_word(u)
     return tuple(
         (i, j)
         for i in range(1, u.n + 1)

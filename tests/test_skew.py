@@ -61,6 +61,20 @@ def test_d_top_examples():
     assert set(comps[0]) == expected_c1
 
 
+def test_d_top_end_test_is_the_bruhat_test():
+    # d_top runs no Bruhat test: its greedy scan ends at the identity exactly when w <= v
+    for n in range(1, 7):
+        perms = all_321_avoiding(n)
+        for v in perms:
+            for w in perms:
+                try:
+                    d_top(v, w)
+                    raised = None
+                except ValidationError as exc:
+                    raised = str(exc)
+                assert raised == (None if bruhat_leq(w, v) else f"{w.word} is not below {v.word} in Bruhat order")
+
+
 def test_d_top_admits_no_reverse_move():
     for n in range(2, 6):
         avoid = all_321_avoiding(n)
