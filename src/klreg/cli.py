@@ -30,7 +30,7 @@ import traceback
 
 from . import ladder as lad
 from . import oracle, zipdiag
-from .errors import ParseError, ResourceError, ValidationError
+from .errors import DEFAULT_BUDGET, ParseError, ResourceError, ValidationError
 from .perm import Permutation
 from .skew import render_diagram
 
@@ -75,7 +75,7 @@ def parse_permutation(text: str) -> Permutation:
 def _budget() -> int:
     env = os.environ.get("KLREG_BUDGET")
     if env is None:
-        return oracle.DEFAULT_BUDGET
+        return DEFAULT_BUDGET
     try:
         budget = int(env)
     except ValueError:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import ResourceError, ValidationError
+from .errors import DEFAULT_BUDGET, ResourceError, ValidationError
 from .ladder import Ladder
-from .oracle import DEFAULT_BUDGET, enumerate_pipes
+from .oracle import enumerate_pipes
 from .perm import Cell, Permutation, bruhat_leq, coxeter_length, rank, rothe_diagram
 
 Monomial = tuple[Cell, ...]  # sorted, repeats allowed

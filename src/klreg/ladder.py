@@ -16,8 +16,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import InternalError, ValidationError
-from .perm import Cell, Permutation, check_pair, from_lehmer_code, rank
-from .skew import SkewRegion
+from .perm import Cell, Permutation, from_lehmer_code, rank
+from .skew import SkewRegion, d_top
 from .zipdiag import ZipResult, zip_result
 
 Point = tuple[float, float]
@@ -264,7 +264,7 @@ def perm_of(ladder: Ladder) -> tuple[Permutation, Permutation]:
     v is cut out by the row-length code of the ladder; w is the Bruhat-least
     permutation under the marked rank caps, built by one sweep over the rows
     (`_least_perm`), and then verified to meet every cap with equality.
-    check_pair then rejects the pair unless it is 321-avoiding and w <= v.
+    d_top's scan then rejects the pair unless it is 321-avoiding and w <= v.
 
     v compresses to the board's region, so a mismatch in `_zipped` is an
     InternalError.  Write l_i, m_i for row i's parts; the code puts l_i - m_i
@@ -291,7 +291,7 @@ def perm_of(ladder: Ladder) -> tuple[Permutation, Permutation]:
     for ((a, b), c), got in zip(cons, counts):
         if got != c:
             raise ValidationError(f"envelope permutation violates rank({a},{b}) = {c}")
-    check_pair(v, w)
+    d_top(v, w)
     return v, w
 
 

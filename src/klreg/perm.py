@@ -1,5 +1,5 @@
-"""Permutations in one-line notation with ranks, Rothe diagrams, Lehmer
-codes, Demazure products, Bruhat order, and pattern checks.
+"""Permutation primitives: one-line words, ranks, Rothe diagrams, Lehmer
+codes, Demazure products, Bruhat order and the 321 test; no pair checks.
 
 Conventions: everything is 1-indexed and uses matrix coordinates, so cell
 (1, 1) is the northwest corner of the n x n grid.
@@ -187,20 +187,4 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
                 if gap[j] < 0:
                     return False
     return True
-
-
-def check_avoiding(v: Permutation, w: Permutation) -> None:
-    """Reject a pair unless v and w are 321-avoiding of one size, in that order."""
-    if v.n != w.n:
-        raise ValidationError("size mismatch")
-    for u in (v, w):
-        if not is_321_avoiding(u):
-            raise ValidationError(f"{u.word} is not 321-avoiding")
-
-
-def check_pair(v: Permutation, w: Permutation) -> None:
-    """check_avoiding, then reject the pair unless w <= v in Bruhat order."""
-    check_avoiding(v, w)
-    if not bruhat_leq(w, v):
-        raise ValidationError(f"{w.word} is not below {v.word} in Bruhat order")
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import InternalError, ValidationError
-from .perm import Cell, Permutation, _free_values, check_avoiding, identity
+from .perm import Cell, Permutation, _free_values, identity, is_321_avoiding
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,13 @@ def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
 
 
 def _ne_scan(v: Permutation, w: Permutation) -> tuple[list[tuple[int, int]], list[Cell]]:
-    """compress(v)'s row intervals and d_top's pluses: d_top's one scan."""
-    check_avoiding(v, w)
+    """compress(v)'s row intervals and d_top's pluses: d_top's one scan and
+    klreg's one pair check (sizes, v then w 321-avoiding, then w <= v)."""
+    if v.n != w.n:
+        raise ValidationError("size mismatch")
+    for u in (v, w):
+        if not is_321_avoiding(u):
+            raise ValidationError(f"{u.word} is not 321-avoiding")
     zinv = [0] * (v.n + 1)  # z^-1 as a 1-indexed word (entry 0 unused); z = w at the start
     for p, x in enumerate(w.word, 1):
         zinv[x] = p
@@ -135,15 +140,14 @@ def _ne_scan(v: Permutation, w: Permutation) -> tuple[list[tuple[int, int]], lis
 @lru_cache(maxsize=1)
 def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
     """Compressed image of the northeast-most reduced pipe set on
-    compress(v)'s region, shared by the zip route and the closure oracle.
+    compress(v)'s region: every route's front end and its pair check.
 
     _ne_scan builds it in one free-values pass over v after the size and
-    pattern checks: O(n log n) plus n list deletes and O(1) per letter, no
-    Bruhat test, inverse Permutation, cell maps or row slices.  Row i's k
-    cells free[:k] fill compressed columns first..first+k-1, first = 1 +
-    the earlier values below the running maximum (the nonempty columns
-    passed; they increase, and one above free[0] would need a 321, an
-    InternalError).  Right to left, column free[t] has label a = i + t,
+    pattern checks: O(n log n) plus n list deletes and O(1) per letter.
+    Row i's k cells free[:k] fill compressed columns first..first+k-1,
+    first = 1 + the earlier values below the running maximum (the nonempty
+    columns passed; they increase, and one above free[0] would need a 321,
+    an InternalError).  Right to left, column free[t] has label a = i + t,
     taken exactly when it is a left descent of z = u^-1*w (u the product of
     the letters taken, z^-1 a plain list); its plus goes to (r, first + t).
 
@@ -159,10 +163,12 @@ def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
     when a is not a descent of z and s_a*z <= s' when it is (apply it to
     s_a*z < s).  At the end the suffix is empty, so z is the identity.
 
-    The one memo serves the oracle certifying the pair that zip_result has
-    just built (1 of 2 lookups in `klreg pair --oracle`, 50 of 100 in a
-    50-sample `sweep`).  Uncached, d_top takes 2.0 ms on bench's 105 seed-7
-    certify sweep ops, the three routes 27.0 ms (7%; 2-core Xeon, Py 3.11)."""
+    The one memo hands the diagram from its first reader to the others on
+    the same pair: 1 hit of 2 lookups in `klreg ladder` (perm_of, then
+    zip_result), 2 of 3 in `klreg pair --oracle --recurrence` and in each
+    `sweep` sample (zip_result, the closure oracle, the recurrence).
+    Uncached, d_top takes 2.0 ms on bench's 105 seed-7 certify sweep ops,
+    the three routes 27.0 ms (7%; 2-core Xeon, Py 3.11)."""
     rows, pluses = _ne_scan(v, w)
     return PlusDiagram(SkewRegion(tuple(rows)), frozenset(pluses))
 

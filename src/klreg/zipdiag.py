@@ -12,7 +12,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .errors import DEFAULT_BUDGET, InternalError, ResourceError, ValidationError
-from .perm import Cell, Permutation, check_pair
+from .perm import Cell, Permutation
 from .skew import PlusDiagram, SkewRegion, can_move, d_top
 
 
@@ -308,13 +308,15 @@ def groth_degree_recursive(v: Permutation, w: Permutation, budget: int = DEFAULT
     this first letter (v = s_a*Dem(rest) is reduced, so s_a*v < v), keeps
     the remainder each case names below the rest of v (an InternalError if
     it is not); the absorbed copy is dropped when it is not.  Left descents
-    keep words 321-avoiding, so only the root is validated.
+    keep words 321-avoiding, so only the root is validated, by d_top's
+    memoized scan, as for the closure oracle: the recurrence certifies the
+    degree, not the pair (test_skew checks the scan against bruhat_leq).
 
     Each branch is tested on one column of the rank criterion for Bruhat
     order (Bjorner-Brenti, Thm 2.1.5: y <= u iff rank_y(i, j) >=
     rank_u(i, j) for all i, j, where rank_u(i, j) = #{k <= i : u(k) <= j}).
     Let u be what is left of v.  Every remainder z of a level lies below u:
-    at the root by check_pair, and later because it passed this test.
+    at the root by d_top's scan, and later because it passed this test.
     Peeling a gives u' = s_a*u, and each branch y is z or s_a*z.  Left multiplication by s_a
     swaps the values a and a+1, which changes rank(i, j) only for j = a, so
     for j != a, rank_y(i, j) = rank_z(i, j) >= rank_u(i, j) = rank_u'(i, j).
@@ -325,7 +327,7 @@ def groth_degree_recursive(v: Permutation, w: Permutation, budget: int = DEFAULT
     O(n*length(v)) chain, the rest exponential branching) count against
     `budget`, summed over the levels; past it, a ResourceError.
     """
-    check_pair(v, w)
+    d_top(v, w)
     identity_word = tuple(range(1, v.n + 1))
     best, vw, level, spent = 0, v.word, {w.word: 0}, 0  # level: remainder of w -> letters taken
     while True:

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from math import comb
 
 import pytest
 
-from klreg import Ladder, cli, oracle, skew, zipdiag
+from klreg import Ladder, cli, ideals, oracle, perm, skew, zipdiag
 from klreg.errors import InternalError, ResourceError
 from klreg.ladder import ladder_from_json, ladder_to_json, perm_of
 from klreg.perm import Permutation, coxeter_length
@@ -214,17 +215,27 @@ def _count_calls(monkeypatch, module, name) -> list:
     [
         ["ladder", "--file", str(LARGE_BOARD), "--oracle"],
         ["pair", "--v", json.dumps(V10.word), "--w", json.dumps(W10.word), "--oracle"],
+        ["pair", "--v", json.dumps(V10.word), "--w", json.dumps(W10.word), "--oracle", "--recurrence"],
+        ["sweep", "--n", "7", "--samples", "5", "--seed", "7"],
     ],
 )
 def test_each_command_builds_the_construction_once(capsys, monkeypatch, argv):
-    # the ladder oracle reads the zip record that the zipped family comes from, and
-    # the closure oracle reads the top diagram that the zip route built
+    # the ladder oracle reads the zip record that the zipped family comes from; perm_of,
+    # zip_result, the closure oracle and the recurrence share one top diagram, whose
+    # scan is the pair's only check
+    pairs = 1
+    if argv[0] == "sweep":  # five distinct draws, so the memo never spans two samples
+        rng = random.Random(7)
+        pairs = len({oracle.random_avoiding_pair(rng, 7) for _ in range(5)})
+        assert pairs == 5
     skew.d_top.cache_clear()
     zips = _count_calls(monkeypatch, zipdiag, "components")
     tops = _count_calls(monkeypatch, skew, "_ne_scan")
+    bruhat = [_count_calls(monkeypatch, module, "bruhat_leq") for module in (perm, oracle, ideals)]
     code, _, _ = run(capsys, argv)
     assert code == 0
-    assert (len(zips), len(tops)) == (1, 1)
+    assert (len(zips), len(tops)) == (pairs, pairs)
+    assert bruhat == [[], [], []]
 
 
 @pytest.mark.parametrize("path", BOARDS, ids=lambda p: f"{p.parent.parent.name}-{p.stem}")

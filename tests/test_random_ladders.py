@@ -35,7 +35,7 @@ from knowndata import random_board_dict
 
 
 # perm_of's messages when the marks admit no exact permutation: the row
-# sweep's verification fails, or check_pair rejects
+# sweep's verification fails, or d_top's scan rejects the pair
 _NO_EXACT_SOLUTION = re.compile(
     r"envelope permutation violates rank"
     r"|\(.*\) is not (321-avoiding|below .* in Bruhat order)"
