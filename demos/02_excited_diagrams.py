@@ -7,7 +7,7 @@ The final count is the degree of the unspecialized Grothendieck
 polynomial: 16 pluses + rooms 1+2+2 and 4+4 = 29.
 """
 
-from klreg import Permutation, minimizing_diag, render_diagram, room, zip_result
+from klreg import Permutation, minimizing_diag, render_diagram, rooms, zip_result
 
 v = Permutation((6, 11, 12, 13, 14, 15, 1, 16, 2, 3, 4, 5, 7, 8, 9, 10))
 w = Permutation((1, 6, 2, 3, 7, 8, 11, 12, 4, 5, 9, 10, 13, 14, 15, 16))
@@ -18,7 +18,7 @@ print(render_diagram(result.d_top))
 print()
 chains = minimizing_diag(result.d_top)
 print("chains (one diagonal per component):", chains)
-print("rooms per chain box:", {b: room(v, w, b) for chain in chains for b in chain})
+print("rooms per chain box:", rooms(v, w))
 print()
 print("slid diagram:")
 print(render_diagram(result.d_zip))

@@ -53,7 +53,7 @@ from .zipdiag import (
     minimizing_diag,
     psi_east,
     regularity,
-    room,
+    rooms,
     zip_result,
 )
 

@@ -45,14 +45,16 @@ class ClosureSet:
         return frozenset(frozenset(d) for d in self.diagrams)
 
 
-def closure(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET, moves: str = "both") -> ClosureSet:
-    """BFS closure of the top diagram under excited moves, and under
-    K-theoretic moves too when moves == "both"."""
+def _closure_states(v: Permutation, w: Permutation, budget: int, moves: str):
+    """The BFS behind closure: every diagram reachable from the top diagram
+    as a bitmask over the region's cells, those cells in bit order, and the
+    number of states expanded.  More than `budget` states visited is a
+    ResourceError."""
     if moves not in ("both", "excited"):
         raise ValidationError("moves must be 'both' or 'excited'")
     top = d_top(v, w)
-    region = top.region
-    cells = region.cells()
+    cells = top.region.cells()
+    inside = top.region.cellset
     index = {c: k for k, c in enumerate(cells)}
 
     transitions = []
@@ -60,13 +62,14 @@ def closure(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET, moves:
         t = (c[0] + 1, c[1] - 1)
         s = (c[0] + 1, c[1])
         west = (c[0], c[1] - 1)
-        if all(x in region for x in (t, s, west)):
+        if t in inside and s in inside and west in inside:
             frame = (1 << index[t]) | (1 << index[s]) | (1 << index[west])
             transitions.append((1 << index[c], frame, 1 << index[t]))
 
     start = 0
     for c in top.pluses:
         start |= 1 << index[c]
+    both = moves == "both"
     seen = {start}
     queue = deque([start])
     expanded = 0
@@ -79,7 +82,7 @@ def closure(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET, moves:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-                if moves == "both":
+                if both:
                     nxt = state | target
                     if nxt not in seen:
                         seen.add(nxt)
@@ -89,9 +92,16 @@ def closure(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET, moves:
                         f"closure budget {budget} exceeded",
                         partial={"visited": len(seen), "expanded": expanded},
                     )
+    return seen, cells, expanded
+
+
+def closure(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET, moves: str = "both") -> ClosureSet:
+    """BFS closure of the top diagram under excited moves, and under
+    K-theoretic moves too when moves == "both"."""
+    seen, cells, expanded = _closure_states(v, w, budget, moves)
 
     def unpack(state: int) -> tuple[Cell, ...]:
-        return tuple(c for c in cells if state >> index[c] & 1)
+        return tuple(c for k, c in enumerate(cells) if state >> k & 1)
 
     diagrams = sorted((unpack(s) for s in seen), key=lambda d: (len(d), d))
     hist = dict(Counter(len(d) for d in diagrams))
@@ -99,8 +109,13 @@ def closure(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET, moves:
 
 
 def max_closure_size(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET) -> int:
-    """Largest diagram cardinality in the full closure: the degree oracle."""
-    return closure(v, w, budget).max_size
+    """Largest diagram cardinality in the full closure: the degree oracle.
+
+    The same BFS as closure, with the same budget, but the answer is read
+    off the bitmask states as their largest popcount: no state is unpacked
+    into cells, and nothing is sorted or counted by size."""
+    seen, _, _ = _closure_states(v, w, budget, "both")
+    return max(s.bit_count() for s in seen)
 
 
 def enumerate_pipes(

@@ -153,7 +153,7 @@ def minimizing_diag(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
 class ZipResult:
     """The degree record of one pair: the compressed region, the top
     diagram, the slid diagram, its K-saturation and the three formulas.
-    The chains are minimizing_diag(d_top) and the rooms are room(v, w, b);
+    The chains are minimizing_diag(d_top) and the rooms are rooms(v, w);
     both are views computed on request, not stored."""
 
     region: SkewRegion
@@ -240,13 +240,14 @@ def d_zip(v: Permutation, w: Permutation) -> PlusDiagram:
     return zip_result(v, w).d_zip
 
 
-def room(v: Permutation, w: Permutation, b: Cell) -> int:
-    """How many anti-diagonal K-steps fit under the chain box b: the length
-    of b's walk on the slid diagram, which zip_result adds to it."""
+def rooms(v: Permutation, w: Permutation) -> dict[Cell, int]:
+    """How many anti-diagonal K-steps fit under each chain box, in chain
+    order: the length of the box's walk on the slid diagram, which
+    zip_result adds to it.  One record and one minimizing_diag serve every
+    box."""
     res = zip_result(v, w)
-    if not any(b in chain for chain in minimizing_diag(res.d_top)):
-        raise ValidationError(f"{b} is not a chain box of the pair")
-    return len(_walk(res.region, res.d_zip.pluses, b))
+    pluses = res.d_zip.pluses
+    return {b: len(_walk(res.region, pluses, b)) for chain in minimizing_diag(res.d_top) for b in chain}
 
 
 def d_zip_k(v: Permutation, w: Permutation) -> PlusDiagram:
@@ -274,11 +275,13 @@ def _swap(word: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
     return word[:p] + (word[q],) + word[p + 1 : q] + (word[p],) + word[q + 1 :]
 
 
-def _column_leq(y: tuple[int, ...], u: tuple[int, ...], a: int) -> bool:
-    """rank_y(i, a) >= rank_u(i, a) for every i: column a of the rank
-    criterion, one pass over both words."""
+def _column_leq(y: tuple[int, ...], u: tuple[int, ...], a: int, i: int, j: int) -> bool:
+    """rank_y(k, a) >= rank_u(k, a) for the prefixes k ending at positions
+    i..j-1 (0-indexed): column a of the rank criterion on the window where
+    it can fail, as groth_degree_recursive's docstring proves, starting
+    from gap 0."""
     gap = 0
-    for x, z in zip(y, u):
+    for x, z in zip(y[i:j], u[i:j]):
         if x != z:  # equal values add 0
             gap += (x <= a) - (z <= a)
             if gap < 0:
@@ -312,16 +315,30 @@ def groth_degree_recursive(v: Permutation, w: Permutation, budget: int = DEFAULT
     memoized scan, as for the closure oracle: the recurrence certifies the
     degree, not the pair (test_skew checks the scan against bruhat_leq).
 
+    Let u be what is left of v, i (0-indexed from here on) its first
+    non-fixed position and j the position of the value a = u(i) - 1; the
+    values before i are 1..i, so a > i and j > i.  Peeling a swaps
+    positions i and j only, so i never moves back: one forward pointer
+    finds it, O(n) over the whole pass.
+
     Each branch is tested on one column of the rank criterion for Bruhat
-    order (Bjorner-Brenti, Thm 2.1.5: y <= u iff rank_y(i, j) >=
-    rank_u(i, j) for all i, j, where rank_u(i, j) = #{k <= i : u(k) <= j}).
-    Let u be what is left of v.  Every remainder z of a level lies below u:
+    order (Bjorner-Brenti, Thm 2.1.5: y <= u iff rank_y(k, c) >=
+    rank_u(k, c) for all k, c, where rank_u(k, c) = #{m <= k : u(m) <= c}),
+    and on one window of it.  Every remainder z of a level lies below u:
     at the root by d_top's scan, and later because it passed this test.
-    Peeling a gives u' = s_a*u, and each branch y is z or s_a*z.  Left multiplication by s_a
-    swaps the values a and a+1, which changes rank(i, j) only for j = a, so
-    for j != a, rank_y(i, j) = rank_z(i, j) >= rank_u(i, j) = rank_u'(i, j).
-    Hence y <= u' exactly when rank_y(i, a) >= rank_u'(i, a) for every i,
-    one O(n) pass per branch in place of a whole Bruhat test.
+    Peeling a gives u' = s_a*u, and each branch y is z or s_a*z, the latter
+    when a is a left descent of z.  Left multiplication by s_a swaps the
+    values a and a+1, which changes rank(k, c) only for c = a, so for
+    c != a, rank_y(k, c) = rank_z(k, c) >= rank_u(k, c) = rank_u'(k, c).
+    Hence y <= u' exactly when rank_y(k, a) >= rank_u'(k, a) for every k.
+    That needs checking only for the prefixes ending at i..j-1.  z <= u
+    and u fixes the positions before i, so z does too (rank_z(k, k) >=
+    rank_u(k, k) = k), and s_a touches neither, as a, a+1 > i: y and u' are
+    both the identity there, and the gap is 0 entering position i.  A
+    prefix ending at j or later holds the same values in u' as in u, so
+    rank_u'(k, a) = rank_u(k, a) <= rank_z(k, a) <= rank_y(k, a), the last
+    step because s_a*z moves a ahead of a+1.  So a branch costs O(j - i),
+    and the two z.index lookups start at i.
 
     The remainders past each level's first (one per level is an
     O(n*length(v)) chain, the rest exponential branching) count against
@@ -329,7 +346,7 @@ def groth_degree_recursive(v: Permutation, w: Permutation, budget: int = DEFAULT
     """
     d_top(v, w)
     identity_word = tuple(range(1, v.n + 1))
-    best, vw, level, spent = 0, v.word, {w.word: 0}, 0  # level: remainder of w -> letters taken
+    best, vw, level, spent, i = 0, v.word, {w.word: 0}, 0, 0  # level: remainder of w -> letters taken
     while True:
         best = max(best, level.pop(identity_word, 0))
         if not level:
@@ -337,18 +354,20 @@ def groth_degree_recursive(v: Permutation, w: Permutation, budget: int = DEFAULT
         spent += len(level) - 1
         if spent > budget:
             raise ResourceError(f"recurrence budget {budget} exceeded", partial={"remainders": spent})
-        i = next(i for i, x in enumerate(vw) if x != i + 1)
+        while vw[i] == i + 1:  # a remainder other than the identity: vw is not it either
+            i += 1
         a = vw[i] - 1  # the first reading letter of what is left of v
-        vw = _swap(vw, i, vw.index(a, i))
+        j = vw.index(a, i)
+        vw = _swap(vw, i, j)
         taken: dict = {}
         for z, count in level.items():
-            p, q = z.index(a + 1), z.index(a)
+            p, q = z.index(a + 1, i), z.index(a, i)
             if p < q:  # a+1 before a: a is a left descent, taken or absorbed
                 branches = ((_swap(z, p, q), count + 1), (z, count + 1))
             else:
                 branches = ((z, count),)
             for k, (y, c) in enumerate(branches):
-                if _column_leq(y, vw, a):
+                if _column_leq(y, vw, a, i, j):
                     taken[y] = max(c, taken.get(y, c))
                 elif k == 0:
                     raise InternalError("a branch the lifting property keeps comparable is not")

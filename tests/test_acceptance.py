@@ -84,7 +84,7 @@ def test_criterion_01_headline_pair_exact_and_fast():
 def test_criterion_02_sixteen_pair_rooms():
     res = zip_result(V16, W16)
     chains = zipdiag.minimizing_diag(res.d_top)
-    rooms = {b: zipdiag.room(V16, W16, b) for chain in chains for b in chain}
+    rooms = zipdiag.rooms(V16, W16)
     sums = tuple(sum(rooms[b] for b in chain) for chain in chains)
     per_box = tuple(tuple(rooms[b] for b in chain) for chain in chains)
     ok = (

@@ -28,6 +28,7 @@ from knowndata import (
     W10,
     W11,
     W_LAD_A,
+    all_321_avoiding,
     delta,
 )
 
@@ -53,6 +54,21 @@ def test_closure_budget():
     with pytest.raises(ResourceError) as err:
         oracle.closure(V10, W10, budget=3)
     assert err.value.partial["visited"] > 3
+
+
+def test_max_closure_size_is_the_closure_max_size():
+    # the popcount over the bitmask states reads the same degree as the
+    # unpacked closure, and runs out of budget at the same point
+    groups = [all_321_avoiding(n) for n in range(1, 7)]
+    pairs = [(v, w) for group in groups for v in group for w in group if bruhat_leq(w, v)]
+    for v, w in [*pairs, (V10, W10), (V11, W11)]:
+        assert oracle.max_closure_size(v, w) == oracle.closure(v, w).max_size, (v, w)
+    errors = []
+    for route in (oracle.closure, oracle.max_closure_size):
+        with pytest.raises(ResourceError) as err:
+            route(V10, W10, budget=3)
+        errors.append((str(err.value), err.value.partial))
+    assert errors[0] == errors[1] == ("closure budget 3 exceeded", {"expanded": 2, "visited": 5})
 
 
 def test_closure_slice_equals_excited_closure():

@@ -29,7 +29,7 @@ from klreg.zipdiag import (
     minimizing_diag,
     psi_east,
     regularity,
-    room,
+    rooms,
     zip_result,
 )
 
@@ -238,12 +238,13 @@ def test_d_zip_examples():
 
 
 def test_room_examples():
-    for b, expected in ROOMS_16.items():
-        assert room(V16, W16, b) == expected
+    got = rooms(V16, W16)
+    assert got == ROOMS_16
+    chains = minimizing_diag(zip_result(V16, W16).d_top)
+    assert list(got) == [b for chain in chains for b in chain]  # chain order
     # a chain box against the region's west wall has no room at all
-    assert room(V10, W10, (1, 1)) == 0
-    with pytest.raises(ValidationError, match=r"\(9, 9\) is not a chain box of the pair"):
-        room(V16, W16, (9, 9))
+    assert rooms(V10, W10)[(1, 1)] == 0
+    assert (9, 9) not in got  # not a chain box of the pair
 
 
 def test_d_zip_k_examples():
@@ -437,9 +438,10 @@ def test_recursive_degree_rejects_bad_roots():
 
 
 def test_column_test_is_bruhat_order_after_one_peel():
-    # the lemma in groth_degree_recursive's docstring: for z <= u and a with
-    # a+1 before a in u, column a of the rank criterion decides y <= s_a*u
-    # for y = z, and for y = s_a*z when a is also a left descent of z
+    # the lemma in groth_degree_recursive's docstring: with i the first
+    # non-fixed position of u, a = u(i) - 1 at position j and z <= u, column
+    # a of the rank criterion on the prefixes ending at i..j-1 decides
+    # y <= s_a*u for y = z, and for y = s_a*z when a is a left descent of z
     def left_mult(u, a):  # s_a*u: swap the values a and a+1
         return Permutation(tuple({a: a + 1, a + 1: a}.get(x, x) for x in u.word))
 
@@ -447,17 +449,20 @@ def test_column_test_is_bruhat_order_after_one_peel():
     outcomes = {True: 0, False: 0}
     for group in [*groups, all_321_avoiding(6)]:
         for u in group:
-            below = [z for z in group if bruhat_leq(z, u)]
-            for a in range(1, u.n):
-                if u.word.index(a + 1) > u.word.index(a):
+            if u == identity(u.n):
+                continue
+            i = next(i for i, x in enumerate(u.word) if x != i + 1)
+            a = u.word[i] - 1
+            j = u.word.index(a, i)
+            peeled = left_mult(u, a)
+            for z in group:
+                if not bruhat_leq(z, u):
                     continue
-                peeled = left_mult(u, a)
-                for z in below:
-                    ys = [z, left_mult(z, a)] if z.word.index(a + 1) < z.word.index(a) else [z]
-                    for y in ys:
-                        expected = bruhat_leq(y, peeled)
-                        assert _column_leq(y.word, peeled.word, a) == expected, (y, u, a)
-                        outcomes[expected] += 1
+                ys = [z, left_mult(z, a)] if z.word.index(a + 1) < z.word.index(a) else [z]
+                for y in ys:
+                    expected = bruhat_leq(y, peeled)
+                    assert _column_leq(y.word, peeled.word, a, i, j) == expected, (y, u, a)
+                    outcomes[expected] += 1
     assert min(outcomes.values()) > 0
 
 
@@ -471,7 +476,7 @@ def test_zip_result_bundle():
     res = zip_result(V16, W16)
     assert res.degree == 29 and res.regularity == 13 and res.a_invariant == -29
     assert res.d_zip.pluses <= res.d_zip_k.pluses
-    assert {b: room(V16, W16, b) for chain in minimizing_diag(res.d_top) for b in chain} == ROOMS_16
+    assert rooms(V16, W16) == ROOMS_16
     assert res.d_zip.size() == coxeter_length(W16)
 
 
