@@ -51,7 +51,6 @@ from .zipdiag import (
     groth_degree_recursive,
     max_diag,
     minimizing_diag,
-    psi_east,
     regularity,
     rooms,
     zip_result,

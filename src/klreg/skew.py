@@ -167,8 +167,8 @@ def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
     the same pair: 1 hit of 2 lookups in `klreg ladder` (perm_of, then
     zip_result), 2 of 3 in `klreg pair --oracle --recurrence` and in each
     `sweep` sample (zip_result, the closure oracle, the recurrence).
-    Uncached, d_top takes 2.0 ms on bench's 105 seed-7 certify sweep ops,
-    the three routes 17.7 ms with it warm (11%; 2-core Xeon, Py 3.11)."""
+    Uncached, d_top takes 3.2 ms on bench's 105 seed-7 certify sweep ops,
+    the three routes 19.0 ms with it warm (17%; 2-core Xeon, Py 3.11)."""
     rows, pluses = _ne_scan(v, w)
     return PlusDiagram(SkewRegion(tuple(rows)), frozenset(pluses))
 

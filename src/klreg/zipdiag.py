@@ -6,12 +6,12 @@ with an independent degree recurrence.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
-from .errors import DEFAULT_BUDGET, InternalError, ResourceError, ValidationError
+from .errors import DEFAULT_BUDGET, InternalError, ResourceError
 from .perm import Cell, Permutation
 from .skew import PlusDiagram, SkewRegion, can_move, d_top
 
@@ -42,51 +42,56 @@ def components(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
     return tuple(comps)
 
 
-def psi_east(component: tuple[Cell, ...], b: Cell) -> Cell:
-    """(b(1), c') where c' is the largest column of the component in row b(1).
-    The component is sorted row-major, as components returns it: O(log c)."""
-    k = bisect_left(component, b)
-    if component[k : k + 1] != (b,):
-        raise ValidationError(f"{b} is not in the component")
-    return component[bisect_left(component, (b[0] + 1,), k) - 1]
-
-
-def _chain_lengths(cells, ends) -> dict[Cell, int]:
-    """For each cell of `cells` (sorted row-major), the longest chain from it
-    to a cell of `ends` (0 if none).  One sweep of the rows from the south;
-    below[x] is the longest chain from a swept row at column lo + x or east."""
-    lo = min(j for _, j in cells)
-    below = [0] * (max(j for _, j in cells) - lo + 2)
-    length = {}
-    for _, row in groupby(reversed(cells), key=itemgetter(0)):
-        row = list(row)  # east to west
-        for c in row:
-            longest = below[c[1] - lo + 1]
-            length[c] = longest + 1 if longest else int(c in ends)
-        for c in row:
-            below[c[1] - lo] = max(below[c[1] - lo], length[c])
-        for x in range(row[0][1] - lo - 1, -1, -1):
-            below[x] = max(below[x], below[x + 1])
-    return length
-
-
-def _first_chain(cells, ends) -> tuple[Cell, ...]:
-    """max_diag's walk over the maximal chains of `cells` that end in `ends`."""
-    length = _chain_lengths(cells, ends)
-    by_length: dict[int, list[Cell]] = {}
-    col_rows: dict[int, list[int]] = {}
-    for c in sorted(cells, key=itemgetter(1)):  # stable: column-major
-        by_length.setdefault(length[c], []).append(c)
-        col_rows.setdefault(c[1], []).append(c[0])
-    cols = []
-    last = (0, 0)
-    for need in range(max(length.values()), 0, -1):
-        last = next(c for c in by_length[need] if c[0] > last[0] and c[1] > last[1])
-        cols.append(last[1])
-    rows = [max(i for i in col_rows[cols[-1]] if (i, cols[-1]) in ends)]
-    for j in reversed(cols[:-1]):
-        rows.append(col_rows[j][bisect_left(col_rows[j], rows[-1]) - 1])
-    return tuple(zip(reversed(rows), cols))
+def _chain(component, levels=()) -> tuple[Cell, ...]:
+    """max_diag's chain of `component` (sorted row-major) or, with the sorted
+    `levels` taken, minimizing_diag's; their docstrings give the rule."""
+    rows = [(i, [j for _, j in cells]) for i, cells in groupby(component, key=itemgetter(0))]
+    lo = min(cols[0] for _, cols in rows)
+    width = max(cols[-1] for _, cols in rows) - lo + 1
+    before = [0] * width  # before[x]: the longest chain ending in a swept row west of column lo + x
+    east = []  # the longest chain ending at each row's east end, which is the row's longest
+    for _, cols in rows:
+        ending = [before[j - lo] + 1 for j in cols]
+        east.append(ending[-1])
+        for j, n in zip(reversed(cols), reversed(ending)):
+            x = j - lo + 1
+            while x < width and before[x] < n:
+                before[x] = n
+                x += 1
+    top = max(east)
+    score = {k: bisect_right(levels, i + cols[-1] + 1) for k, (i, cols) in enumerate(rows) if east[k] == top}
+    least = min(score.values())
+    # after[x]: the longest chain to a least-scored row from a swept row at column lo + x or east
+    after = [0] * (width + 1)
+    lengths: list = [None] * len(rows)
+    for k in range(len(rows) - 1, -1, -1):
+        end, cols = int(score.get(k) == least), rows[k][1]
+        lengths[k] = [after[j - lo + 1] + 1 if after[j - lo + 1] else end for j in cols]
+        for j, n in zip(cols, lengths[k]):
+            x = j - lo
+            while x >= 0 and after[x] < n:
+                after[x] = n
+                x -= 1
+    picked, start, west = [], 0, lo - 1  # the columns taken; the next box is in rows[start:], east of west
+    for need in range(top, 0, -1):
+        best = (0, width + lo)
+        for k in range(start, len(rows)):
+            cols = rows[k][1]
+            x = bisect_right(cols, west)
+            if x < len(cols) and cols[x] < best[1] and lengths[k][x] == need:
+                best = (k, cols[x])
+                if cols[x] == west + 1:  # no row further south has a smaller column
+                    break
+        start, west = best[0] + 1, best[1]
+        picked.append(west)
+    chain: list[Cell] = []
+    k = len(rows)
+    for j in reversed(picked):
+        k -= 1
+        while j not in rows[k][1] or not (chain or score.get(k) == least):
+            k -= 1
+        chain.append((rows[k][0], j))
+    return tuple(reversed(chain))
 
 
 def max_diag(component: tuple[Cell, ...]) -> tuple[Cell, ...]:
@@ -94,42 +99,47 @@ def max_diag(component: tuple[Cell, ...]) -> tuple[Cell, ...]:
     longest chains strictly increasing in row and column, the one with the
     smallest column tuple and then the largest row tuple.
 
-    Found without listing chains (a k x 2k block has C(2k, k)).  A sweep
-    of the rows from the south, with a running maximum per column, gives
-    the longest chain from each cell.  Each step then takes the smallest
-    column that still starts a chain of the needed length, and in it the
-    smallest such row, whose continuations include those of every row
+    Found without listing chains (a k x 2k block has C(2k, k)), row by
+    row.  A pass from the north keeps `before`, the longest chain ending in
+    a swept row west of each column; a pass from the south keeps `after`,
+    the longest chain from a swept row at each column or east of it.  Four
+    monotonicity facts let each step stop early:
+    (1) `before` never decreases eastward and (2) `after` never increases
+    eastward, so a cell's update stops at the first entry already at its
+    length;
+    (3) along a row, the longest chain ending at a cell never decreases
+    eastward (its predecessor is northwest of every cell east of it too),
+    so a row's east end holds the row's longest;
+    (4) along a row, the longest chain from a cell never increases eastward
+    (the same argument mirrored), so the walk bisects each row to the first
+    column past the last box and reads one length there, and a row whose
+    first column there is next to the last box's ends the step.
+    The walk takes, for each length from the longest down to 1, the least
+    (column, row) cell of that length strictly southeast of the last box:
+    the smallest column that still starts a chain of the needed length, and
+    in it the smallest row, whose continuations include those of every row
     south of it.  With the columns fixed, each box moves south, last to
     first, to the largest row of its column north of the next box: the
     pointwise, so lexicographic, maximum of the row tuple.  On a component
     sorted row-major, as components returns it, with c cells in r rows
-    spanning s columns: O(c + r*s) for the sweep, O(c log c) for the walk.
+    spanning s columns and longest chain t: O(c + s*t) for the passes (an
+    entry rises at most t times), O(t*r*log s) for the walk, O(c) for the
+    lift.
 
     >>> max_diag(((1, 1), (2, 1), (3, 2)))
     ((2, 1), (3, 2))
     """
-    return _first_chain(component, frozenset(component))
+    return _chain(component)
 
 
 def _minimizing_diag(comps) -> tuple[tuple[Cell, ...], ...]:
     chains = []
-    levels: list[int] = []  # the distinct levels taken so far, sorted
+    levels: list[int] = []  # the levels taken so far, sorted, repeats kept
     for comp in reversed(comps):
-        if len(comp) == 1:
-            chain = comp
-        else:
-            mirrored = [(-i, -j) for i, j in reversed(comp)]  # row-major again
-            ending = _chain_lengths(mirrored, frozenset(mirrored))  # longest chain ending at each cell
-            top = max(ending.values())
-            score = {}  # badness of each row in which a maximal chain ends
-            for (i, j), n in ending.items():
-                if n == top and -i not in score:
-                    last = psi_east(comp, (-i, -j))
-                    score[-i] = bisect_right(levels, last[0] + last[1] + 1)
-            least = min(score.values())
-            chain = _first_chain(comp, frozenset(c for c in comp if score.get(c[0]) == least))
+        chain = comp if len(comp) == 1 else _chain(comp, levels)
         chains.append(chain)
-        levels = sorted(set(levels).union(i + j for i, j in chain))
+        for i, j in chain:
+            insort(levels, i + j)
     return tuple(reversed(chains))
 
 
@@ -138,13 +148,22 @@ def minimizing_diag(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
     that each minimizes the overlap of the anti-diagonal levels below its
     eastmost endpoint with the levels already taken by later components;
     ties go to the westmost-then-southmost chain.  The overlap depends only
-    on the row of the chain's last box (through psi_east), so a
-    longest-chain sweep from the southeast finds the rows where a maximal
-    chain ends, each is scored once, and the max_diag walk runs on the
-    chains ending in a least-scored row; a one-cell component is its own
-    chain.  Per component of c cells in r rows spanning s columns, with L
-    levels taken: O(c log c + r*s) for the sweep and the walk, O(log c +
-    log L) per scored row (bisections), O(L log L) to add the chain's levels.
+    on the row of the chain's last box, through that row's east end, so
+    the pass from the north finds the rows where a longest chain ends (by
+    max_diag's fact (3), those whose east end does), each is scored once,
+    and the pass from the south and max_diag's walk run on the chains
+    ending in a least-scored row.  Lengths to a set of whole rows keep
+    max_diag's four facts, so every early stop holds; with no levels every
+    such row scores 0, and the chain is max_diag's.  A row's score counts
+    the levels up to its reach i + c' + 1, (i, c') its east end, so the
+    least-scored rows are those with no level taken between the least
+    reach and theirs: a level taken twice changes no choice, and the
+    levels are one sorted list that gains each chain's levels by
+    bisection, repeats kept.  A one-cell component is its own chain.  Per
+    component of c cells in r rows spanning s columns with longest chain
+    t, and L levels taken: O(c + s*t + t*r*log s) as for max_diag,
+    O(log L) per scored row and O(t*L) at worst to insert the chain's
+    levels.
     """
     return _minimizing_diag(components(diagram))
 

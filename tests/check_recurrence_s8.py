@@ -5,8 +5,10 @@ Python 3.11).
 Over every comparable pair w <= v of 321-avoiding permutations of S_8
 (1,430 permutations, 221,997 pairs) it prints the pair count, a sha256 of
 every repr((v.word, w.word, recurrence degree)), the number of pairs on
-which the zip degree is below the recurrence's, and how many of those have
-a Grassmannian v.  Exits 1 if the zip degree is above the recurrence's
+which the zip degree is below the recurrence's, how many of those have a
+Grassmannian v, and a sha256 of every repr((v.word, w.word,
+minimizing_diag(d_top(v, w)))), which pins the chains the zip route
+slides along.  Exits 1 if the zip degree is above the recurrence's
 anywhere, which no under-count can explain.
 
 Run from the root of a checkout:
@@ -17,14 +19,14 @@ import hashlib
 import sys
 
 from klreg.perm import bruhat_leq
-from klreg.zipdiag import groth_degree_recursive, zip_result
+from klreg.zipdiag import groth_degree_recursive, minimizing_diag, zip_result
 
 from knowndata import all_321_avoiding, is_grassmannian
 
 
 def main() -> int:
     avoid = all_321_avoiding(8)
-    digest = hashlib.sha256()
+    digest, chains = hashlib.sha256(), hashlib.sha256()
     pairs = below = below_grassmannian = above = 0
     for v in avoid:
         for w in avoid:
@@ -32,8 +34,10 @@ def main() -> int:
                 continue
             pairs += 1
             by_rec = groth_degree_recursive(v, w)
-            by_zip = zip_result(v, w).degree
+            res = zip_result(v, w)
+            by_zip = res.degree
             digest.update(repr((v.word, w.word, by_rec)).encode())
+            chains.update(repr((v.word, w.word, minimizing_diag(res.d_top))).encode())
             if by_zip < by_rec:
                 below += 1
                 below_grassmannian += is_grassmannian(v)
@@ -44,6 +48,7 @@ def main() -> int:
     print(f"zip below recurrence: {below}")
     print(f"  of them with a Grassmannian v: {below_grassmannian}")
     print(f"zip above recurrence: {above}")
+    print(f"sha256 of (v, w, minimizing_diag of the top diagram): {chains.hexdigest()}")
     return int(above > 0)
 
 

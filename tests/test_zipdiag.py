@@ -1,5 +1,6 @@
 import hashlib
 import random
+from bisect import bisect_left
 from itertools import permutations
 
 import pytest
@@ -27,7 +28,6 @@ from klreg.zipdiag import (
     groth_degree_recursive,
     max_diag,
     minimizing_diag,
-    psi_east,
     regularity,
     rooms,
     zip_result,
@@ -69,6 +69,16 @@ def test_components_examples():
     assert components(PlusDiagram(top16.region, frozenset())) == ()
     top10 = d_top(V10, W10)
     assert len(components(top10)) == 2  # a row block and a hook below it
+
+
+def psi_east(component, b):
+    """(b(1), c') where c' is the largest column of the component in row
+    b(1), the east end whose level _minimizing_diag_reference scores.  The
+    component is sorted row-major, as components returns it: O(log c)."""
+    k = bisect_left(component, b)
+    if component[k : k + 1] != (b,):
+        raise ValidationError(f"{b} is not in the component")
+    return component[bisect_left(component, (b[0] + 1,), k) - 1]
 
 
 def test_psi_east():
@@ -196,13 +206,36 @@ def test_minimizing_diag_matches_enumeration_on_random_pairs():
     assert tie_breaks >= 10
 
 
+def test_diagonals_match_enumeration_on_small_groups():
+    # every comparable pair of S_1..S_6 against the maximal-chain
+    # enumeration, which is the definition; the S_7 digest pins the chains
+    # only to an earlier construction
+    pairs = 0
+    for n in range(1, 7):
+        avoid = all_321_avoiding(n)
+        for v in avoid:
+            for w in avoid:
+                if bruhat_leq(w, v):
+                    pairs += n == 6
+                    top = d_top(v, w)
+                    comps = components(top)
+                    assert minimizing_diag(top) == _minimizing_diag_reference(top)
+                    assert [max_diag(c) for c in comps] == [_max_diag_reference(c) for c in comps]
+    assert pairs == 3285
+
+
 def test_rectangular_grassmannian_at_k20():
-    # One 20 x 40 component with C(60, 20), about 4.2e15, maximal chains.
+    # One 20 x 40 component, and its 40 x 20 transpose, each with C(60, 20),
+    # about 4.2e15, maximal chains.
+    # The chain of an r x c rectangle, t = min(r, c), is ((r - t + i, i)
+    # for i = 1..t): the westmost columns, then the southmost rows.
     k, m = 20, 40
-    v = Permutation(tuple(range(m + 1, m + k + 1)) + tuple(range(1, m + 1)))
-    res = zip_result(v, v)
-    assert (res.degree, res.regularity, res.a_invariant) == (k * m, 0, 0)
-    assert [len(chain) for chain in minimizing_diag(res.d_top)] == [k]
+    for r, c in ((k, m), (m, k)):
+        v = Permutation(tuple(range(c + 1, c + r + 1)) + tuple(range(1, c + 1)))
+        res = zip_result(v, v)
+        assert (res.degree, res.regularity, res.a_invariant) == (k * m, 0, 0)
+        t = min(r, c)
+        assert minimizing_diag(res.d_top) == (tuple((r - t + i, i) for i in range(1, t + 1)),)
 
 
 def test_one_cell_components_are_their_own_chains():
