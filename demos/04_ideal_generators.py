@@ -26,5 +26,4 @@ print(f"generators from the board:  {len(from_board)}")
 print(f"generators from the pair:   {len(from_pair)}")
 print(f"equal as sign-normalized sets: {from_board == from_pair}")
 print()
-variables = {c for g in from_pair for m, _ in g.terms for c in m}
-print(ideal_script(from_pair, variables))
+print(ideal_script(from_pair))

@@ -12,12 +12,12 @@ enumerations, of the recurrence and of --export-ideal's minors; --n and
 --samples are non-negative.  Options are spelled in full, as --flag value
 or --flag=value; --help prints this text.  Exit codes: 0 success, 1 oracle
 disagreement, 2 parse or usage error, 3 validation error, 4 budget
-exhausted (what the enumeration counted goes to stderr as one JSON line),
-5 internal fault (a failed invariant or any other crash; the traceback
-goes to stderr).  sweep always prints its report: a sample whose
-recurrence or oracle runs out of budget is listed under "exhausted" with
-what it counted, and it exits 1 on any disagreement, else 4 if any sample
-ran out, else 0.
+exhausted (what the enumeration counted goes to stderr as one JSON line)
+or memory run out, 5 internal fault (a failed invariant or any other
+crash; the traceback goes to stderr).  sweep always prints its report: a
+sample whose recurrence or oracle runs out of budget is listed under
+"exhausted" with what it counted, and it exits 1 on any disagreement,
+else 4 if any sample ran out, else 0.
 """
 
 from __future__ import annotations
@@ -139,9 +139,8 @@ def run_ladder(opts: dict) -> tuple[dict, int]:
             raise
         raise ValidationError(f"the board is not minimal: {exc}") from exc
     reg = len(lad.elbows(ladder, fam))
-    # _zipped matched region and blanks to the record: the weight is l(v) - l(w)
-    cells = res.region.size()
-    wt = cells - res.d_top.size()
+    cells = ladder.region.size()
+    wt = sum(map(len, fam.routes))  # the weight: the cells the paths cover
     report = {
         "mode": "ladder",
         "cells": cells,
@@ -177,10 +176,9 @@ def run_ladder(opts: dict) -> tuple[dict, int]:
         from .ideals import ideal_script, ladder_generators
 
         gens = ladder_generators(ladder, budget=_budget())
-        variables = {c for g in gens for m, _ in g.terms for c in m}
         try:
             with open(target, "w", encoding="utf-8") as fh:
-                fh.write(ideal_script(gens, variables))
+                fh.write(ideal_script(gens))
         except OSError as exc:
             raise ParseError(f"cannot write {target}: {exc}") from exc
         report["exported_ideal"] = target
@@ -281,6 +279,9 @@ def main(argv=None) -> int:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         if exc.partial is not None:
             print(json.dumps(exc.partial, sort_keys=True), file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:  # a resource failure like a spent budget, not a fault in klreg
+        print("budget exhausted: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except Exception as exc:  # InternalError or a crash: a fault in klreg, not in the input
         traceback.print_exc()

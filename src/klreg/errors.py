@@ -5,8 +5,8 @@
   ResourceError    exit 4  an enumeration ran out of budget
   InternalError    exit 5  a proved invariant failed: a bug in klreg
 
-KlregError is their common base.  Any other exception escaping the CLI is
-also reported with exit code 5.
+KlregError is their common base.  A MemoryError escaping the CLI is
+reported with exit code 4, any other exception with exit code 5.
 """
 
 DEFAULT_BUDGET = 1_000_000  # what an enumeration may count before it raises ResourceError

@@ -123,9 +123,8 @@ def kl_generators(v: Permutation, w: Permutation) -> frozenset:
         one_cols = {v.word[r - 1] for r in one_rows}
         zrows = tuple(r for r in range(1, i + 1) if r not in one_rows)
         zcols = tuple(c for c in range(1, j + 1) if c not in one_cols)
-        m = size - len(one_rows)  # rank_v(i, j) ones sit inside the block
-        if 1 <= m <= min(len(zrows), len(zcols)):
-            gens.update(_minors(zentry, zrows, zcols, m, memo))
+        m = size - len(one_rows)  # rank_v(i, j) <= rank_w(i, j) ones sit inside the block, as w <= v
+        gens.update(_minors(zentry, zrows, zcols, m, memo))
     return frozenset(gens)
 
 
@@ -144,22 +143,18 @@ def ladder_generators(ladder: Ladder, budget: int = DEFAULT_BUDGET) -> frozenset
         raise ResourceError(f"minor budget {budget} exceeded", partial={"minors": count})
 
     def entry(i, j):
-        return (i, j) if (i, j) in cells else 0
+        return (i, j)
 
     memo: dict = {}
     gens = set()
     for (p, r) in ladder.marked:
         all_rows = tuple(range(1, p[0] + 1))
         all_cols = tuple(range(p[1] + 1, end_col + 1))
-        if r > min(len(all_rows), len(all_cols)):
-            continue
         for rows in combinations(all_rows, r):
             for cols in combinations(all_cols, r):
                 if any((i, j) not in cells for i in rows for j in cols):
                     continue
-                poly = Poly.from_dict(_det(entry, rows, cols, memo))
-                if poly is not None:
-                    gens.add(poly)
+                gens.add(Poly.from_dict(_det(entry, rows, cols, memo)))  # r^2 distinct variables: r! terms, never 0
     return frozenset(gens)
 
 
@@ -183,9 +178,9 @@ def k_polynomial(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET) -
     return tuple(coeffs)
 
 
-def ideal_script(gens, variables) -> str:
-    """Best-effort Macaulay2/Singular-style script for external checking."""
-    vars_sorted = sorted(set(variables))
-    names = ", ".join(f"z_{i}_{j}" for i, j in vars_sorted)
+def ideal_script(gens) -> str:
+    """Best-effort Macaulay2/Singular-style script in the generators' variables."""
+    variables = sorted({c for g in gens for m, _ in g.terms for c in m})
+    names = ", ".join(f"z_{i}_{j}" for i, j in variables)
     body = ",\n  ".join(str(g) for g in sorted(gens)) or "0"
     return f"R = QQ[{names}];\nI = ideal(\n  {body}\n);\n"

@@ -444,8 +444,8 @@ def blanks(ladder: Ladder, family: PathFamily) -> tuple[Cell, ...]:
 
 
 def weight(ladder: Ladder) -> int:
-    """Number of ladder cells covered by paths; constant across families."""
-    return ladder.region.size() - len(blanks(ladder, p_bot(ladder)))
+    """Ladder cells covered by paths, p_bot's route lengths; the same for every family."""
+    return sum(map(len, p_bot(ladder).routes))
 
 
 def elbows(ladder: Ladder, family: PathFamily) -> tuple[Cell, ...]:
@@ -552,10 +552,10 @@ def regularity_ladder(ladder: Ladder) -> int:
 
 
 def a_invariant_ladder(ladder: Ladder) -> int:
-    """Unforced elbows of the zipped family minus the weight, which is
-    l(v) - l(w): _zipped matched the region and the blanks to the record."""
-    _, res, family = _zipped(ladder)
-    return len(elbows(ladder, family)) - (res.region.size() - res.d_top.size())
+    """Unforced elbows of the zipped family minus the weight, the cells
+    its paths cover."""
+    family = p_zip(ladder)
+    return len(elbows(ladder, family)) - sum(map(len, family.routes))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Independent brute-force references: breadth-first closures of the move
 system, exhaustive earliest-subword search, pipe-set enumeration, the
 degree of the unspecialized Grothendieck polynomial, minimal-length
-permutations for rank constraints, and small lattice-path enumerations;
-plus the one random 321-avoiding pair sampler.
+permutations for rank constraints, small lattice-path enumerations, and
+the closed-form degree on the matrix-Schubert slice; plus the one random
+321-avoiding pair sampler.
 
 These deliberately avoid the clever constructions they certify.
 """
@@ -239,6 +240,34 @@ def enumerate_nilp(ladder, budget: int = DEFAULT_BUDGET):
 
     place(0, frozenset(), [])
     return tuple(results)
+
+
+def slice_pair(w: Permutation) -> tuple[Permutation, Permutation]:
+    """The matrix-Schubert slice of w in S_m: v_m = (m+1, ..., 2m, 1, ..., m)
+    and w~ = (w(1), ..., w(m), m+1, ..., 2m) in S_2m, with w~ <= v_m.  The
+    opposite cell of v_m has [M | I] in its top m rows, M generic, and the
+    rank conditions of w~ are Fulton's conditions on M for w, so the
+    Kazhdan-Lusztig variety of the pair is the matrix Schubert variety of
+    w up to an affine factor.  compress(v_m) is the m x m square."""
+    high = tuple(range(w.n + 1, 2 * w.n + 1))
+    return Permutation(high + tuple(range(1, w.n + 1))), Permutation(w.word + high)
+
+
+def rajcode_degree(w: Permutation) -> int:
+    """The degree of the Grothendieck polynomial of w in S_m, the sum of its
+    Rajchgot code (Pechenik, Speyer and Weigandt 2021): the sum over k of
+    (m - k + 1) - L_k, where L_k is the longest increasing subsequence of
+    w(k), ..., w(m) that starts at w(k).  One right-to-left pass, O(m^2),
+    reading no diagram: the degree of slice_pair(w) in closed form.
+
+    >>> rajcode_degree(Permutation((2, 1, 3)))
+    1
+    """
+    longest = [0] * w.n  # longest[k] is L_(k+1)
+    for k in range(w.n - 1, -1, -1):
+        later = (longest[j] for j in range(k + 1, w.n) if w.word[j] > w.word[k])
+        longest[k] = 1 + max(later, default=0)
+    return sum(w.n - k - lk for k, lk in enumerate(longest))
 
 
 def _swap_if_avoiding(word: list[int], before: list[int], after: list[int], i: int) -> bool:

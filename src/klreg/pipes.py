@@ -6,7 +6,7 @@ from typing import Iterable, Iterator
 
 from .errors import ValidationError
 from .perm import Cell, Permutation, _free_values
-from .skew import _lines, _ne_scan
+from .skew import _ne_scan
 
 
 def _reading_cells(v: Permutation) -> Iterator[tuple[Cell, int]]:
@@ -45,6 +45,5 @@ def d_ne(v: Permutation, w: Permutation) -> tuple[Cell, ...]:
     >>> d_ne(Permutation((2, 4, 1, 3)), Permutation((1, 3, 2, 4)))
     ((2, 1),)
     """
-    pluses = _ne_scan(v, w)[1]
-    rows, cols = _lines(v.word)
+    _, pluses, rows, cols = _ne_scan(v, w)
     return tuple((rows[r - 1], cols[c - 1]) for r, c in pluses)

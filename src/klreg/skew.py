@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 from .errors import InternalError, ValidationError
 from .perm import Cell, Permutation, _free_values, identity, is_321_avoiding
@@ -78,16 +77,6 @@ class CellMaps:
         return frozenset(self.forward[c] for c in cells)
 
 
-def _lines(word: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """The nonempty rows of D(v), those i with v(i) above a later value, and
-    its nonempty columns, the values below an earlier one (increasing, as a
-    321 would end in two): row r and column c of compress(v)'s region."""
-    lows = list(accumulate(reversed(word), min))[::-1]
-    rows = [i for i, (x, low) in enumerate(zip(word, lows), 1) if x > low]
-    cols = [x for x, top in zip(word, accumulate(word, max)) if x < top]
-    return rows, cols
-
-
 def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
     """Delete empty rows and columns of D(v), shifting up and left.
 
@@ -96,18 +85,21 @@ def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
     contiguous: if row i has cells in columns j1 < j3 but not in a nonempty
     column j2 between them, then v^-1(j2) < i, some row k < v^-1(j2) has
     v(k) > j2, and k < v^-1(j2) < v^-1(j1) is a 321.  The region comes
-    from _ne_scan with w = id, O(n log n); the cell maps add O(ell(v)).
+    and the nonempty rows and columns of D(v) come from _ne_scan with
+    w = id, O(n log n); the cell maps add O(ell(v)).
     """
-    region = SkewRegion(tuple(_ne_scan(v, identity(v.n))[0]))
-    lines, cols = _lines(v.word)
+    rows, _, lines, cols = _ne_scan(v, identity(v.n))
+    region = SkewRegion(tuple(rows))
     forward = {(lines[r - 1], cols[c - 1]): (r, c) for r, c in region.cells()}
     backward = {img: src for src, img in forward.items()}
     return region, CellMaps(forward, backward)
 
 
-def _ne_scan(v: Permutation, w: Permutation) -> tuple[list[tuple[int, int]], list[Cell]]:
-    """compress(v)'s row intervals and d_top's pluses: d_top's one scan and
-    klreg's one pair check (sizes, v then w 321-avoiding, then w <= v)."""
+def _ne_scan(v: Permutation, w: Permutation) -> tuple[list[tuple[int, int]], list[Cell], list[int], list[int]]:
+    """compress(v)'s row intervals, d_top's pluses and the nonempty rows and
+    columns of D(v), lines[r - 1] and cols[c - 1] for compressed row r and
+    column c: d_top's one scan and klreg's one pair check (sizes, v then w
+    321-avoiding, then w <= v)."""
     if v.n != w.n:
         raise ValidationError("size mismatch")
     for u in (v, w):
@@ -116,13 +108,14 @@ def _ne_scan(v: Permutation, w: Permutation) -> tuple[list[tuple[int, int]], lis
     zinv = [0] * (v.n + 1)  # z^-1 as a 1-indexed word (entry 0 unused); z = w at the start
     for p, x in enumerate(w.word, 1):
         zinv[x] = p
-    rows, pluses = [], []
-    top = low = placed = 0  # running maximum, last value below it, nonempty columns so far
+    rows, pluses, lines, cols = [], [], [], []
+    top = 0  # running maximum
     for i, (x, (k, free)) in enumerate(zip(v.word, _free_values(v.word)), 1):
         if k:
-            if low > free[0]:
+            if cols and cols[-1] > free[0]:
                 raise InternalError(f"compressed row {len(rows) + 1} is not contiguous")
-            rows.append((first := placed + 1, placed + k))
+            rows.append((first := len(cols) + 1, len(cols) + k))
+            lines.append(i)  # v(i) is above a later value
             r = len(rows)
             for a in range(i + k - 1, i - 1, -1):  # right to left; column free[a - i] has label a
                 if zinv[a] > zinv[a + 1]:  # a + 1 precedes a in z: a left descent
@@ -130,11 +123,11 @@ def _ne_scan(v: Permutation, w: Permutation) -> tuple[list[tuple[int, int]], lis
                     pluses.append((r, a - i + first))
         if x > top:
             top = x
-        else:
-            low, placed = x, placed + 1
+        else:  # x is below an earlier value; these increase, as a 321 would end in two
+            cols.append(x)
     if zinv != list(range(v.n + 1)):
         raise ValidationError(f"{w.word} is not below {v.word} in Bruhat order")
-    return rows, pluses
+    return rows, pluses, lines, cols
 
 
 @lru_cache(maxsize=1)
@@ -169,7 +162,7 @@ def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
     `sweep` sample (zip_result, the closure oracle, the recurrence).
     Uncached, d_top takes 3.2 ms on bench's 105 seed-7 certify sweep ops,
     the three routes 19.0 ms with it warm (17%; 2-core Xeon, Py 3.11)."""
-    rows, pluses = _ne_scan(v, w)
+    rows, pluses, _, _ = _ne_scan(v, w)
     return PlusDiagram(SkewRegion(tuple(rows)), frozenset(pluses))
 
 

@@ -139,6 +139,16 @@ def test_internal_fault_exit(capsys, monkeypatch, fault):
     assert err.splitlines()[-1] == f"internal error: {fault}"
 
 
+def test_out_of_memory_exit(capsys, monkeypatch):
+    # running out of memory is a resource failure like a spent budget, not a fault in klreg
+    def exhausted(v, w):
+        raise MemoryError
+
+    monkeypatch.setattr(zipdiag, "zip_result", exhausted)
+    code, out, err = run(capsys, ["pair", "--v", "[2,1,3]", "--w", "[2,1,3]"])
+    assert (code, out, err) == (4, "", "budget exhausted: out of memory\n")
+
+
 def test_keyboard_interrupt_propagates(monkeypatch):
     def interrupted(v, w):
         raise KeyboardInterrupt

@@ -3,12 +3,15 @@ stderr and exit code of `klreg ladder --file F --oracle --render` on the
 demo board files and the boards of knowndata, and of
 `klreg pair --render --oracle --recurrence` on two worked pairs, as
 recorded in golden_cli.json.  One changed glyph, key or number fails.
+The scripts that `klreg ladder --file F --export-ideal S` writes for the
+two demo boards are pinned by their sha256 and size.
 
 After an intended change of the output, re-record with
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -34,6 +37,10 @@ BOARDS.update(
 )
 PAIRS = {"pair V10 W10": (V10, W10), "pair V11 W11": (V11, W11)}
 CASES = sorted({**BOARDS, **PAIRS})
+EXPORTS = {  # demo board -> (sha256, bytes) of its --export-ideal script
+    "small_board": ("54d75f7d6f392c14d77ccd899f9e8742e2a21781156008e4588f038368bc96bb", 1215),
+    "large_board": ("a18a586a7814585152629d7adcda8238538a8797f1487c026c08d309be1e01c5", 79073),
+}
 
 
 def _capture(name: str, workdir: pathlib.Path) -> list:
@@ -60,6 +67,16 @@ def test_golden_covers_every_case():
 def test_cli_output_is_pinned(name, tmp_path, monkeypatch):
     monkeypatch.delenv("KLREG_BUDGET", raising=False)
     assert _capture(name, tmp_path) == json.loads(GOLDEN.read_text())[name]
+
+
+@pytest.mark.parametrize("board", sorted(EXPORTS))
+def test_export_ideal_script_is_pinned(board, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("KLREG_BUDGET", raising=False)
+    script = tmp_path / "ideal.m2"
+    path = ROOT / "demos" / "boards" / f"{board}.json"
+    assert cli.main(["ladder", "--file", str(path), "--export-ideal", str(script)]) == 0
+    data = script.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == EXPORTS[board]
 
 
 if __name__ == "__main__":

@@ -94,8 +94,6 @@ def test_poly_canonical_form():
 
 
 def test_ideal_script():
-    gens = ladder_generators(LAD_C)
-    variables = {c for g in gens for m, _ in g.terms for c in m}
-    script = ideal_script(gens, variables)
+    script = ideal_script(ladder_generators(LAD_C))
     assert script.startswith("R = QQ[")
     assert "I = ideal(" in script and script.rstrip().endswith(");")

@@ -15,6 +15,7 @@ from klreg.perm import (
 )
 from klreg.pipes import d_ne
 from klreg.skew import compress
+from klreg.zipdiag import groth_degree, groth_degree_recursive
 
 from knowndata import (
     D_NE_10,
@@ -173,3 +174,22 @@ def test_random_pair_sampler():
             assert is_321_avoiding(v) and is_321_avoiding(w)
             assert bruhat_leq(w, v)
             assert coxeter_length(v) <= n * n // 4
+
+
+def test_rajcode_degree_on_the_matrix_schubert_slice():
+    # the closed form equals the recurrence on every 321-avoiding w of S_1..S_8; zip
+    # is never above it, and its misses below are known defects (ROADMAP item 1),
+    # pinned by count per m
+    assert oracle.slice_pair(Permutation((2, 1))) == (Permutation((3, 4, 1, 2)), Permutation((2, 1, 3, 4)))
+    misses = []
+    for m in range(1, 9):
+        missed = 0
+        for w in all_321_avoiding(m):
+            v_m, w_m = oracle.slice_pair(w)
+            degree = oracle.rajcode_degree(w)
+            assert groth_degree_recursive(v_m, w_m) == degree, w.word
+            by_zip = groth_degree(v_m, w_m)
+            assert by_zip <= degree, w.word
+            missed += by_zip < degree
+        misses.append(missed)
+    assert misses == [0, 0, 0, 0, 0, 0, 2, 13]
