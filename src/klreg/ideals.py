@@ -64,8 +64,11 @@ class Poly:
         return "".join(parts)
 
 
-def _det(entry, rows: tuple, cols: tuple, memo: dict) -> dict:
-    """Expanded determinant of the submatrix, entries in {0, variable}."""
+def _det(rows: tuple, cols: tuple, memo: dict) -> dict:
+    """Expanded determinant of the generic submatrix whose entry at (r, c)
+    is the variable (r, c).  Each term is one bijection rows -> cols, so no
+    two terms share a monomial and none cancels; the first row's cell sorts
+    before every cell of the rows below it, so it leads each monomial."""
     if not rows:
         return {(): 1}
     key = (rows, cols)
@@ -75,25 +78,11 @@ def _det(entry, rows: tuple, cols: tuple, memo: dict) -> dict:
     r = rows[0]
     rest = rows[1:]
     for idx, c in enumerate(cols):
-        e = entry(r, c)
-        if e == 0:
-            continue
-        sub = _det(entry, rest, cols[:idx] + cols[idx + 1 :], memo)
         sign = -1 if idx % 2 else 1
-        for m, coef in sub.items():
-            m2 = tuple(sorted(m + (e,)))
-            out[m2] = out.get(m2, 0) + sign * coef
-    out = {m: c for m, c in out.items() if c}
+        for m, coef in _det(rest, cols[:idx] + cols[idx + 1 :], memo).items():
+            out[((r, c),) + m] = sign * coef
     memo[key] = out
     return out
-
-
-def _minors(entry, all_rows, all_cols, size: int, memo: dict):
-    for rows in combinations(all_rows, size):
-        for cols in combinations(all_cols, size):
-            p = Poly.from_dict(_det(entry, rows, cols, memo))
-            if p is not None:
-                yield p
 
 
 def kl_generators(v: Permutation, w: Permutation) -> frozenset:
@@ -104,27 +93,24 @@ def kl_generators(v: Permutation, w: Permutation) -> frozenset:
     are the minors of the generic part of size rank_w(i,j) + 1 - rank_v(i,j);
     minors that use the 1-entries only partially are redundant combinations
     of these, and keeping them would break the generator-set match with
-    ladder ideals.
+    ladder ideals.  Every entry of a reduced block is a cell of D(v), so
+    each minor is generic: a kept row r has v(r) > j >= c, and a kept
+    column c has v^-1(c) > i >= r, since v^-1(c) <= i would make c the
+    column of a 1-entry.
     """
-    if v.n != w.n:
-        raise ValidationError("size mismatch")
     if not bruhat_leq(w, v):
         raise ValidationError(f"{w.word} is not below {v.word} in Bruhat order")
-    dv = frozenset(rothe_diagram(v))
-
-    def zentry(i, j):
-        return (i, j) if (i, j) in dv else 0
-
     memo: dict = {}
     gens = set()
     for (i, j) in rothe_diagram(w):
-        size = rank(w, i, j) + 1
         one_rows = {r for r in range(1, i + 1) if v.word[r - 1] <= j}
         one_cols = {v.word[r - 1] for r in one_rows}
         zrows = tuple(r for r in range(1, i + 1) if r not in one_rows)
         zcols = tuple(c for c in range(1, j + 1) if c not in one_cols)
-        m = size - len(one_rows)  # rank_v(i, j) <= rank_w(i, j) ones sit inside the block, as w <= v
-        gens.update(_minors(zentry, zrows, zcols, m, memo))
+        m = rank(w, i, j) + 1 - len(one_rows)  # rank_v(i, j) <= rank_w(i, j) ones sit inside the block, as w <= v
+        for rows in combinations(zrows, m):
+            for cols in combinations(zcols, m):
+                gens.add(Poly.from_dict(_det(rows, cols, memo)))
     return frozenset(gens)
 
 
@@ -135,26 +121,22 @@ def ladder_generators(ladder: Ladder, budget: int = DEFAULT_BUDGET) -> frozenset
     which the generator sets match the Kazhdan-Lusztig side).  Before any
     determinant is expanded, more than `budget` candidate minors, the sum
     of C(p(1), r) * C(end - p(2), r), raise ResourceError with that count.
+
+    The mark lies on the southwest border, so column p(2)+1 is at or east of
+    the start of every row of its block; row ends weakly increase, so rows R
+    and columns C lie inside the ladder exactly when max C <= the end of R's
+    first row: only those columns are enumerated.
     """
-    cells = ladder.region.cellset
-    end_col = ladder.width
-    count = sum(comb(p[0], r) * comb(end_col - p[1], r) for p, r in ladder.marked)
+    ends = [b for _, b in ladder.region.rows]
+    count = sum(comb(p[0], r) * comb(ladder.width - p[1], r) for p, r in ladder.marked)
     if count > budget:
         raise ResourceError(f"minor budget {budget} exceeded", partial={"minors": count})
-
-    def entry(i, j):
-        return (i, j)
-
     memo: dict = {}
     gens = set()
     for (p, r) in ladder.marked:
-        all_rows = tuple(range(1, p[0] + 1))
-        all_cols = tuple(range(p[1] + 1, end_col + 1))
-        for rows in combinations(all_rows, r):
-            for cols in combinations(all_cols, r):
-                if any((i, j) not in cells for i in rows for j in cols):
-                    continue
-                gens.add(Poly.from_dict(_det(entry, rows, cols, memo)))  # r^2 distinct variables: r! terms, never 0
+        for rows in combinations(range(1, p[0] + 1), r):
+            for cols in combinations(range(p[1] + 1, ends[rows[0] - 1] + 1), r):
+                gens.add(Poly.from_dict(_det(rows, cols, memo)))  # r^2 distinct variables: r! terms
     return frozenset(gens)
 
 

@@ -46,13 +46,11 @@ class ClosureSet:
         return frozenset(frozenset(d) for d in self.diagrams)
 
 
-def _closure_states(v: Permutation, w: Permutation, budget: int, moves: str):
+def _closure_states(v: Permutation, w: Permutation, budget: int):
     """The BFS behind closure: every diagram reachable from the top diagram
     as a bitmask over the region's cells, those cells in bit order, and the
     number of states expanded.  More than `budget` states visited is a
     ResourceError."""
-    if moves not in ("both", "excited"):
-        raise ValidationError("moves must be 'both' or 'excited'")
     top = d_top(v, w)
     cells = top.region.cells()
     inside = top.region.cellset
@@ -70,7 +68,6 @@ def _closure_states(v: Permutation, w: Permutation, budget: int, moves: str):
     start = 0
     for c in top.pluses:
         start |= 1 << index[c]
-    both = moves == "both"
     seen = {start}
     queue = deque([start])
     expanded = 0
@@ -79,15 +76,14 @@ def _closure_states(v: Permutation, w: Permutation, budget: int, moves: str):
         expanded += 1
         for bit, frame, target in transitions:
             if state & bit and not state & frame:
-                nxt = (state ^ bit) | target
+                nxt = (state ^ bit) | target  # excited move
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-                if both:
-                    nxt = state | target
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
+                nxt = state | target  # K-move
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
                 if len(seen) > budget:
                     raise ResourceError(
                         f"closure budget {budget} exceeded",
@@ -96,10 +92,11 @@ def _closure_states(v: Permutation, w: Permutation, budget: int, moves: str):
     return seen, cells, expanded
 
 
-def closure(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET, moves: str = "both") -> ClosureSet:
-    """BFS closure of the top diagram under excited moves, and under
-    K-theoretic moves too when moves == "both"."""
-    seen, cells, expanded = _closure_states(v, w, budget, moves)
+def closure(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGET) -> ClosureSet:
+    """BFS closure of the top diagram under excited and K-theoretic moves.
+    No move removes a cell and a K-move adds one, so the excited diagrams
+    are exactly the states with ell(w) cells."""
+    seen, cells, expanded = _closure_states(v, w, budget)
 
     def unpack(state: int) -> tuple[Cell, ...]:
         return tuple(c for k, c in enumerate(cells) if state >> k & 1)
@@ -115,7 +112,7 @@ def max_closure_size(v: Permutation, w: Permutation, budget: int = DEFAULT_BUDGE
     The same BFS as closure, with the same budget, but the answer is read
     off the bitmask states as their largest popcount: no state is unpacked
     into cells, and nothing is sorted or counted by size."""
-    seen, _, _ = _closure_states(v, w, budget, "both")
+    seen, _, _ = _closure_states(v, w, budget)
     return max(s.bit_count() for s in seen)
 
 

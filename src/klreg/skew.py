@@ -84,9 +84,9 @@ def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
     case in which the compressed diagram is a valid skew region.  Rows stay
     contiguous: if row i has cells in columns j1 < j3 but not in a nonempty
     column j2 between them, then v^-1(j2) < i, some row k < v^-1(j2) has
-    v(k) > j2, and k < v^-1(j2) < v^-1(j1) is a 321.  The region comes
-    and the nonempty rows and columns of D(v) come from _ne_scan with
-    w = id, O(n log n); the cell maps add O(ell(v)).
+    v(k) > j2, and k < v^-1(j2) < v^-1(j1) is a 321.  The region and the
+    nonempty rows and columns of D(v) come from _ne_scan with w = id, in
+    O(n log n); the cell maps add O(ell(v)).
     """
     rows, _, lines, cols = _ne_scan(v, identity(v.n))
     region = SkewRegion(tuple(rows))

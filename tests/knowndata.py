@@ -10,7 +10,7 @@ import random
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterable
 
-from klreg import Ladder, Permutation
+from klreg import Ladder, Permutation, oracle
 from klreg.errors import ValidationError
 from klreg.perm import Cell, coxeter_length, demazure_step, identity, is_321_avoiding
 from klreg.pipes import reading_word
@@ -29,6 +29,13 @@ def left_mult_s(u: Permutation, i: int) -> Permutation:
         raise ValidationError(f"generator index {i} out of range for S_{u.n}")
     w = [x if x not in (i, i + 1) else (i + 1 if x == i else i) for x in u.word]
     return Permutation(tuple(w))
+
+
+def excited_states(v: Permutation, w: Permutation) -> frozenset:
+    """The excited diagrams of the pair: the states of the oracle's closure
+    with ell(w) cells, each as a frozenset of cells."""
+    lw = coxeter_length(w)
+    return frozenset(d for d in oracle.closure(v, w).as_sets() if len(d) == lw)
 
 
 def demazure_product(word: Iterable[int], n: int) -> Permutation:

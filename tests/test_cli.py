@@ -14,7 +14,7 @@ from klreg.errors import InternalError, ResourceError
 from klreg.ladder import ladder_from_json, ladder_to_json, perm_of
 from klreg.perm import Permutation, coxeter_length
 
-from knowndata import LAD_A, V10, V11, W10, W11
+from knowndata import LAD_A, V10, V11, W10, W11, ZIP_UNDERCOUNT
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LARGE_BOARD = ROOT / "demos" / "boards" / "large_board.json"
@@ -50,6 +50,17 @@ def test_pair_oracle_and_recurrence(capsys):
     assert code == 0
     assert data["oracle"]["verdict"] == "AGREE"
     assert data["recurrence_degree"] == data["groth_degree"] == 8
+
+
+def test_pair_oracle_disagreement_exits_1(capsys):
+    # a known defect (ROADMAP item 1(b)): zip is one short of the closure's
+    # degree on this pair; an exact degree route flips this pin to AGREE
+    v, w, true_degree = ZIP_UNDERCOUNT[0]
+    code, out, _ = run(capsys, ["pair", "--v", " ".join(map(str, v.word)), "--w", " ".join(map(str, w.word)), "--oracle"])
+    data = json.loads(out)
+    assert code == cli.EXIT_DISAGREE == 1
+    assert data["oracle"] == {"closure_max": true_degree, "verdict": "DISAGREE"} and true_degree == 7
+    assert data["groth_degree"] == 6
 
 
 def test_pair_render(capsys):

@@ -60,6 +60,7 @@ from knowndata import (
     W_LAD_A,
     _sw_border_points,
     all_boards,
+    excited_states,
     rank_envelope_perm,
 )
 
@@ -423,7 +424,7 @@ def test_walk_builds_a_family_for_every_excited_state():
     that diagram."""
     v, w = perm_of(LAD_C)
     bp = boundary_points(LAD_C)
-    states = oracle.closure(v, w, moves="excited").as_sets()
+    states = excited_states(v, w)
     assert frozenset(blanks(LAD_C, p_bot(LAD_C))) in states
     assert len(states) > 1
     for state in states:

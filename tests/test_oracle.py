@@ -31,6 +31,7 @@ from knowndata import (
     W_LAD_A,
     all_321_avoiding,
     delta,
+    excited_states,
 )
 
 
@@ -72,15 +73,6 @@ def test_max_closure_size_is_the_closure_max_size():
     assert errors[0] == errors[1] == ("closure budget 3 exceeded", {"expanded": 2, "visited": 5})
 
 
-def test_closure_slice_equals_excited_closure():
-    full = oracle.closure(V10, W10)
-    excited = oracle.closure(V10, W10, moves="excited")
-    lw = coxeter_length(W10)
-    assert {d for d in full.as_sets() if len(d) == lw} == excited.as_sets()
-    with pytest.raises(ValidationError, match="moves must be 'both' or 'excited'"):
-        oracle.closure(V10, W10, moves="k")
-
-
 def groth_support(v, w):
     """Each closure element pulled back to D(v), with its sign."""
     _, maps = compress(v)
@@ -107,7 +99,7 @@ def test_enumerate_pipes_counts():
     full = list(oracle.enumerate_pipes(V10, W10))
     reduced = [p for p in full if len(p) == coxeter_length(W10)]
     assert len(full) == len(oracle.closure(V10, W10))
-    assert len(reduced) == len(oracle.closure(V10, W10, moves="excited"))
+    assert len(reduced) == len(excited_states(V10, W10))
 
 
 def test_brute_earliest_subword():
@@ -142,9 +134,9 @@ def test_enumerate_nilp_counts():
     assert len(fams) == 1  # the all-blank family
     v, w = perm_of(LAD_C)
     fams = oracle.enumerate_nilp(LAD_C)
-    excited = oracle.closure(v, w, moves="excited")
+    excited = excited_states(v, w)
     assert len(fams) == len(excited)
-    assert {frozenset(blanks(LAD_C, f)) for f in fams} == excited.as_sets()
+    assert {frozenset(blanks(LAD_C, f)) for f in fams} == excited
 
 
 def test_enumerate_nilp_budget_is_the_largest_allowed_count():

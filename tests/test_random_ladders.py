@@ -31,7 +31,7 @@ from klreg.ladder import (
 from klreg.perm import bruhat_leq, coxeter_length, is_321_avoiding
 from klreg.skew import compress, d_top
 
-from knowndata import random_board_dict
+from knowndata import excited_states, random_board_dict
 
 
 # perm_of's messages when the marks admit no exact permutation: the row
@@ -84,9 +84,9 @@ def test_random_minimal_boards_all_correspondences():
         assert ladder_side == kl_generators(v, w)
         assert zipdiag.groth_degree(v, w) == oracle.max_closure_size(v, w)
         families = oracle.enumerate_nilp(board, budget=20000)
-        excited = oracle.closure(v, w, moves="excited")
+        excited = excited_states(v, w)
         assert len(families) == len(excited)
-        assert {frozenset(blanks(board, f)) for f in families} == excited.as_sets()
+        assert {frozenset(blanks(board, f)) for f in families} == excited
 
 
 def test_infeasible_mark_system_is_rejected():

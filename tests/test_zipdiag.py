@@ -55,6 +55,7 @@ from knowndata import (
     S7_ZIP_RECORD_SHA256,
     ZIP_UNDERCOUNT,
     all_321_avoiding,
+    excited_states,
     k_saturation_by_moves,
     left_mult_s,
     rooms_by_moves,
@@ -544,8 +545,7 @@ def test_small_sweep_all_routes_and_closures():
                 assert deg == groth_degree_recursive(v, w)
                 full = oracle.closure(v, w)
                 assert deg == full.max_size
-                excited = oracle.closure(v, w, moves="excited")
-                assert frozenset(dz.pluses) in excited.as_sets()
+                assert frozenset(dz.pluses) in excited_states(v, w)
                 assert frozenset(d_zip_k(v, w).pluses) in full.as_sets()
                 assert k_saturation_by_moves(v, w).pluses == d_zip_k(v, w).pluses
                 assert regularity(v, w) >= 0
