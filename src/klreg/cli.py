@@ -128,7 +128,7 @@ def run_ladder(opts: dict) -> tuple[dict, int]:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     ladder = lad.ladder_from_json(data)
     minimal = lad.validate_minimal(ladder).passed
@@ -172,7 +172,7 @@ def run_ladder(opts: dict) -> tuple[dict, int]:
             code = EXIT_DISAGREE
     if opts.get("render"):
         report["render"] = lad.render_paths(ladder, fam)
-    if target:
+    if target is not None:  # an empty path fails to open like any unwritable one
         from .ideals import ideal_script, ladder_generators
 
         gens = ladder_generators(ladder, budget=_budget())

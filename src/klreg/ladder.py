@@ -313,7 +313,9 @@ class BoundaryPoints:
 
 def boundary_points(ladder: Ladder) -> BoundaryPoints:
     """Half-integer start and end points for the path family, read off the
-    rank jumps between consecutive marks along each border segment."""
+    rank jumps between consecutive marks along each border segment.  The
+    two sides' jumps are summed before any point is built, so an unbalanced
+    board is refused whatever its multiplicities."""
     alphas = sw_corners(ladder)
     marks = ladder.marked
     extended = list(marks)
@@ -327,35 +329,33 @@ def boundary_points(ladder: Ladder) -> BoundaryPoints:
     extended.append(((0, 0), 1))
     extended.append(((ladder.n_rows, ladder.width), 1))
 
-    v_points: list[Point] = []
-    h_points: list[Point] = []
+    # sorted on the point's coordinate along the segment only: a mark at the
+    # southeast corner shares its point with the ((n_rows, width), 1) just
+    # appended, and the stable order puts the mark first, which fixes the jump
+    v_jumps: list = []
+    h_jumps: list = []
     for a in alphas:
         seg_v = sorted((m for m in extended if m[0][1] == a[1]), key=lambda m: m[0][0])
-        for (p1, r1), (_, r2) in zip(seg_v, seg_v[1:]):
-            for kp in range(1, r2 - r1 + 1):
-                v_points.append((p1[0] + kp - 0.5, float(p1[1])))
+        v_jumps += [(p1, r2 - r1) for (p1, r1), (_, r2) in zip(seg_v, seg_v[1:])]
         seg_h = sorted((m for m in extended if m[0][0] == a[0]), key=lambda m: -m[0][1])
-        for (p1, r1), (_, r2) in zip(seg_h, seg_h[1:]):
-            for kp in range(1, r2 - r1 + 1):
-                h_points.append((float(p1[0]), p1[1] - kp + 0.5))
+        h_jumps += [(p1, r2 - r1) for (p1, r1), (_, r2) in zip(seg_h, seg_h[1:])]
+    n_v = sum(max(jump, 0) for _, jump in v_jumps)
+    n_h = sum(max(jump, 0) for _, jump in h_jumps)
+    if n_v != n_h:
+        raise ValidationError(f"unbalanced boundary points: {n_v} vertical, {n_h} horizontal")
+    free = {(p[0] + k - 0.5, float(p[1])) for p, jump in v_jumps for k in range(1, jump + 1)}
+    h_points = [(float(p[0]), p[1] - k + 0.5) for p, jump in h_jumps for k in range(1, jump + 1)]
 
-    if len(v_points) != len(h_points):
-        raise ValidationError(
-            f"unbalanced boundary points: {len(v_points)} vertical, {len(h_points)} horizontal"
-        )
     h_sorted = sorted(h_points, key=lambda p: (-p[1], -p[0]))  # east to west
-    available = sorted(set(v_points))
-    assigned: dict[int, Point] = {}
-    for i in range(len(h_sorted), 0, -1):
+    v_points: list[Point] = []
+    for i in range(len(h_sorted), 0, -1):  # west to east
         h = h_sorted[i - 1]
-        cands = [p for p in available if p[0] < h[0] and p[1] < h[1]]
-        if not cands:
+        pick = max((p for p in free if p[0] < h[0] and p[1] < h[1]), default=None)  # southmost, ties nearest
+        if pick is None:
             raise ValidationError(f"no unused vertical point northwest of H_{i} = {h}")
-        pick = max(cands, key=lambda p: (p[0], p[1]))  # southmost, ties nearest
-        assigned[i] = pick
-        available.remove(pick)
-    labeled_v = tuple(assigned[i] for i in range(1, len(h_sorted) + 1))
-    return BoundaryPoints(tuple(h_sorted), labeled_v, tuple(sorted(extended)))
+        free.remove(pick)
+        v_points.append(pick)
+    return BoundaryPoints(tuple(h_sorted), tuple(reversed(v_points)), tuple(sorted(extended)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +404,16 @@ def _reaching(goal: Cell, free) -> set:
     return reach
 
 
-def _hugging_family(bp: BoundaryPoints, cells) -> PathFamily:
-    """The family on `cells` in which every path hugs the southwest border
-    maximally: paths are placed innermost first, always stepping west when
-    a completion through the cells still free exists."""
+def _hugging_family(pairs, cells) -> PathFamily:
+    """The family from the endpoint pairs ((H_1, V_1), ...) on `cells` in
+    which every path hugs the southwest border maximally: paths are placed
+    innermost first, always stepping west when a completion through the
+    cells still free exists."""
     used: set = set()
-    routes: list = [()] * len(bp.h)
-    for i in range(len(bp.h), 0, -1):
-        start = _start_box(bp.h[i - 1])
-        goal = _goal_box(bp.v[i - 1])
+    routes: list = [()] * len(pairs)
+    for i in range(len(pairs), 0, -1):
+        start = _start_box(pairs[i - 1][0])
+        goal = _goal_box(pairs[i - 1][1])
         free = cells - used
         reach = _reaching(goal, free)
         if start not in free or start not in reach:
@@ -429,12 +430,12 @@ def _hugging_family(bp: BoundaryPoints, cells) -> PathFamily:
                 raise ValidationError("southwest-hugging walk wedged; ladder is not minimal?")
         used |= set(route)
         routes[i - 1] = tuple(route)
-    return PathFamily(tuple(routes), bp.pairs())
+    return PathFamily(tuple(routes), tuple(pairs))
 
 
 def p_bot(ladder: Ladder) -> PathFamily:
     """The family in which every path hugs the southwest border maximally."""
-    return _hugging_family(boundary_points(ladder), ladder.region.cellset)
+    return _hugging_family(boundary_points(ladder).pairs(), ladder.region.cellset)
 
 
 def blanks(ladder: Ladder, family: PathFamily) -> tuple[Cell, ...]:
@@ -450,28 +451,24 @@ def weight(ladder: Ladder) -> int:
 
 def elbows(ladder: Ladder, family: PathFamily) -> tuple[Cell, ...]:
     """Unforced elbows: boxes a path enters from the east and leaves to the
-    north, with a blank somewhere on their northeast anti-diagonal."""
-    blank_set = set(blanks(ladder, family))
-    out = []
-    for cell, entry, exit_ in _passages(family):
-        if (entry, exit_) != ("E", "N"):
-            continue
-        i, j = cell
-        k = 1
-        while True:
-            probe = (i - k, j + k)
-            if probe[0] < 1 or probe[1] > ladder.width:
-                break
-            if probe in blank_set:
-                out.append(cell)
-                break
-            k += 1
-    return tuple(sorted(out))
+    north, with a blank somewhere on their northeast anti-diagonal.  Every
+    grid cell of anti-diagonal i + j north of box (i, j) is on that ray, so
+    the box is unforced exactly when the northmost blank of its
+    anti-diagonal lies in a row above i."""
+    north = {i + j: i for i, j in reversed(blanks(ladder, family))}  # blanks are row-major: the northmost wins
+    turns = (box for box, entry, exit_ in _passages(family) if (entry, exit_) == ("E", "N"))
+    return tuple(sorted((i, j) for i, j in turns if north.get(i + j, i) < i))
 
 
 def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
     """Do the routes form disjoint west/north paths H_i -> V_i inside the
-    shape whose visits to the cutout satisfy the occupancy conditions?"""
+    shape whose visits to the cutout satisfy the occupancy conditions?
+
+    A cutout box may not be an east-to-north elbow, and every shape cell
+    southwest of it on its anti-diagonal, up to where that ray leaves the
+    shape, must be occupied.  Row starts never decrease southward, so those
+    cells are all the shape's cells south of the box on its anti-diagonal:
+    the box passes when the southmost free cell there lies north of it."""
     lam_cells = partition_cells(ladder)
     if len(family.routes) != len(family.endpoints):
         return False
@@ -485,20 +482,12 @@ def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
         if any(b not in ((a[0], a[1] - 1), (a[0] - 1, a[1])) for a, b in zip(route, route[1:])):
             return False
         occupied.update(route)
-    for cell, entry, exit_ in _passages(family):
-        if cell in lam_cells and cell not in ladder.region:  # in the cutout
-            if (entry, exit_) == ("E", "N"):
-                return False
-            i, j = cell
-            k = 1
-            while True:
-                probe = (i + k, j - k)
-                if probe not in lam_cells:
-                    break
-                if probe not in occupied:
-                    return False  # a blank southeast along the anti-diagonal
-                k += 1
-    return True
+    south = {i + j: i for i, j in sorted(lam_cells - occupied)}  # row-major: the southmost wins
+    return not any(
+        (entry, exit_) == ("E", "N") or south.get(i + j, 0) > i
+        for (i, j), entry, exit_ in _passages(family)
+        if (i, j) not in ladder.region  # in the cutout, as every route lies in the shape
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +496,10 @@ def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
 
 def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipResult, PathFamily]:
     """perm_of(ladder), its zip result and p_zip(ladder), from one run each
-    of perm_of, zip_result and boundary_points.  The southwest-hugging walk
-    gives the bottom family on the region, and the zipped family on the
-    cells that d_zip leaves free, as such a family exists and is unique:
+    of perm_of, zip_result and p_bot.  The southwest-hugging walk gives the
+    bottom family on the region, and from its endpoints the zipped family
+    on the cells that d_zip leaves free, as such a family exists and is
+    unique:
 
     - zip_result reaches d_zip by excited moves from d_top, the bottom
       family's blanks (checked).  A move of a blank b to t = b+(1,-1) is a
@@ -528,12 +518,11 @@ def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipResult,
     res = zip_result(*pair)
     if res.region != ladder.region:
         raise InternalError("compressed diagram of v does not match the ladder region")
-    bp = boundary_points(ladder)
-    cells = ladder.region.cellset
-    if frozenset(blanks(ladder, _hugging_family(bp, cells))) != res.d_top.pluses:
+    bottom = p_bot(ladder)
+    if frozenset(blanks(ladder, bottom)) != res.d_top.pluses:
         raise ValidationError("bottom family does not match the top diagram")
     try:
-        family = _hugging_family(bp, cells - res.d_zip.pluses)
+        family = _hugging_family(bottom.endpoints, ladder.region.cellset - res.d_zip.pluses)
     except ValidationError as exc:  # the family exists, as above
         raise InternalError(f"no zipped family: {exc}") from exc
     if frozenset(blanks(ladder, family)) != res.d_zip.pluses:

@@ -7,9 +7,10 @@ and 1-3 marks off row 0 with r <= 3, the min-plus rank envelope
 sweep must build the same w from the same caps.  On the boards perm_of
 accepts, v must also compress to the board's region; and the minimal ones
 that `_zipped` (the ladder route) still rejects are counted by message,
-and the routes of the families it builds on the rest are folded into one
-sha256.  Prints the counts and the digest, and exits non-zero on a
-different w or a region mismatch.
+the routes of the families it builds on the rest are folded into one
+sha256, and their unforced elbows into a second.  Prints the counts and
+the two digests, and exits non-zero on a different w or a region
+mismatch.
 
 Run from the root of a checkout:
 `PYTHONPATH=src:tests python tests/check_least_perm_4x4.py`
@@ -38,6 +39,7 @@ def main() -> int:
     ladder._least_perm = spy
     counts = Counter({"boards": 0, "region mismatches": 0})
     routes = hashlib.sha256()
+    elbows = hashlib.sha256()
     for board in all_boards(4, 4, 3, 3):
         counts["boards"] += 1
         last.clear()
@@ -57,6 +59,7 @@ def main() -> int:
                     counts[f"_zipped rejects a minimal board: {exc}"] += 1
                 else:
                     routes.update(repr(family.routes).encode())
+                    elbows.update(repr(ladder.elbows(board, family)).encode())
         n, constraints, w = last
         try:
             reference = rank_envelope_perm(n, constraints)
@@ -67,6 +70,7 @@ def main() -> int:
     for key, value in counts.items():
         print(f"{key}: {value}")
     print(f"zipped routes sha256: {routes.hexdigest()}")
+    print(f"zipped elbows sha256: {elbows.hexdigest()}")
     return int(counts["same w"] != counts["boards"] or counts["region mismatches"] > 0)
 
 

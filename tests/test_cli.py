@@ -327,6 +327,22 @@ def test_missing_ladder_file(capsys):
     assert code == 2
 
 
+def test_non_utf8_board_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "board.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(ladder_to_json(LAD_A)).encode("utf-16-le"))
+    code, out, err = run(capsys, ["ladder", "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_empty_export_path_is_unwritable(tmp_path, capsys):
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(ladder_to_json(LAD_A)))
+    code, out, err = run(capsys, ["ladder", "--file", str(path), "--export-ideal="])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: cannot write : ")
+
+
 def test_unwritable_export_path(tmp_path, capsys):
     path = tmp_path / "ladder.json"
     path.write_text(json.dumps(ladder_to_json(LAD_A)))

@@ -1,7 +1,7 @@
 import dataclasses
 import hashlib
 import random
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 
 import pytest
 
@@ -418,6 +418,97 @@ def test_weight_and_elbows_big_ladder():
     assert len(elbows(LAD_B, zipped)) == 7
 
 
+def _elbows_reference(ladder, family):
+    """Unforced elbows found by probing each east-to-north box's northeast
+    ray one cell at a time, until a blank or the edge of the grid."""
+    blank_set = set(blanks(ladder, family))
+    out = []
+    for (i, j), entry, exit_ in ladder_module._passages(family):
+        if (entry, exit_) == ("E", "N"):
+            k = 1
+            while i - k >= 1 and j + k <= ladder.width:
+                if (i - k, j + k) in blank_set:
+                    out.append((i, j))
+                    break
+                k += 1
+    return tuple(sorted(out))
+
+
+def _nilp_is_valid_reference(ladder, family):
+    """The family check with the cutout test made by probing each cutout
+    box's southwest ray one cell at a time, until it leaves the shape."""
+    lam_cells = partition_cells(ladder)
+    if len(family.routes) != len(family.endpoints):
+        return False
+    occupied = set()
+    for route, (h, vpt) in zip(family.routes, family.endpoints):
+        goal = ladder_module._goal_box(vpt)
+        if not route or route[0] != ladder_module._start_box(h) or route[-1] != goal:
+            return False
+        if (goal[0], goal[1] - 1) in lam_cells or not lam_cells.issuperset(route) or not occupied.isdisjoint(route):
+            return False
+        if any(b not in ((a[0], a[1] - 1), (a[0] - 1, a[1])) for a, b in zip(route, route[1:])):
+            return False
+        occupied.update(route)
+    for (i, j), entry, exit_ in ladder_module._passages(family):
+        if (i, j) not in lam_cells or (i, j) in ladder.region:
+            continue
+        if (entry, exit_) == ("E", "N"):
+            return False
+        k = 1
+        while (i + k, j - k) in lam_cells:
+            if (i + k, j - k) not in occupied:
+                return False
+            k += 1
+    return True
+
+
+def _monotone_routes(start, goal, cells):
+    """Every west/north route of boxes in `cells` from start to goal."""
+    if start == goal:
+        return [(start,)] if start in cells else []
+    if start not in cells or start[0] < goal[0] or start[1] < goal[1]:
+        return []
+    west, north = (start[0], start[1] - 1), (start[0] - 1, start[1])
+    return [(start,) + rest for nxt in (west, north) for rest in _monotone_routes(nxt, goal, cells)]
+
+
+def test_anti_diagonal_reads_match_the_ray_probes():
+    # every product of monotone routes in the shape between a board's
+    # boundary points, up to 400 per board: valid and invalid families,
+    # through the cutout or not, with and without unforced elbows
+    boards = families = invalid = through_cutout = with_elbows = 0
+    for board in all_boards(3, 4, 2, 2):
+        try:
+            pairs = boundary_points(board).pairs()
+        except ValidationError:
+            continue
+        boards += 1
+        shape = partition_cells(board)
+        starts_goals = [(ladder_module._start_box(h), ladder_module._goal_box(v)) for h, v in pairs]
+        options = [_monotone_routes(start, goal, shape) for start, goal in starts_goals]
+        for routes in islice(product(*options), 400):
+            family = PathFamily(routes, pairs)
+            families += 1
+            found = elbows(board, family)
+            assert found == _elbows_reference(board, family)
+            valid = nilp_is_valid(board, family)
+            assert valid == _nilp_is_valid_reference(board, family)
+            invalid += not valid
+            through_cutout += any(box not in board.region for route in routes for box in route)
+            with_elbows += bool(found)
+    assert (boards, families) == (5589, 8566)
+    assert (invalid, through_cutout, with_elbows) == (1648, 1743, 1573)
+
+
+def test_unbalanced_boundary_points_are_counted_before_they_are_built():
+    # a billion vertical points against none: refused at once, not after
+    # building them
+    board = Ladder((2, 2), (0, 0), (((1, 0), 10**9),))
+    with pytest.raises(ValidationError, match=r"^unbalanced boundary points: 999999999 vertical, 0 horizontal$"):
+        boundary_points(board)
+
+
 def test_walk_builds_a_family_for_every_excited_state():
     """On the cells that any diagram of the oracle's excited closure leaves
     free, the southwest-hugging walk builds a valid family whose blanks are
@@ -428,7 +519,7 @@ def test_walk_builds_a_family_for_every_excited_state():
     assert frozenset(blanks(LAD_C, p_bot(LAD_C))) in states
     assert len(states) > 1
     for state in states:
-        fam = ladder_module._hugging_family(bp, LAD_C.region.cellset - state)
+        fam = ladder_module._hugging_family(bp.pairs(), LAD_C.region.cellset - state)
         assert nilp_is_valid(LAD_C, fam)
         assert frozenset(blanks(LAD_C, fam)) == state
 
