@@ -179,8 +179,13 @@ def validate_minimal(ladder: Ladder) -> MinimalityReport:
     columns.  Each ladder row is a column interval whose two ends weakly
     increase down the rows; cutting to the block and dropping one row and
     one column keep that, so one greedy pass down the rows finds a maximum
-    matching (`_has_matching`).  That is O(rows) per cell, O(|block| * rows)
-    per mark.
+    matching (`_has_matching`).
+
+    One pass decides a whole row k: if the block less row k holds r cells
+    in distinct rows and columns, dropping any one column removes at most
+    one of them, so every cell of row k is covered.  Only the rows where
+    that pass fails take one pass per cell.  A mark costs O(rows^2) plus
+    O(rows) per cell of those rows, at most O(|block| * rows).
 
     >>> rep = validate_minimal(Ladder((2, 2), (0, 0), (((1, 0), 1),)))
     >>> rep.passed, rep.uncovered
@@ -191,6 +196,9 @@ def validate_minimal(ladder: Ladder) -> MinimalityReport:
     for (p, r) in ladder.marked:
         spans = [(max(a, p[1] + 1), b) for a, b in region.rows[: p[0]]]
         for k, (start, end) in enumerate(spans):
+            if _has_matching(spans, k, -1, r):
+                covered.update((k + 1, j) for j in range(start, end + 1))
+                continue
             for j in range(start, end + 1):
                 cell = (k + 1, j)
                 if cell not in covered and _has_matching(spans, k, j, r - 1):
@@ -391,38 +399,38 @@ def _passages(family: PathFamily):
             entry = "S" if exit_ == "N" else "E"
 
 
-def _reaching(goal: Cell, free) -> set:
-    """The cells with a north/west monotone route to goal through free
-    cells, goal included even when it is not free.  A route never leaves
-    the box southeast of goal, and a cell's west and north neighbours come
-    before it in (row, column) order, so one sorted pass over the free
-    cells of that box decides them all."""
-    reach = {goal}
-    for c in sorted(c for c in free if c[0] >= goal[0] and c[1] >= goal[1]):
-        if (c[0], c[1] - 1) in reach or (c[0] - 1, c[1]) in reach:
-            reach.add(c)
-    return reach
-
-
 def _hugging_family(pairs, cells) -> PathFamily:
     """The family from the endpoint pairs ((H_1, V_1), ...) on `cells` in
     which every path hugs the southwest border maximally: paths are placed
     innermost first, always stepping west when a completion through the
-    cells still free exists."""
+    cells still free exists.
+
+    A west/north route from the start box to the goal box never leaves the
+    box between them, and a cell's reach depends only on its west and
+    north neighbours, so one pass over that box, row by row and west to
+    east, finds every free cell with a route to the goal (the goal counts
+    as reached even when it is not free).  A path costs O(box), and the
+    walk along the reached cells O(route)."""
     used: set = set()
     routes: list = [()] * len(pairs)
     for i in range(len(pairs), 0, -1):
         start = _start_box(pairs[i - 1][0])
         goal = _goal_box(pairs[i - 1][1])
-        free = cells - used
-        reach = _reaching(goal, free)
-        if start not in free or start not in reach:
+        reach = {goal}
+        for r in range(goal[0], start[0] + 1):
+            west = r == goal[0]  # is (r, c - 1) reached?  The goal's row starts east of it
+            for c in range(goal[1] + west, start[1] + 1):
+                cell = (r, c)
+                west = cell in cells and cell not in used and (west or (r - 1, c) in reach)
+                if west:
+                    reach.add(cell)
+        if start not in reach or start not in cells or start in used:
             raise ValidationError(f"no path from H_{i} to V_{i}; ladder is not minimal?")
         route = [start]
         cur = start
         while cur != goal:
             for cand in ((cur[0], cur[1] - 1), (cur[0] - 1, cur[1])):  # west first
-                if cand in free and cand in reach:
+                if cand in reach and cand in cells and cand not in used:
                     route.append(cand)
                     cur = cand
                     break
@@ -468,7 +476,10 @@ def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
     southwest of it on its anti-diagonal, up to where that ray leaves the
     shape, must be occupied.  Row starts never decrease southward, so those
     cells are all the shape's cells south of the box on its anti-diagonal:
-    the box passes when the southmost free cell there lies north of it."""
+    the box passes when the southmost free cell there lies north of it.
+    The elbow test is not implied by the ray test: where rows i and i+1
+    share no column, a path can turn east-to-north in the cutout of row i
+    with every ray covered."""
     lam_cells = partition_cells(ladder)
     if len(family.routes) != len(family.endpoints):
         return False
@@ -492,6 +503,15 @@ def nilp_is_valid(ladder: Ladder, family: PathFamily) -> bool:
 
 # ---------------------------------------------------------------------------
 # the zipped family
+
+
+def _blanks_are(ladder: Ladder, family: PathFamily, pluses: frozenset) -> bool:
+    """Is `pluses`, a set of region cells, the blank set of a family that
+    `_hugging_family` built on region cells?  Its routes are disjoint and
+    lie in the region, so the blanks are `pluses` exactly when no route
+    box is a plus and the two counts fill the region."""
+    occupied = {box for route in family.routes for box in route}
+    return occupied.isdisjoint(pluses) and len(occupied) + len(pluses) == ladder.region.size()
 
 
 def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipResult, PathFamily]:
@@ -519,13 +539,13 @@ def _zipped(ladder: Ladder) -> tuple[tuple[Permutation, Permutation], ZipResult,
     if res.region != ladder.region:
         raise InternalError("compressed diagram of v does not match the ladder region")
     bottom = p_bot(ladder)
-    if frozenset(blanks(ladder, bottom)) != res.d_top.pluses:
+    if not _blanks_are(ladder, bottom, res.d_top.pluses):
         raise ValidationError("bottom family does not match the top diagram")
     try:
         family = _hugging_family(bottom.endpoints, ladder.region.cellset - res.d_zip.pluses)
     except ValidationError as exc:  # the family exists, as above
         raise InternalError(f"no zipped family: {exc}") from exc
-    if frozenset(blanks(ladder, family)) != res.d_zip.pluses:
+    if not _blanks_are(ladder, family, res.d_zip.pluses):
         raise InternalError("the zipped family's blanks are not the slid diagram")
     return pair, res, family
 

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
+import json
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, islice, product
 
 import pytest
 
 from klreg import ladder as ladder_module
-from klreg import oracle, zipdiag
+from klreg import cli, oracle, zipdiag
 from klreg.errors import InternalError, ValidationError
 from klreg.ladder import (
     Ladder,
@@ -237,14 +239,32 @@ def test_validate_minimal_matches_reference_on_random_boards():
 
 
 def test_validate_minimal_matches_reference_on_square_boards():
-    for a in range(8, 25):
-        for r in range(1, a // 4 + 1):
+    # every r up to a = 16, where the rows that fail the whole-row pass
+    # (r close to a) take the pass per cell
+    for a in range(1, 25):
+        for r in range(1, (a if a <= 16 else a // 4) + 1):
             board = _square_board(a, r)
             assert validate_minimal(board) == _validate_minimal_reference(board)
 
 
 def test_square_board_at_a40():
     assert validate_minimal(_square_board(40, 10)).passed
+
+
+def test_one_mark_square_boards_match_the_closed_form(tmp_path, capsys):
+    # the r-minors of a generic a x a matrix: regularity (r-1)(a-r+1) and
+    # a-invariant -(r-1)a (Bruns and Herzog, Manuscripta Math. 1992)
+    path = tmp_path / "board.json"
+    sizes = [(a, range(1, a + 1)) for a in range(1, 25)] + [(40, (1, 10, 20, 39)), (60, (2, 15, 59))]
+    for a, rs in sizes:
+        for r in rs:
+            board = _square_board(a, r)
+            reg, a_inv = (r - 1) * (a - r + 1), -(r - 1) * a
+            assert (regularity_ladder(board), a_invariant_ladder(board)) == (reg, a_inv), (a, r)
+            path.write_text(json.dumps(ladder_to_json(board)))
+            assert cli.main(["ladder", "--file", str(path), "--oracle"]) == 0, (a, r)
+            data = json.loads(capsys.readouterr().out)
+            assert (data["regularity"], data["a_invariant"], data["oracle"]["verdict"]) == (reg, a_inv, "AGREE")
 
 
 def test_big_ladder_known_offset_violations():
@@ -501,12 +521,109 @@ def test_anti_diagonal_reads_match_the_ray_probes():
     assert (invalid, through_cutout, with_elbows) == (1648, 1743, 1573)
 
 
+def test_cutout_elbow_is_refused_where_every_ray_is_covered():
+    # rows 2 and 3 share no column, so the east-to-north cutout box (2, 3)
+    # has only (3, 2) on its southwest ray; the inner path covers it, and
+    # every other cutout box's ray too: the elbow clause alone refuses it
+    board = Ladder((4, 3, 3), (3, 2, 0), (((1, 0), 2), ((3, 1), 3)))
+    outer = ((3, 4), (2, 4), (2, 3), (1, 3), (1, 2), (1, 1))
+    inner = ((3, 3), (3, 2), (2, 2))
+    family = PathFamily((outer, inner), boundary_points(board).pairs())
+    shape = partition_cells(board)
+    cutout = [(box, entry, exit_) for box, entry, exit_ in ladder_module._passages(family) if box not in board.region]
+    assert [(box, entry, exit_) for box, entry, exit_ in cutout if (entry, exit_) == ("E", "N")] == [((2, 3), "E", "N")]
+    for (i, j), _, _ in cutout:
+        ray = [(i + k, j - k) for k in range(1, board.n_rows) if (i + k, j - k) in shape]
+        assert set(ray) <= set(outer + inner)
+    assert not nilp_is_valid(board, family)
+    assert not _nilp_is_valid_reference(board, family)
+
+
 def test_unbalanced_boundary_points_are_counted_before_they_are_built():
     # a billion vertical points against none: refused at once, not after
     # building them
     board = Ladder((2, 2), (0, 0), (((1, 0), 10**9),))
     with pytest.raises(ValidationError, match=r"^unbalanced boundary points: 999999999 vertical, 0 horizontal$"):
         boundary_points(board)
+
+
+def _hugging_family_reference(pairs, cells):
+    """The southwest-hugging walk with each path's reach found by one
+    sorted pass over every free cell southeast of its goal, the goal
+    counted as reached even when it is not free."""
+    used = set()
+    routes = [()] * len(pairs)
+    for i in range(len(pairs), 0, -1):
+        start = ladder_module._start_box(pairs[i - 1][0])
+        goal = ladder_module._goal_box(pairs[i - 1][1])
+        free = cells - used
+        reach = {goal}
+        for c in sorted(c for c in free if c[0] >= goal[0] and c[1] >= goal[1]):
+            if (c[0], c[1] - 1) in reach or (c[0] - 1, c[1]) in reach:
+                reach.add(c)
+        if start not in free or start not in reach:
+            raise ValidationError(f"no path from H_{i} to V_{i}; ladder is not minimal?")
+        route = [start]
+        cur = start
+        while cur != goal:
+            for cand in ((cur[0], cur[1] - 1), (cur[0] - 1, cur[1])):
+                if cand in free and cand in reach:
+                    route.append(cand)
+                    cur = cand
+                    break
+            else:
+                raise ValidationError("southwest-hugging walk wedged; ladder is not minimal?")
+        used |= set(route)
+        routes[i - 1] = tuple(route)
+    return PathFamily(tuple(routes), tuple(pairs))
+
+
+def _walk_outcome(walk, pairs, cells):
+    try:
+        return walk(pairs, cells)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_hugging_walk_matches_the_reference():
+    # the bottom family's walk on the region, the zipped family's on the
+    # cells d_zip leaves free, and a walk on a random part of the region
+    # (where goals may be taken and walks wedge), on every board of the
+    # 3 x 3 box and on random boards; each family's blank check by counts
+    # against its blank set
+    rng = random.Random(20261019)
+    boards = [*all_boards(3, 3, 3, 3)] + [_random_marked_board(rng) for _ in range(3000)]
+    outcomes = Counter()
+    for board in boards:
+        try:
+            pairs = boundary_points(board).pairs()
+        except ValidationError:
+            continue
+        region = board.region.cellset
+        cells = {"bottom": region, "part": frozenset(c for c in board.region.cells() if rng.random() < 0.8)}
+        diagrams = {"part": region - cells["part"]}
+        try:
+            res = zipdiag.zip_result(*perm_of(board))
+        except ValidationError:
+            res = None
+        if res is not None and res.region == board.region:
+            cells["zipped"] = region - res.d_zip.pluses
+            diagrams.update(bottom=res.d_top.pluses, zipped=res.d_zip.pluses)
+        for kind, free in cells.items():
+            got = _walk_outcome(ladder_module._hugging_family, pairs, free)
+            assert got == _walk_outcome(_hugging_family_reference, pairs, free), (ladder_to_json(board), kind)
+            if isinstance(got, str):
+                outcomes[kind, got.split(";")[0].split(" from ")[0]] += 1
+                continue
+            outcomes[kind, "built"] += 1
+            for pluses in diagrams.values():
+                assert ladder_module._blanks_are(board, got, pluses) == (frozenset(blanks(board, got)) == pluses)
+    wedged = "southwest-hugging walk wedged"
+    assert outcomes == {
+        ("bottom", "built"): 10401, ("bottom", "no path"): 1798, ("bottom", wedged): 257,
+        ("zipped", "built"): 9334, ("zipped", "no path"): 1721, ("zipped", wedged): 245,
+        ("part", "built"): 8702, ("part", "no path"): 3034, ("part", wedged): 720,
+    }
 
 
 def test_walk_builds_a_family_for_every_excited_state():
