@@ -45,5 +45,5 @@ def d_ne(v: Permutation, w: Permutation) -> tuple[Cell, ...]:
     >>> d_ne(Permutation((2, 4, 1, 3)), Permutation((1, 3, 2, 4)))
     ((2, 1),)
     """
-    _, pluses, rows, cols = _ne_scan(v, w)
+    _, pluses, _, rows, cols = _ne_scan(v, w)
     return tuple((rows[r - 1], cols[c - 1]) for r, c in pluses)

@@ -88,18 +88,20 @@ def compress(v: Permutation) -> tuple[SkewRegion, CellMaps]:
     nonempty rows and columns of D(v) come from _ne_scan with w = id, in
     O(n log n); the cell maps add O(ell(v)).
     """
-    rows, _, lines, cols = _ne_scan(v, identity(v.n))
+    rows, _, _, lines, cols = _ne_scan(v, identity(v.n))
     region = SkewRegion(tuple(rows))
     forward = {(lines[r - 1], cols[c - 1]): (r, c) for r, c in region.cells()}
     backward = {img: src for src, img in forward.items()}
     return region, CellMaps(forward, backward)
 
 
-def _ne_scan(v: Permutation, w: Permutation) -> tuple[list[tuple[int, int]], list[Cell], list[int], list[int]]:
-    """compress(v)'s row intervals, d_top's pluses and the nonempty rows and
-    columns of D(v), lines[r - 1] and cols[c - 1] for compressed row r and
-    column c: d_top's one scan and klreg's one pair check (sizes, v then w
-    321-avoiding, then w <= v)."""
+def _ne_scan(v: Permutation, w: Permutation) -> tuple[list[tuple[int, int]], list[Cell], list, list[int], list[int]]:
+    """compress(v)'s row intervals, d_top's pluses and their runs, and the
+    nonempty rows and columns of D(v), lines[r - 1] and cols[c - 1] for
+    compressed row r and column c: d_top's one scan and klreg's one pair
+    check (sizes, v then w 321-avoiding, then w <= v).  The runs (r, a, e),
+    maximal sets a..e of adjacent plus columns in row r, come row-major;
+    a row's close east to west, each inserted at the row's first slot."""
     if v.n != w.n:
         raise ValidationError("size mismatch")
     for u in (v, w):
@@ -108,7 +110,7 @@ def _ne_scan(v: Permutation, w: Permutation) -> tuple[list[tuple[int, int]], lis
     zinv = [0] * (v.n + 1)  # z^-1 as a 1-indexed word (entry 0 unused); z = w at the start
     for p, x in enumerate(w.word, 1):
         zinv[x] = p
-    rows, pluses, lines, cols = [], [], [], []
+    rows, pluses, runs, lines, cols = [], [], [], [], []
     top = 0  # running maximum
     for i, (x, (k, free)) in enumerate(zip(v.word, _free_values(v.word)), 1):
         if k:
@@ -116,21 +118,36 @@ def _ne_scan(v: Permutation, w: Permutation) -> tuple[list[tuple[int, int]], lis
                 raise InternalError(f"compressed row {len(rows) + 1} is not contiguous")
             rows.append((first := len(cols) + 1, len(cols) + k))
             lines.append(i)  # v(i) is above a later value
-            r = len(rows)
+            r, slot = len(rows), len(runs)
+            lo = hi = 0  # the run being read, lo..hi; hi = 0 before the row's first plus
             for a in range(i + k - 1, i - 1, -1):  # right to left; column free[a - i] has label a
                 if zinv[a] > zinv[a + 1]:  # a + 1 precedes a in z: a left descent
                     zinv[a], zinv[a + 1] = zinv[a + 1], zinv[a]
-                    pluses.append((r, a - i + first))
+                    c = a - i + first
+                    pluses.append((r, c))
+                    if c + 1 != lo:  # a gap east of c closes the run lo..hi
+                        if hi:
+                            runs.insert(slot, (r, lo, hi))
+                        hi = c
+                    lo = c
+            if hi:
+                runs.insert(slot, (r, lo, hi))
         if x > top:
             top = x
         else:  # x is below an earlier value; these increase, as a 321 would end in two
             cols.append(x)
     if zinv != list(range(v.n + 1)):
         raise ValidationError(f"{w.word} is not below {v.word} in Bruhat order")
-    return rows, pluses, lines, cols
+    return rows, pluses, runs, lines, cols
 
 
 @lru_cache(maxsize=1)
+def _top(v: Permutation, w: Permutation) -> tuple[PlusDiagram, tuple[tuple[int, int, int], ...]]:
+    """d_top's memo: the diagram and its plus runs from one _ne_scan."""
+    rows, pluses, runs, _, _ = _ne_scan(v, w)
+    return PlusDiagram(SkewRegion(tuple(rows)), frozenset(pluses)), tuple(runs)
+
+
 def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
     """Compressed image of the northeast-most reduced pipe set on
     compress(v)'s region: every route's front end and its pair check.
@@ -156,14 +173,15 @@ def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
     when a is not a descent of z and s_a*z <= s' when it is (apply it to
     s_a*z < s).  At the end the suffix is empty, so z is the identity.
 
-    The one memo hands the diagram from its first reader to the others on
-    the same pair: 1 hit of 2 lookups in `klreg ladder` (perm_of, then
+    The scan also lists the plus runs, O(1) per plus and per run, which
+    zip_result reads so that nothing sorts the pluses.  The one memo, _top,
+    hands diagram and runs from their first reader to the others on the
+    same pair: 1 hit of 2 lookups in `klreg ladder` (perm_of, then
     zip_result), 2 of 3 in `klreg pair --oracle --recurrence` and in each
     `sweep` sample (zip_result, the closure oracle, the recurrence).
     Uncached, d_top takes 3.2 ms on bench's 105 seed-7 certify sweep ops,
     the three routes 19.0 ms with it warm (17%; 2-core Xeon, Py 3.11)."""
-    rows, pluses, _, _ = _ne_scan(v, w)
-    return PlusDiagram(SkewRegion(tuple(rows)), frozenset(pluses))
+    return _top(v, w)[0]
 
 
 def can_move(region: SkewRegion, pluses, b: Cell) -> bool:

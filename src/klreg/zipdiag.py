@@ -6,89 +6,138 @@ with an independent degree recurrence.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 from .errors import DEFAULT_BUDGET, InternalError, ResourceError
 from .perm import Cell, Permutation
-from .skew import PlusDiagram, SkewRegion, can_move, d_top
+from .skew import PlusDiagram, SkewRegion, _top, can_move, d_top
+
+
+def _runs(cells) -> list[tuple[int, int, int]]:
+    """The runs (i, a, e) of a cell set, as _ne_scan lists d_top's: maximal
+    sets a..e of adjacent columns in row i, row-major.  O(c log c) for c
+    cells, the sort."""
+    runs: list[tuple[int, int, int]] = []
+    for i, j in sorted(cells):
+        if runs and runs[-1][0] == i and runs[-1][2] == j - 1:
+            runs[-1] = (i, runs[-1][1], j)
+        else:
+            runs.append((i, j, j))
+    return runs
+
+
+def _rows(runs) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Row-major runs grouped by row: (i, [(a, e), ...] west to east)."""
+    rows: list[tuple[int, list[tuple[int, int]]]] = []
+    for i, a, e in runs:
+        if rows and rows[-1][0] == i:
+            rows[-1][1].append((a, e))
+        else:
+            rows.append((i, [(a, e)]))
+    return rows
+
+
+def _components(runs) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+    """The edge-connected components of a plus set given by its row-major
+    runs, each as _rows gives it, ordered by their first run.  Runs in
+    consecutive rows that share a column are linked, one union-find over
+    the runs, so a run touching two runs above merges their components and
+    any plus set works.  A two-pointer sweep per pair of rows: O(R) near
+    enough for R runs, whatever the number of cells."""
+    root = list(range(len(runs)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    lo = hi = first = up = 0  # runs[lo:hi]: the row above run k's; runs[first]: its row's first run
+    for k, (i, a, e) in enumerate(runs):
+        if k and runs[k - 1][0] != i:
+            lo, hi = (first, k) if runs[k - 1][0] == i - 1 else (k, k)
+            first, up = k, lo
+        while up < hi and runs[up][2] < a:  # runs west of this one touch none east of it either
+            up += 1
+        q = up
+        while q < hi and runs[q][1] <= e:
+            root[find(k)] = find(q)
+            q += 1
+    comps: dict[int, list] = {}  # keyed by root, in the order of each component's first run
+    for k, run in enumerate(runs):
+        comps.setdefault(find(k), []).append(run)
+    return [_rows(comp) for comp in comps.values()]
 
 
 def components(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
     """Edge-connected components of the plus set, each sorted row-major,
-    ordered northwest to southeast by their lexicographically minimal cell:
-    seeds go in sorted order, so each is its component's minimal cell.
+    ordered northwest to southeast by their lexicographically minimal cell,
+    which is each component's first run's west end.
 
     Two pluses sharing only a corner fall in different components.  The
     lexicographic key is a total order, so no tie-breaking is needed; rare
     interlocking layouts (one component nested in another's northeast
-    notch) are ordered by it as well.
+    notch) are ordered by it as well.  A view of _components on the plus
+    set's runs: O(c log c) to sort the c pluses into R runs, then O(R) to
+    link them and O(c) to list the cells.
     """
-    unseen = set(diagram.pluses)
-    comps = []
-    for seed in sorted(unseen):
-        if seed not in unseen:
-            continue
-        unseen.remove(seed)
-        comp = [seed]
-        for i, j in comp:  # comp grows while it is read: a breadth-first search
-            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if nb in unseen:
-                    unseen.remove(nb)
-                    comp.append(nb)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    return tuple(
+        tuple((i, j) for i, row in rows for a, e in row for j in range(a, e + 1))
+        for rows in _components(_runs(diagram.pluses))
+    )
 
 
-def _chain(component, levels=()) -> tuple[Cell, ...]:
-    """max_diag's chain of `component` (sorted row-major) or, with the sorted
-    `levels` taken, minimizing_diag's; their docstrings give the rule."""
-    rows = [(i, [j for _, j in cells]) for i, cells in groupby(component, key=itemgetter(0))]
-    lo = min(cols[0] for _, cols in rows)
-    width = max(cols[-1] for _, cols in rows) - lo + 1
-    before = [0] * width  # before[x]: the longest chain ending in a swept row west of column lo + x
+def _pick(rows, levels=()) -> tuple[Cell, ...]:
+    """max_diag's chain of the cells in `rows` (as _rows gives them) or,
+    with the sorted `levels` taken, minimizing_diag's; their docstrings
+    give the rule and the cost."""
+    tails: list[int] = []  # tails[x]: the least last column of a chain of length x + 1 in the rows swept
     east = []  # the longest chain ending at each row's east end, which is the row's longest
-    for _, cols in rows:
-        ending = [before[j - lo] + 1 for j in cols]
-        east.append(ending[-1])
-        for j, n in zip(reversed(cols), reversed(ending)):
-            x = j - lo + 1
-            while x < width and before[x] < n:
-                before[x] = n
-                x += 1
-    top = max(east)
-    score = {k: bisect_right(levels, i + cols[-1] + 1) for k, (i, cols) in enumerate(rows) if east[k] == top}
+    for _, runs in rows:
+        east.append(bisect_left(tails, runs[-1][1]) + 1)
+        for a, e in reversed(runs):  # east to west: a run's updates are east of every column west of it
+            p, q = bisect_left(tails, a), bisect_left(tails, e)
+            tails[p : q + 1] = [a] + [c + 1 for c in tails[p:q]]
+    top = len(tails)
+    score = {k: bisect_right(levels, i + runs[-1][1] + 1) for k, (i, runs) in enumerate(rows) if east[k] == top}
     least = min(score.values())
-    # after[x]: the longest chain to a least-scored row from a swept row at column lo + x or east
-    after = [0] * (width + 1)
-    lengths: list = [None] * len(rows)
+    # heads[x] = -g, g the greatest first column of a chain of length x + 1 to a least-scored row
+    # in the rows swept; the longest such chain from column j of a row north of them is
+    # bisect_left(heads, -j) + 1 when that count is positive
+    heads: list[int] = []
+    ends = [int(score.get(k) == least) for k in range(len(rows))]  # 1 for a least-scored row
+    reads: list = [None] * len(rows)  # per row: (a, e, p, heads[p:q]) per run, as swept
     for k in range(len(rows) - 1, -1, -1):
-        end, cols = int(score.get(k) == least), rows[k][1]
-        lengths[k] = [after[j - lo + 1] + 1 if after[j - lo + 1] else end for j in cols]
-        for j, n in zip(cols, lengths[k]):
-            x = j - lo
-            while x >= 0 and after[x] < n:
-                after[x] = n
-                x -= 1
-    picked, start, west = [], 0, lo - 1  # the columns taken; the next box is in rows[start:], east of west
+        reads[k] = []
+        for a, e in rows[k][1]:  # west to east: a run's updates are west of every column east of it
+            p, q = bisect_left(heads, -e), bisect_left(heads, -a)
+            within = heads[p:q]
+            reads[k].append((a, e, p, within))
+            if p or ends[k]:
+                heads[p : q + 1] = [-e] + [c + 1 for c in within]
+            else:  # no chain from this run's east end, and no run here gives one of length 1
+                heads[1 : q + 1] = [c + 1 for c in within]
+    picked, start, west = [], 0, 0  # the next box is in rows[start:], east of west; columns are positive
     for need in range(top, 0, -1):
-        best = (0, width + lo)
+        row = col = 0  # the best box so far, none while col is 0
         for k in range(start, len(rows)):
-            cols = rows[k][1]
-            x = bisect_right(cols, west)
-            if x < len(cols) and cols[x] < best[1] and lengths[k][x] == need:
-                best = (k, cols[x])
-                if cols[x] == west + 1:  # no row further south has a smaller column
+            for a, e, p, within in reads[k]:
+                if e > west:  # the row's first column east of west is in this run
+                    j = max(a, west + 1)
+                    count = p + bisect_left(within, -j)
+                    if (j < col or not col) and (count + 1 if count else ends[k]) == need:
+                        row, col = k, j
                     break
-        start, west = best[0] + 1, best[1]
+            if col == west + 1:  # no row further south has a smaller column
+                break
+        start, west = row + 1, col
         picked.append(west)
     chain: list[Cell] = []
     k = len(rows)
     for j in reversed(picked):
         k -= 1
-        while j not in rows[k][1] or not (chain or score.get(k) == least):
+        while not (chain or ends[k]) or not any(a <= j <= e for a, e in rows[k][1]):
             k -= 1
         chain.append((rows[k][0], j))
     return tuple(reversed(chain))
@@ -99,44 +148,50 @@ def max_diag(component: tuple[Cell, ...]) -> tuple[Cell, ...]:
     longest chains strictly increasing in row and column, the one with the
     smallest column tuple and then the largest row tuple.
 
-    Found without listing chains (a k x 2k block has C(2k, k)), row by
-    row.  A pass from the north keeps `before`, the longest chain ending in
-    a swept row west of each column; a pass from the south keeps `after`,
-    the longest chain from a swept row at each column or east of it.  Four
-    monotonicity facts let each step stop early:
-    (1) `before` never decreases eastward and (2) `after` never increases
-    eastward, so a cell's update stops at the first entry already at its
-    length;
-    (3) along a row, the longest chain ending at a cell never decreases
+    Found without listing chains (a k x 2k block has C(2k, k)), run by
+    run, a run being a maximal set a..e of adjacent columns in a row.  A
+    pass from the north keeps the least last column of a chain of each
+    length in the rows swept (patience sorting): the longest chain ending
+    at column j of the next row is 1 + the entries west of j.  A pass from
+    the south keeps the greatest first column of a chain of each length:
+    the longest chain from column j is 1 + the entries east of j.  Both
+    lists are strictly monotone, so a run rewrites one slice of each: the
+    first north entry at or east of a becomes a and each entry c in
+    a..e-1 moves up one length as c + 1 (mirrored from e going south).
+    The north pass takes a row's runs east to west and the south pass west
+    to east, so no run reads an entry another run of its row has moved.
+    (1) Along a row the longest chain ending at a cell never decreases
     eastward (its predecessor is northwest of every cell east of it too),
-    so a row's east end holds the row's longest;
-    (4) along a row, the longest chain from a cell never increases eastward
-    (the same argument mirrored), so the walk bisects each row to the first
-    column past the last box and reads one length there, and a row whose
-    first column there is next to the last box's ends the step.
+    so a row's east end holds the row's longest.
+    (2) Along a row the longest chain from a cell never increases eastward
+    (mirrored), so the walk reads one length per row, at its first column
+    past the last box, off the slice of the south list its run saw, and a
+    row whose first column there is next to the last box's ends the step.
     The walk takes, for each length from the longest down to 1, the least
     (column, row) cell of that length strictly southeast of the last box:
     the smallest column that still starts a chain of the needed length, and
     in it the smallest row, whose continuations include those of every row
     south of it.  With the columns fixed, each box moves south, last to
     first, to the largest row of its column north of the next box: the
-    pointwise, so lexicographic, maximum of the row tuple.  On a component
-    sorted row-major, as components returns it, with c cells in r rows
-    spanning s columns and longest chain t: O(c + s*t) for the passes (an
-    entry rises at most t times), O(t*r*log s) for the walk, O(c) for the
-    lift.
+    pointwise, so lexicographic, maximum of the row tuple.  With R runs in
+    r rows, longest chain t and S <= R*t list entries inside the runs'
+    spans: O(R log t + S) for the passes, O(t*r*log t) at worst for the
+    walk, O(R) for the lift; no cell is visited.  On a component of the
+    top diagram, one run per row (zip_result), that is O(r*t*log t).  The
+    component comes sorted row-major, as components returns it; one pass
+    finds its runs.
 
     >>> max_diag(((1, 1), (2, 1), (3, 2)))
     ((2, 1), (3, 2))
     """
-    return _chain(component)
+    return _pick(_rows(_runs(component)))
 
 
 def _minimizing_diag(comps) -> tuple[tuple[Cell, ...], ...]:
     chains = []
     levels: list[int] = []  # the levels taken so far, sorted, repeats kept
-    for comp in reversed(comps):
-        chain = comp if len(comp) == 1 else _chain(comp, levels)
+    for rows in reversed(comps):  # a one-row component's chain is its westmost cell
+        chain = ((rows[0][0], rows[0][1][0][0]),) if len(rows) == 1 else _pick(rows, levels)
         chains.append(chain)
         for i, j in chain:
             insort(levels, i + j)
@@ -150,22 +205,22 @@ def minimizing_diag(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
     ties go to the westmost-then-southmost chain.  The overlap depends only
     on the row of the chain's last box, through that row's east end, so
     the pass from the north finds the rows where a longest chain ends (by
-    max_diag's fact (3), those whose east end does), each is scored once,
+    max_diag's fact (1), those whose east end does), each is scored once,
     and the pass from the south and max_diag's walk run on the chains
     ending in a least-scored row.  Lengths to a set of whole rows keep
-    max_diag's four facts, so every early stop holds; with no levels every
+    max_diag's two facts, so every early stop holds; with no levels every
     such row scores 0, and the chain is max_diag's.  A row's score counts
     the levels up to its reach i + c' + 1, (i, c') its east end, so the
     least-scored rows are those with no level taken between the least
     reach and theirs: a level taken twice changes no choice, and the
     levels are one sorted list that gains each chain's levels by
-    bisection, repeats kept.  A one-cell component is its own chain.  Per
-    component of c cells in r rows spanning s columns with longest chain
-    t, and L levels taken: O(c + s*t + t*r*log s) as for max_diag,
-    O(log L) per scored row and O(t*L) at worst to insert the chain's
-    levels.
+    bisection, repeats kept.  A one-row component's chain is its westmost
+    cell.  A view of the runs routines: O(c log c) to sort the c pluses
+    into runs, O(R) to link them into components, then per component, as
+    for max_diag, O(R log t + S + t*r*log t), plus O(log L) per scored row
+    and O(t*L) at worst to insert the chain's levels, L levels taken.
     """
-    return _minimizing_diag(components(diagram))
+    return _minimizing_diag(_components(_runs(diagram.pluses)))
 
 
 @dataclass
@@ -207,29 +262,41 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
     diagram walked, so the cardinality check and the collision check of
     the K-saturation against the slid diagram can only fail on a bug.
 
+    The memo hands over the top diagram's plus runs with it, so nothing
+    sorts the pluses: _components links them, and each component's slide
+    sources are read per run, columns a..min(e, cj) of row i under the
+    chain's last box (ci, cj) in rows <= i.  Every top-diagram component
+    met so far is a skew shape, one run per row (tests: S_1..S_7 and random
+    pairs to n = 80; CI: S_8), so the chain pick is O(r*t*log t) there;
+    correctness does not rest on it.
+
     The record holds both lengths, so none is recomputed: compress(v) maps
     the cells of D(v) one to one onto the region, so |region| = #D(v) =
     length(v); d_top's scan takes a letter exactly when the remainder's
     length drops by one, and it ends at the identity, so |d_top| =
     length(w).  The pair is validated once, inside d_top; nothing after it
     checks v or w again."""
-    top = d_top(v, w)
+    top, runs = _top(v, w)
     region = top.region
-    comps = components(top)
+    comps = _components(runs)
     chains = _minimizing_diag(comps)
 
     pluses = set(top.pluses)
-    for comp, chain in zip(comps, chains):
-        # b slides when weakly southwest of a chain box and not one.  The chain rises
-        # in row and column, so its last box in rows <= b(1) is the eastmost of them.
-        rows = [d[0] for d in chain]
-        sources = []
-        for b in comp:
-            t = bisect_right(rows, b[0])
-            if t and chain[t - 1][1] >= b[1] and chain[t - 1] != b:
-                sources.append(b)
-        sources.sort(key=lambda b: (b[1], -b[0]))  # left to right, bottom to top
-        for b in sources:
+    for rows, chain in zip(comps, chains):
+        # b slides when weakly southwest of a chain box and not one.  The chain rises in
+        # row and column, so its last box (ci, cj) in rows <= i is the eastmost of them,
+        # and row i's sources are its columns a..cj, less cj when the box is in row i.
+        sources, t = [], 0
+        for i, row in rows:
+            while t < len(chain) and chain[t][0] <= i:
+                t += 1
+            if t:
+                ci, cj = chain[t - 1]
+                last = cj - (ci == i)
+                sources.extend((j, -i) for a, e in row for j in range(a, min(e, last) + 1))
+        sources.sort()  # left to right, bottom to top
+        for j, minus_i in sources:
+            b = (-minus_i, j)
             walk = _walk(region, pluses, b)
             if walk:
                 pluses.remove(b)

@@ -8,8 +8,11 @@ every repr((v.word, w.word, recurrence degree)), the number of pairs on
 which the zip degree is below the recurrence's, how many of those have a
 Grassmannian v, and a sha256 of every repr((v.word, w.word,
 minimizing_diag(d_top(v, w)))), which pins the chains the zip route
-slides along.  Exits 1 if the zip degree is above the recurrence's
-anywhere, which no under-count can explain.
+slides along, then how many components of the top diagrams are not skew
+shapes (one run per row, consecutive rows, starts and ends weakly
+increasing), the shape the chain pick's cost rests on.  Exits 1 if the zip
+degree is above the recurrence's anywhere, which no under-count can
+explain.
 
 Run from the root of a checkout:
 `PYTHONPATH=src:tests python tests/check_recurrence_s8.py`
@@ -19,15 +22,15 @@ import hashlib
 import sys
 
 from klreg.perm import bruhat_leq
-from klreg.zipdiag import groth_degree_recursive, minimizing_diag, zip_result
+from klreg.zipdiag import components, groth_degree_recursive, minimizing_diag, zip_result
 
-from knowndata import all_321_avoiding, is_grassmannian
+from knowndata import all_321_avoiding, is_grassmannian, is_skew_shape
 
 
 def main() -> int:
     avoid = all_321_avoiding(8)
     digest, chains = hashlib.sha256(), hashlib.sha256()
-    pairs = below = below_grassmannian = above = 0
+    pairs = below = below_grassmannian = above = not_skew = 0
     for v in avoid:
         for w in avoid:
             if not bruhat_leq(w, v):
@@ -38,6 +41,7 @@ def main() -> int:
             by_zip = res.degree
             digest.update(repr((v.word, w.word, by_rec)).encode())
             chains.update(repr((v.word, w.word, minimizing_diag(res.d_top))).encode())
+            not_skew += sum(not is_skew_shape(comp) for comp in components(res.d_top))
             if by_zip < by_rec:
                 below += 1
                 below_grassmannian += is_grassmannian(v)
@@ -49,6 +53,7 @@ def main() -> int:
     print(f"  of them with a Grassmannian v: {below_grassmannian}")
     print(f"zip above recurrence: {above}")
     print(f"sha256 of (v, w, minimizing_diag of the top diagram): {chains.hexdigest()}")
+    print(f"top-diagram components that are not skew shapes: {not_skew}")
     return int(above > 0)
 
 

@@ -190,6 +190,22 @@ def is_grassmannian(u: Permutation) -> bool:
     return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1]) <= 1
 
 
+def is_skew_shape(component) -> bool:
+    """True iff the cells form a skew shape: one run of adjacent columns
+    per row, in consecutive rows, with starts and ends weakly increasing
+    southward (the region's convention)."""
+    rows: dict[int, list[int]] = {}
+    for i, j in component:
+        rows.setdefault(i, []).append(j)
+    spans = []
+    for i in range(min(rows), max(rows) + 1):
+        cols = sorted(rows.get(i, ()))
+        if not cols or cols != list(range(cols[0], cols[-1] + 1)):
+            return False
+        spans.append((cols[0], cols[-1]))
+    return all(a <= b and e <= f for (a, e), (b, f) in zip(spans, spans[1:]))
+
+
 # The S_10 pair behind the reading-word / earliest-subword / degree-8 checks.
 V10 = Permutation((4, 6, 1, 2, 8, 9, 3, 5, 10, 7))
 W10 = Permutation((4, 1, 2, 3, 6, 8, 5, 9, 7, 10))

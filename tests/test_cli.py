@@ -249,8 +249,8 @@ def test_each_command_builds_the_construction_once(capsys, monkeypatch, argv):
         rng = random.Random(7)
         pairs = len({oracle.random_avoiding_pair(rng, 7) for _ in range(5)})
         assert pairs == 5
-    skew.d_top.cache_clear()
-    zips = _count_calls(monkeypatch, zipdiag, "components")
+    skew._top.cache_clear()
+    zips = _count_calls(monkeypatch, zipdiag, "_components")
     tops = _count_calls(monkeypatch, skew, "_ne_scan")
     bruhat = [_count_calls(monkeypatch, module, "bruhat_leq") for module in (perm, oracle, ideals)]
     code, _, _ = run(capsys, argv)

@@ -30,6 +30,7 @@ from knowndata import (
     W11,
     W_LAD_A,
     all_321_avoiding,
+    all_permutations,
     delta,
     excited_states,
 )
@@ -166,6 +167,32 @@ def test_random_pair_sampler():
             assert is_321_avoiding(v) and is_321_avoiding(w)
             assert bruhat_leq(w, v)
             assert coxeter_length(v) <= n * n // 4
+
+
+def _rajcode_degree_reference(w: Permutation) -> int:
+    """rajcode_degree as defined, O(m^2): each L_k is 1 + the longest L_j
+    over the later j with w(j) > w(k), filled right to left."""
+    longest = [0] * w.n  # longest[k] is L_(k+1)
+    for k in range(w.n - 1, -1, -1):
+        later = (longest[j] for j in range(k + 1, w.n) if w.word[j] > w.word[k])
+        longest[k] = 1 + max(later, default=0)
+    return sum(w.n - k - lk for k, lk in enumerate(longest))
+
+
+def test_rajcode_degree_matches_the_quadratic_definition():
+    # every permutation of S_1..S_7, 321-avoiding or not, then random words up to m = 500
+    for m in range(1, 8):
+        for w in all_permutations(m):
+            assert oracle.rajcode_degree(w) == _rajcode_degree_reference(w), w.word
+    rng = random.Random(35)
+    for m in (20, 50, 100, 200, 500):
+        for _ in range(5):
+            word = list(range(1, m + 1))
+            rng.shuffle(word)
+            w = Permutation(tuple(word))
+            assert oracle.rajcode_degree(w) == _rajcode_degree_reference(w)
+    assert oracle.rajcode_degree(Permutation(tuple(range(500, 0, -1)))) == 500 * 499 // 2
+    assert oracle.rajcode_degree(identity(500)) == 0
 
 
 def test_rajcode_degree_on_the_matrix_schubert_slice():

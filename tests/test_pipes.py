@@ -13,7 +13,7 @@ from klreg.perm import (
     rothe_diagram,
 )
 from klreg.pipes import _reading_cells, d_ne, reading_word
-from klreg.skew import d_top
+from klreg.skew import _top
 from klreg import oracle
 
 from knowndata import (
@@ -65,7 +65,7 @@ def test_d_ne_examples():
 
 def test_d_ne_spells_a_reduced_word_of_w():
     # multiplied out with perm's primitives, not the scan; d_ne is a view that leaves d_top's memo empty
-    d_top.cache_clear()
+    _top.cache_clear()
     for n in range(1, 7):
         perms = all_321_avoiding(n)
         for v in perms:
@@ -77,7 +77,7 @@ def test_d_ne_spells_a_reduced_word_of_w():
                     for a in word:
                         u = right_mult_s(u, a)
                     assert u == w
-    assert d_top.cache_info().currsize == 0
+    assert _top.cache_info().currsize == 0
 
 
 def test_d_ne_matches_brute_search_exhaustively():

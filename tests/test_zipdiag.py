@@ -1,13 +1,15 @@
 import hashlib
 import random
-from bisect import bisect_left
-from itertools import permutations
+from bisect import bisect_left, bisect_right
+from itertools import groupby, permutations
+from operator import itemgetter
 
 import pytest
 
 from klreg import oracle
 from klreg.errors import InternalError, ValidationError
 from klreg.perm import (
+    Cell,
     Permutation,
     bruhat_leq,
     coxeter_length,
@@ -17,9 +19,12 @@ from klreg.perm import (
     rothe_diagram,
 )
 from klreg.pipes import _reading_cells, d_ne, reading_word
-from klreg.skew import PlusDiagram, SkewRegion, compress, d_top
+from klreg.skew import PlusDiagram, SkewRegion, _top, compress, d_top
 from klreg.zipdiag import (
     _column_leq,
+    _pick,
+    _rows,
+    _runs,
     a_invariant,
     components,
     d_zip,
@@ -56,6 +61,7 @@ from knowndata import (
     ZIP_UNDERCOUNT,
     all_321_avoiding,
     excited_states,
+    is_skew_shape,
     k_saturation_by_moves,
     left_mult_s,
     rooms_by_moves,
@@ -144,9 +150,28 @@ def _max_diag_reference(component):
     return min(_maximal_chains(component), key=_chain_key)
 
 
+def _components_reference(diagram):
+    """components by a breadth-first search over the cells from each
+    unseen cell in sorted order, each component sorted row-major."""
+    unseen = set(diagram.pluses)
+    comps = []
+    for seed in sorted(unseen):
+        if seed not in unseen:
+            continue
+        unseen.remove(seed)
+        comp = [seed]
+        for i, j in comp:  # comp grows while it is read
+            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if nb in unseen:
+                    unseen.remove(nb)
+                    comp.append(nb)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
 def _minimizing_diag_reference(diagram):
     """minimizing_diag by listing every maximal chain of every component."""
-    comps = components(diagram)
+    comps = _components_reference(diagram)
     chains = {}
     taken_levels = set()
     for q in range(len(comps) - 1, -1, -1):
@@ -182,15 +207,126 @@ def _random_pair(rng, n):
     return v, w
 
 
+def _split_rows(cells) -> int:
+    """How many rows of a cell set hold two or more runs."""
+    return sum(len(runs) > 1 for _, runs in _rows(_runs(cells)))
+
+
 def test_diagonals_match_enumeration_on_random_cell_sets():
+    # random subsets of a square, so rows with two or more runs and components
+    # that are not skew shapes are common
     rng = random.Random(6)
+    split = merged = 0  # sets with a row of several runs; with such a row inside one component
     for _ in range(1500):
         side = rng.randint(1, 7)
         grid = [(i, j) for i in range(1, side + 1) for j in range(1, side + 1)]
         cells = tuple(sorted(rng.sample(grid, rng.randint(1, len(grid)))))
         assert max_diag(cells) == _max_diag_reference(cells)
         diagram = PlusDiagram(SkewRegion(((1, side),) * side), frozenset(cells))
+        assert components(diagram) == _components_reference(diagram)
         assert minimizing_diag(diagram) == _minimizing_diag_reference(diagram)
+        split += _split_rows(cells) > 0
+        merged += any(len(runs) > 1 for comp in components(diagram) for _, runs in _rows(_runs(comp)))
+    assert split > 500 and merged > 200
+
+
+def _chain_reference(component, levels=()) -> tuple[Cell, ...]:
+    """The chain pick cell by cell (sorted row-major cells): a prefix-maximum
+    list of the longest chain ending west of each column, the rows scored
+    where a longest chain ends, a suffix-maximum list of the longest chain to
+    a least-scored row at or east of each column, then the same walk and
+    lift as the runs routine."""
+    rows = [(i, [j for _, j in cells]) for i, cells in groupby(component, key=itemgetter(0))]
+    lo = min(cols[0] for _, cols in rows)
+    width = max(cols[-1] for _, cols in rows) - lo + 1
+    before = [0] * width
+    east = []
+    for _, cols in rows:
+        ending = [before[j - lo] + 1 for j in cols]
+        east.append(ending[-1])
+        for j, n in zip(reversed(cols), reversed(ending)):
+            x = j - lo + 1
+            while x < width and before[x] < n:
+                before[x] = n
+                x += 1
+    top = max(east)
+    score = {k: bisect_right(levels, i + cols[-1] + 1) for k, (i, cols) in enumerate(rows) if east[k] == top}
+    least = min(score.values())
+    after = [0] * (width + 1)
+    lengths: list = [None] * len(rows)
+    for k in range(len(rows) - 1, -1, -1):
+        end, cols = int(score.get(k) == least), rows[k][1]
+        lengths[k] = [after[j - lo + 1] + 1 if after[j - lo + 1] else end for j in cols]
+        for j, n in zip(cols, lengths[k]):
+            x = j - lo
+            while x >= 0 and after[x] < n:
+                after[x] = n
+                x -= 1
+    picked, start, west = [], 0, lo - 1
+    for need in range(top, 0, -1):
+        best = (0, width + lo)
+        for k in range(start, len(rows)):
+            cols = rows[k][1]
+            x = bisect_right(cols, west)
+            if x < len(cols) and cols[x] < best[1] and lengths[k][x] == need:
+                best = (k, cols[x])
+                if cols[x] == west + 1:
+                    break
+        start, west = best[0] + 1, best[1]
+        picked.append(west)
+    chain = []
+    k = len(rows)
+    for j in reversed(picked):
+        k -= 1
+        while j not in rows[k][1] or not (chain or score.get(k) == least):
+            k -= 1
+        chain.append((rows[k][0], j))
+    return tuple(reversed(chain))
+
+
+def test_runs_chain_pick_matches_the_cell_by_cell_pick():
+    # with random levels taken, as later components leave them, on cell sets
+    # whose rows often hold several runs
+    rng = random.Random(35)
+    split = 0
+    for _ in range(10_000):
+        side = rng.randint(1, 8)
+        grid = [(i, j) for i in range(1, side + 1) for j in range(1, side + 1)]
+        cells = tuple(sorted(rng.sample(grid, rng.randint(1, len(grid)))))
+        levels = sorted(rng.randint(2, 2 * side + 2) for _ in range(rng.randint(0, 2 * side)))
+        assert _pick(_rows(_runs(cells)), levels) == _chain_reference(cells, levels), (cells, levels)
+        split += _split_rows(cells) > 0
+    assert split > 5000
+
+
+def test_top_diagram_components_are_skew_shapes():
+    # one run per row, consecutive rows, starts and ends weakly increasing: the
+    # shape the chain pick's O(r*t*log t) cost rests on (its result does not);
+    # and the runs the scan hands to zip_result are those of the plus set
+    assert is_skew_shape(((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)))
+    for cells in (((1, 1), (1, 3)), ((1, 1), (3, 1)), ((1, 2), (2, 1)), ((1, 1), (1, 2), (2, 1))):
+        assert not is_skew_shape(cells)
+    comps = 0
+    for n in range(1, 8):
+        avoid = all_321_avoiding(n)
+        for v in avoid:
+            for w in avoid:
+                if bruhat_leq(w, v):
+                    top, runs = _top(v, w)
+                    assert list(runs) == _runs(top.pluses)  # the scan's runs are the plus set's
+                    for comp in components(top):
+                        assert is_skew_shape(comp), (v.word, w.word, comp)
+                        comps += 1
+    assert comps == 47_044
+    rng = random.Random(35)
+    for n in range(20, 81, 5):
+        for _ in range(10):
+            top, runs = _top(*oracle.random_avoiding_pair(rng, n))
+            assert list(runs) == _runs(top.pluses)
+            for comp in components(top):
+                assert is_skew_shape(comp), comp
+                comps += 1
+    assert comps > 47_044 + 500
 
 
 def test_minimizing_diag_matches_enumeration_on_random_pairs():
