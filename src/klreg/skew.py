@@ -173,11 +173,38 @@ def d_top(v: Permutation, w: Permutation) -> PlusDiagram:
     when a is not a descent of z and s_a*z <= s' when it is (apply it to
     s_a*z < s).  At the end the suffix is empty, so z is the identity.
 
-    The scan also lists the plus runs, O(1) per plus and per run, which
-    zip_result reads so that nothing sorts the pluses.  The one memo, _top,
-    hands diagram and runs from their first reader to the others on the
-    same pair: 1 hit of 2 lookups in `klreg ladder` (perm_of, then
-    zip_result), 2 of 3 in `klreg pair --oracle --recurrence` and in each
+    Run lemma: each edge-connected component of d_top is a skew shape, one
+    run (maximal set of adjacent plus columns in a row) per row in
+    consecutive rows, starts and ends weakly increasing southward.
+    (F1) Where rows r and r+1 share column c, label(r+1, c) = label(r, c)
+    + 1.  (r, c) in v's row i has label i + c - first, so the offset is
+    (i' - i) - (first' - first): the left-to-right maxima of v in rows
+    i..i'-1.  v(i) is one (else a larger earlier value, v(i) and the value
+    under (r, c) make a 321); one in an empty row p between has every
+    smaller value before p, which puts row r+1 east of row r.
+    (F2) The taken letters spell a reduced word of w in reading order.
+    (*) Pluses at (r, c) and (r+1, c-1) force pluses at (r, c-1) and
+    (r+1, c).  Both rows hold c-1 and c (the region is skew), so by F1
+    both pluses are s_a, a = label(r, c), and the cells read between them
+    (row r west of c, row r+1 east of c-1) carry no s_a, one s_{a-1}, at
+    (r, c-1), and one s_{a+1}, at (r+1, c).  321-avoiding w is fully
+    commutative (Billey, Jockusch and Stanley, J. Algebraic Combin. 1993),
+    so two consecutive copies of s_a in F2's word have at least two letters
+    of {s_{a-1}, s_{a+1}} between them (Stembridge, J. Algebraic Combin.
+    1996): both cells are taken.
+    Runs of rows r and r+1 meet when they share a column; for each claim,
+    (*) at the two pluses named would make a plus just outside a run:
+      - no run meets two runs a1..e1, a2..e2 above: (r, a2), (r+1, a2-1);
+      - no run meets two runs a1..e1, a2..e2 below: (r, e1+1), (r+1, e1);
+      - a run a'..e' under a..e has a' >= a: else (r, a), (r+1, a-1);
+      - and e' >= e: else (r, e'+1), (r+1, e').
+    By the first two a component's runs form a path, one per row.  Tests
+    check F1, (*) and the shape on S_1..S_7, CI the shape on S_8.
+
+    The scan also lists the plus runs, O(1) each, for zip_result.  The one
+    memo, _top, hands diagram and runs from their first reader to the
+    others on the pair: 1 hit of 2 lookups in `klreg ladder` (perm_of,
+    zip_result), 2 of 3 in `klreg pair --oracle --recurrence` and each
     `sweep` sample (zip_result, the closure oracle, the recurrence).
     Uncached, d_top takes 3.2 ms on bench's 105 seed-7 certify sweep ops,
     the three routes 19.0 ms with it warm (17%; 2-core Xeon, Py 3.11)."""

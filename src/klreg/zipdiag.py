@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
-from .errors import DEFAULT_BUDGET, InternalError, ResourceError
+from .errors import DEFAULT_BUDGET, InternalError, ResourceError, ValidationError
 from .perm import Cell, Permutation
 from .skew import PlusDiagram, SkewRegion, _top, can_move, d_top
 
@@ -27,145 +27,120 @@ def _runs(cells) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _rows(runs) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Row-major runs grouped by row: (i, [(a, e), ...] west to east)."""
-    rows: list[tuple[int, list[tuple[int, int]]]] = []
-    for i, a, e in runs:
-        if rows and rows[-1][0] == i:
-            rows[-1][1].append((a, e))
-        else:
-            rows.append((i, [(a, e)]))
-    return rows
-
-
-def _components(runs) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+def _components(runs) -> list[list[tuple[int, int, int]]]:
     """The edge-connected components of a plus set given by its row-major
-    runs, each as _rows gives it, ordered by their first run.  Runs in
-    consecutive rows that share a column are linked, one union-find over
-    the runs, so a run touching two runs above merges their components and
-    any plus set works.  A two-pointer sweep per pair of rows: O(R) near
-    enough for R runs, whatever the number of cells."""
-    root = list(range(len(runs)))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    lo = hi = first = up = 0  # runs[lo:hi]: the row above run k's; runs[first]: its row's first run
-    for k, (i, a, e) in enumerate(runs):
-        if k and runs[k - 1][0] != i:
-            lo, hi = (first, k) if runs[k - 1][0] == i - 1 else (k, k)
-            first, up = k, lo
-        while up < hi and runs[up][2] < a:  # runs west of this one touch none east of it either
+    runs, each a list of runs (i, a, e), one per row, in order of their
+    first run.  One sweep: a run joins the component of the one run it
+    overlaps in the row above or starts one; a run meeting two runs above,
+    or a run above that already has one below, raises ValidationError
+    (never on a top diagram: d_top's run lemma).  O(R) for R runs."""
+    comps: list[list[tuple[int, int, int]]] = []
+    above, here, up, row = [], [], 0, 0  # the row above's runs and row's so far: (a, e, component), west to east
+    for run in runs:
+        i, a, e = run
+        if i != row:
+            above, here, up, row = (here if i == row + 1 else []), [], 0, i
+        while up < len(above) and above[up][1] < a:  # runs above west of this one touch none east of it either
             up += 1
-        q = up
-        while q < hi and runs[q][1] <= e:
-            root[find(k)] = find(q)
-            q += 1
-    comps: dict[int, list] = {}  # keyed by root, in the order of each component's first run
-    for k, run in enumerate(runs):
-        comps.setdefault(find(k), []).append(run)
-    return [_rows(comp) for comp in comps.values()]
+        if up < len(above) and above[up][0] <= e:
+            comp = above[up][2]
+            if comp[-1][0] == i or up + 1 < len(above) and above[up + 1][0] <= e:
+                raise ValidationError(f"a component has two runs in one row, at run {run}")
+            comp.append(run)
+        else:
+            comp = [run]
+            comps.append(comp)
+        here.append((a, e, comp))
+    return comps
 
 
 def components(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
     """Edge-connected components of the plus set, each sorted row-major,
-    ordered northwest to southeast by their lexicographically minimal cell,
-    which is each component's first run's west end.
-
-    Two pluses sharing only a corner fall in different components.  The
-    lexicographic key is a total order, so no tie-breaking is needed; rare
-    interlocking layouts (one component nested in another's northeast
-    notch) are ordered by it as well.  A view of _components on the plus
-    set's runs: O(c log c) to sort the c pluses into R runs, then O(R) to
-    link them and O(c) to list the cells.
+    ordered by their lexicographically minimal cell, the first run's west
+    end: a total order, so no ties, that also orders the rare interlocking
+    layouts (one component in another's northeast notch).  Pluses sharing
+    only a corner are not adjacent.  A view of _components on the plus
+    set's runs: O(c log c) to sort the c pluses into R runs, O(R) to link
+    them (ValidationError as there) and O(c) to list the cells.
     """
     return tuple(
-        tuple((i, j) for i, row in rows for a, e in row for j in range(a, e + 1))
-        for rows in _components(_runs(diagram.pluses))
+        tuple((i, j) for i, a, e in comp for j in range(a, e + 1)) for comp in _components(_runs(diagram.pluses))
     )
 
 
-def _pick(rows, levels=()) -> tuple[Cell, ...]:
-    """max_diag's chain of the cells in `rows` (as _rows gives them) or,
-    with the sorted `levels` taken, minimizing_diag's; their docstrings
-    give the rule and the cost."""
+def _pick(runs, levels=()) -> tuple[Cell, ...]:
+    """max_diag's chain of one run (i, a, e) per row, or, with the sorted
+    `levels` taken, minimizing_diag's; their docstrings give rule and cost."""
     tails: list[int] = []  # tails[x]: the least last column of a chain of length x + 1 in the rows swept
     east = []  # the longest chain ending at each row's east end, which is the row's longest
-    for _, runs in rows:
-        east.append(bisect_left(tails, runs[-1][1]) + 1)
-        for a, e in reversed(runs):  # east to west: a run's updates are east of every column west of it
-            p, q = bisect_left(tails, a), bisect_left(tails, e)
-            tails[p : q + 1] = [a] + [c + 1 for c in tails[p:q]]
+    for _, a, e in runs:
+        p, q = bisect_left(tails, a), bisect_left(tails, e)
+        east.append(q + 1)
+        tails[p : q + 1] = [a] + [c + 1 for c in tails[p:q]]
     top = len(tails)
-    score = {k: bisect_right(levels, i + runs[-1][1] + 1) for k, (i, runs) in enumerate(rows) if east[k] == top}
+    score = {k: bisect_right(levels, i + e + 1) for k, (i, _, e) in enumerate(runs) if east[k] == top}
     least = min(score.values())
     # heads[x] = -g, g the greatest first column of a chain of length x + 1 to a least-scored row
     # in the rows swept; the longest such chain from column j of a row north of them is
     # bisect_left(heads, -j) + 1 when that count is positive
     heads: list[int] = []
-    ends = [int(score.get(k) == least) for k in range(len(rows))]  # 1 for a least-scored row
-    reads: list = [None] * len(rows)  # per row: (a, e, p, heads[p:q]) per run, as swept
-    for k in range(len(rows) - 1, -1, -1):
-        reads[k] = []
-        for a, e in rows[k][1]:  # west to east: a run's updates are west of every column east of it
-            p, q = bisect_left(heads, -e), bisect_left(heads, -a)
-            within = heads[p:q]
-            reads[k].append((a, e, p, within))
-            if p or ends[k]:
-                heads[p : q + 1] = [-e] + [c + 1 for c in within]
-            else:  # no chain from this run's east end, and no run here gives one of length 1
-                heads[1 : q + 1] = [c + 1 for c in within]
-    picked, start, west = [], 0, 0  # the next box is in rows[start:], east of west; columns are positive
+    ends = [int(score.get(k) == least) for k in range(len(runs))]  # 1 for a least-scored row
+    reads: list = [None] * len(runs)  # per row: (a, e, p, heads[p:q]) as swept
+    for k in range(len(runs) - 1, -1, -1):
+        _, a, e = runs[k]
+        p, q = bisect_left(heads, -e), bisect_left(heads, -a)
+        within = heads[p:q]
+        reads[k] = (a, e, p, within)
+        if p or ends[k]:
+            heads[p : q + 1] = [-e] + [c + 1 for c in within]
+        else:  # no chain from this row's east end, and the row gives none of length 1
+            heads[1 : q + 1] = [c + 1 for c in within]
+    picked, start, west = [], 0, 0  # the next box is in runs[start:], east of west; columns are positive
     for need in range(top, 0, -1):
         row = col = 0  # the best box so far, none while col is 0
-        for k in range(start, len(rows)):
-            for a, e, p, within in reads[k]:
-                if e > west:  # the row's first column east of west is in this run
-                    j = max(a, west + 1)
-                    count = p + bisect_left(within, -j)
-                    if (j < col or not col) and (count + 1 if count else ends[k]) == need:
-                        row, col = k, j
-                    break
-            if col == west + 1:  # no row further south has a smaller column
-                break
+        for k in range(start, len(runs)):
+            a, e, p, within = reads[k]
+            if e > west:  # the row's first column east of west
+                j = max(a, west + 1)
+                count = p + bisect_left(within, -j)
+                if (j < col or not col) and (count + 1 if count else ends[k]) == need:
+                    row, col = k, j
+                    if j == west + 1:  # no row further south has a smaller column
+                        break
         start, west = row + 1, col
         picked.append(west)
     chain: list[Cell] = []
-    k = len(rows)
+    k = len(runs)
     for j in reversed(picked):
         k -= 1
-        while not (chain or ends[k]) or not any(a <= j <= e for a, e in rows[k][1]):
+        while not (chain or ends[k]) or not runs[k][1] <= j <= runs[k][2]:
             k -= 1
-        chain.append((rows[k][0], j))
+        chain.append((runs[k][0], j))
     return tuple(reversed(chain))
 
 
 def max_diag(component: tuple[Cell, ...]) -> tuple[Cell, ...]:
     """The westmost-then-southmost diagonal of maximal length: of the
     longest chains strictly increasing in row and column, the one with the
-    smallest column tuple and then the largest row tuple.
+    smallest column tuple and then the largest row tuple.  A row must hold
+    one run a..e of adjacent columns, as in a top-diagram component
+    (d_top's run lemma), else ValidationError.
 
-    Found without listing chains (a k x 2k block has C(2k, k)), run by
-    run, a run being a maximal set a..e of adjacent columns in a row.  A
-    pass from the north keeps the least last column of a chain of each
-    length in the rows swept (patience sorting): the longest chain ending
-    at column j of the next row is 1 + the entries west of j.  A pass from
-    the south keeps the greatest first column of a chain of each length:
-    the longest chain from column j is 1 + the entries east of j.  Both
-    lists are strictly monotone, so a run rewrites one slice of each: the
-    first north entry at or east of a becomes a and each entry c in
-    a..e-1 moves up one length as c + 1 (mirrored from e going south).
-    The north pass takes a row's runs east to west and the south pass west
-    to east, so no run reads an entry another run of its row has moved.
+    Found without listing chains (a k x 2k block has C(2k, k)), row by
+    row.  A pass from the north keeps the least last column of a chain of
+    each length in the rows swept (patience sorting): the longest chain
+    ending at column j of the next row is 1 + the entries west of j.  A
+    pass from the south keeps the greatest first column of a chain of each
+    length: the longest chain from column j is 1 + the entries east of j.
+    Both lists are strictly monotone, so a row's run rewrites one slice of
+    each: the first north entry at or east of a becomes a and each entry c
+    in a..e-1 moves up one length as c + 1 (mirrored from e going south).
     (1) Along a row the longest chain ending at a cell never decreases
     eastward (its predecessor is northwest of every cell east of it too),
     so a row's east end holds the row's longest.
     (2) Along a row the longest chain from a cell never increases eastward
     (mirrored), so the walk reads one length per row, at its first column
-    past the last box, off the slice of the south list its run saw, and a
+    past the last box, off the slice of the south list the row saw, and a
     row whose first column there is next to the last box's ends the step.
     The walk takes, for each length from the longest down to 1, the least
     (column, row) cell of that length strictly southeast of the last box:
@@ -173,25 +148,25 @@ def max_diag(component: tuple[Cell, ...]) -> tuple[Cell, ...]:
     in it the smallest row, whose continuations include those of every row
     south of it.  With the columns fixed, each box moves south, last to
     first, to the largest row of its column north of the next box: the
-    pointwise, so lexicographic, maximum of the row tuple.  With R runs in
-    r rows, longest chain t and S <= R*t list entries inside the runs'
-    spans: O(R log t + S) for the passes, O(t*r*log t) at worst for the
-    walk, O(R) for the lift; no cell is visited.  On a component of the
-    top diagram, one run per row (zip_result), that is O(r*t*log t).  The
-    component comes sorted row-major, as components returns it; one pass
-    finds its runs.
+    pointwise, so lexicographic, maximum of the row tuple.  With r rows,
+    longest chain t and S <= r*t list entries inside the runs' spans:
+    O(r log t + S) for the passes, O(t*r*log t) at worst for the walk, O(r)
+    for the lift; no cell is visited.
 
     >>> max_diag(((1, 1), (2, 1), (3, 2)))
     ((2, 1), (3, 2))
     """
-    return _pick(_rows(_runs(component)))
+    runs = _runs(component)
+    if len({i for i, _, _ in runs}) < len(runs):
+        raise ValidationError("a row of the cells holds two runs")
+    return _pick(runs)
 
 
 def _minimizing_diag(comps) -> tuple[tuple[Cell, ...], ...]:
     chains = []
     levels: list[int] = []  # the levels taken so far, sorted, repeats kept
-    for rows in reversed(comps):  # a one-row component's chain is its westmost cell
-        chain = ((rows[0][0], rows[0][1][0][0]),) if len(rows) == 1 else _pick(rows, levels)
+    for runs in reversed(comps):  # a one-row component's chain is its westmost cell
+        chain = (runs[0][:2],) if len(runs) == 1 else _pick(runs, levels)
         chains.append(chain)
         for i, j in chain:
             insort(levels, i + j)
@@ -216,9 +191,10 @@ def minimizing_diag(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
     levels are one sorted list that gains each chain's levels by
     bisection, repeats kept.  A one-row component's chain is its westmost
     cell.  A view of the runs routines: O(c log c) to sort the c pluses
-    into runs, O(R) to link them into components, then per component, as
-    for max_diag, O(R log t + S + t*r*log t), plus O(log L) per scored row
-    and O(t*L) at worst to insert the chain's levels, L levels taken.
+    into runs, O(R) to link them (ValidationError as for components), then
+    per component, as for max_diag, O(r log t + S + t*r*log t), plus
+    O(log L) per scored row and O(t*L) at worst to insert the chain's
+    levels, L levels taken.
     """
     return _minimizing_diag(_components(_runs(diagram.pluses)))
 
@@ -262,13 +238,10 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
     diagram walked, so the cardinality check and the collision check of
     the K-saturation against the slid diagram can only fail on a bug.
 
-    The memo hands over the top diagram's plus runs with it, so nothing
-    sorts the pluses: _components links them, and each component's slide
-    sources are read per run, columns a..min(e, cj) of row i under the
-    chain's last box (ci, cj) in rows <= i.  Every top-diagram component
-    met so far is a skew shape, one run per row (tests: S_1..S_7 and random
-    pairs to n = 80; CI: S_8), so the chain pick is O(r*t*log t) there;
-    correctness does not rest on it.
+    The memo hands over the top diagram's plus runs, so nothing sorts the
+    pluses: _components links them, one per row (d_top's run lemma), and
+    row i's slide sources are its run's columns a..min(e, cj) under the
+    chain's last box (ci, cj) in rows <= i.
 
     The record holds both lengths, so none is recomputed: compress(v) maps
     the cells of D(v) one to one onto the region, so |region| = #D(v) =
@@ -282,18 +255,17 @@ def zip_result(v: Permutation, w: Permutation) -> ZipResult:
     chains = _minimizing_diag(comps)
 
     pluses = set(top.pluses)
-    for rows, chain in zip(comps, chains):
+    for comp, chain in zip(comps, chains):
         # b slides when weakly southwest of a chain box and not one.  The chain rises in
         # row and column, so its last box (ci, cj) in rows <= i is the eastmost of them,
         # and row i's sources are its columns a..cj, less cj when the box is in row i.
         sources, t = [], 0
-        for i, row in rows:
+        for i, a, e in comp:
             while t < len(chain) and chain[t][0] <= i:
                 t += 1
             if t:
                 ci, cj = chain[t - 1]
-                last = cj - (ci == i)
-                sources.extend((j, -i) for a, e in row for j in range(a, min(e, last) + 1))
+                sources.extend((j, -i) for j in range(a, min(e, cj - (ci == i)) + 1))
         sources.sort()  # left to right, bottom to top
         for j, minus_i in sources:
             b = (-minus_i, j)

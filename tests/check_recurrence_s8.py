@@ -10,9 +10,11 @@ Grassmannian v, and a sha256 of every repr((v.word, w.word,
 minimizing_diag(d_top(v, w)))), which pins the chains the zip route
 slides along, then how many components of the top diagrams are not skew
 shapes (one run per row, consecutive rows, starts and ends weakly
-increasing), the shape the chain pick's cost rests on.  Exits 1 if the zip
-degree is above the recurrence's anywhere, which no under-count can
-explain.
+increasing): the exhaustive check on S_8 of the run lemma proved in
+d_top's docstring, which zip's one-run-per-row linking and chain pick
+rest on (a component with two runs in a row would stop the script with
+components' ValidationError).  Exits 1 if the zip degree is above the
+recurrence's anywhere, which no under-count can explain.
 
 Run from the root of a checkout:
 `PYTHONPATH=src:tests python tests/check_recurrence_s8.py`

@@ -22,8 +22,8 @@ from klreg.pipes import _reading_cells, d_ne, reading_word
 from klreg.skew import PlusDiagram, SkewRegion, _top, compress, d_top
 from klreg.zipdiag import (
     _column_leq,
+    _components,
     _pick,
-    _rows,
     _runs,
     a_invariant,
     components,
@@ -207,27 +207,42 @@ def _random_pair(rng, n):
     return v, w
 
 
-def _split_rows(cells) -> int:
-    """How many rows of a cell set hold two or more runs."""
-    return sum(len(runs) > 1 for _, runs in _rows(_runs(cells)))
+def _one_run_per_row(cells) -> bool:
+    """True iff no row of the cell set holds two runs."""
+    runs = _runs(cells)
+    return len({i for i, _, _ in runs}) == len(runs)
 
 
 def test_diagonals_match_enumeration_on_random_cell_sets():
     # random subsets of a square, so rows with two or more runs and components
-    # that are not skew shapes are common
+    # that are not skew shapes are common: those the views refuse
     rng = random.Random(6)
-    split = merged = 0  # sets with a row of several runs; with such a row inside one component
+    whole = split = linked = refused = 0
     for _ in range(1500):
         side = rng.randint(1, 7)
         grid = [(i, j) for i in range(1, side + 1) for j in range(1, side + 1)]
         cells = tuple(sorted(rng.sample(grid, rng.randint(1, len(grid)))))
-        assert max_diag(cells) == _max_diag_reference(cells)
+        if _one_run_per_row(cells):
+            assert max_diag(cells) == _max_diag_reference(cells)
+            whole += 1
+        else:
+            with pytest.raises(ValidationError):
+                max_diag(cells)
+            split += 1
         diagram = PlusDiagram(SkewRegion(((1, side),) * side), frozenset(cells))
-        assert components(diagram) == _components_reference(diagram)
-        assert minimizing_diag(diagram) == _minimizing_diag_reference(diagram)
-        split += _split_rows(cells) > 0
-        merged += any(len(runs) > 1 for comp in components(diagram) for _, runs in _rows(_runs(comp)))
-    assert split > 500 and merged > 200
+        comps = _components_reference(diagram)
+        if all(_one_run_per_row(comp) for comp in comps):
+            assert components(diagram) == comps
+            assert minimizing_diag(diagram) == _minimizing_diag_reference(diagram)
+            assert [max_diag(c) for c in comps] == [_max_diag_reference(c) for c in comps]
+            linked += 1
+        else:
+            with pytest.raises(ValidationError):
+                components(diagram)
+            with pytest.raises(ValidationError):
+                minimizing_diag(diagram)
+            refused += 1
+    assert whole > 750 and split > 650 and linked > 1100 and refused > 250
 
 
 def _chain_reference(component, levels=()) -> tuple[Cell, ...]:
@@ -285,47 +300,112 @@ def _chain_reference(component, levels=()) -> tuple[Cell, ...]:
 
 
 def test_runs_chain_pick_matches_the_cell_by_cell_pick():
-    # with random levels taken, as later components leave them, on cell sets
-    # whose rows often hold several runs
+    # with random levels taken, as later components leave them, on the
+    # components of random cell sets; a set with a component of two runs in
+    # a row is refused
     rng = random.Random(35)
-    split = 0
+    linked = refused = multirow = 0
     for _ in range(10_000):
         side = rng.randint(1, 8)
         grid = [(i, j) for i in range(1, side + 1) for j in range(1, side + 1)]
         cells = tuple(sorted(rng.sample(grid, rng.randint(1, len(grid)))))
         levels = sorted(rng.randint(2, 2 * side + 2) for _ in range(rng.randint(0, 2 * side)))
-        assert _pick(_rows(_runs(cells)), levels) == _chain_reference(cells, levels), (cells, levels)
-        split += _split_rows(cells) > 0
-    assert split > 5000
+        comps = _components_reference(PlusDiagram(SkewRegion(((1, side),) * side), frozenset(cells)))
+        if all(_one_run_per_row(comp) for comp in comps):
+            picked = [_pick(runs, levels) for runs in _components(_runs(cells))]
+            assert picked == [_chain_reference(comp, levels) for comp in comps], (cells, levels)
+            linked += 1
+            multirow += sum(comp[0][0] != comp[-1][0] for comp in comps)
+        else:
+            with pytest.raises(ValidationError):
+                _components(_runs(cells))
+            refused += 1
+    assert linked > 7000 and refused > 2500 and multirow > 6000
+
+
+@pytest.mark.parametrize(
+    "cells, views",
+    [
+        # a U shape: the two runs of rows 1 and 2 joined through row 3
+        (((1, 1), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)), "components minimizing_diag max_diag"),
+        # one run under two runs
+        (((1, 1), (1, 3), (2, 1), (2, 2), (2, 3)), "components minimizing_diag max_diag"),
+        # one run over two runs
+        (((1, 1), (1, 2), (1, 3), (2, 1), (2, 3)), "components minimizing_diag max_diag"),
+        # two runs in one row, in two components
+        (((1, 1), (1, 3)), "max_diag"),
+    ],
+)
+def test_views_refuse_two_runs_in_a_row(cells, views):
+    diagram = PlusDiagram(SkewRegion(((1, 3),) * 3), frozenset(cells))
+    calls = {
+        "components": lambda: components(diagram),
+        "minimizing_diag": lambda: minimizing_diag(diagram),
+        "max_diag": lambda: max_diag(cells),
+    }
+    for view in views.split():
+        with pytest.raises(ValidationError, match="two runs"):
+            calls[view]()
+
+
+def _label_offsets(v) -> int:
+    """Check F1 of the run lemma in d_top's docstring on compress(v): where
+    compressed rows r and r+1 share a column c, the reading label of
+    (r+1, c) is that of (r, c) plus 1.  Returns how many row pairs share a
+    column."""
+    region, maps = compress(v)
+    label = {maps.forward[cell]: a for cell, a in _reading_cells(v)}
+    pairs = 0
+    for r, ((a1, e1), (a2, e2)) in enumerate(zip(region.rows, region.rows[1:]), 1):
+        shared = range(max(a1, a2), min(e1, e2) + 1)
+        for c in shared:
+            assert label[r + 1, c] == label[r, c] + 1, (v.word, r, c)
+        pairs += len(shared) > 0
+    return pairs
+
+
+def _star(pluses) -> int:
+    """Check (*) of the run lemma in d_top's docstring: pluses at (r, c)
+    and (r+1, c-1) come with pluses at (r, c-1) and (r+1, c).  Returns how
+    many such pairs the plus set has."""
+    pairs = [(r, c) for r, c in pluses if (r + 1, c - 1) in pluses]
+    for r, c in pairs:
+        assert (r, c - 1) in pluses and (r + 1, c) in pluses, (r, c)
+    return len(pairs)
 
 
 def test_top_diagram_components_are_skew_shapes():
-    # one run per row, consecutive rows, starts and ends weakly increasing: the
-    # shape the chain pick's O(r*t*log t) cost rests on (its result does not);
-    # and the runs the scan hands to zip_result are those of the plus set
+    # the run lemma in d_top's docstring: F1 on every v, (*) on every top
+    # diagram, and each component one run per row, consecutive rows, starts
+    # and ends weakly increasing (found by the BFS reference, and equal to
+    # what components finds); and the runs the scan hands to zip_result
+    # are those of the plus set
     assert is_skew_shape(((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)))
     for cells in (((1, 1), (1, 3)), ((1, 1), (3, 1)), ((1, 2), (2, 1)), ((1, 1), (1, 2), (2, 1))):
         assert not is_skew_shape(cells)
-    comps = 0
+    comps = overlaps = stars = 0
+
+    def check(top, runs):
+        nonlocal comps, stars
+        assert list(runs) == _runs(top.pluses)  # the scan's runs are the plus set's
+        stars += _star(top.pluses)
+        found = _components_reference(top)
+        for comp in found:
+            assert is_skew_shape(comp), comp
+        assert components(top) == found
+        comps += len(found)
+
     for n in range(1, 8):
         avoid = all_321_avoiding(n)
         for v in avoid:
+            overlaps += _label_offsets(v)
             for w in avoid:
                 if bruhat_leq(w, v):
-                    top, runs = _top(v, w)
-                    assert list(runs) == _runs(top.pluses)  # the scan's runs are the plus set's
-                    for comp in components(top):
-                        assert is_skew_shape(comp), (v.word, w.word, comp)
-                        comps += 1
-    assert comps == 47_044
+                    check(*_top(v, w))
+    assert (comps, overlaps, stars) == (47_044, 924, 5_560)
     rng = random.Random(35)
-    for n in range(20, 81, 5):
-        for _ in range(10):
-            top, runs = _top(*oracle.random_avoiding_pair(rng, n))
-            assert list(runs) == _runs(top.pluses)
-            for comp in components(top):
-                assert is_skew_shape(comp), comp
-                comps += 1
+    for n in [n for n in range(20, 81, 5) for _ in range(10)] + [150] * 5:
+        check(*_top(*oracle.random_avoiding_pair(rng, n)))
     assert comps > 47_044 + 500
 
 
