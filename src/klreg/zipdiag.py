@@ -6,7 +6,7 @@ with an independent degree recurrence.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, InternalError, ResourceError, ValidationError
@@ -31,9 +31,11 @@ def _components(runs) -> list[list[tuple[int, int, int]]]:
     """The edge-connected components of a plus set given by its row-major
     runs, each a list of runs (i, a, e), one per row, in order of their
     first run.  One sweep: a run joins the component of the one run it
-    overlaps in the row above or starts one; a run meeting two runs above,
-    or a run above that already has one below, raises ValidationError
-    (never on a top diagram: d_top's run lemma).  O(R) for R runs."""
+    overlaps in the row above or starts one.  A run meeting two runs above,
+    a run above that already has one below, or a run whose start or end is
+    west of the run above's raises ValidationError, so each component is a
+    skew shape, as _pick needs (never on a top diagram: d_top's run
+    lemma).  O(R) for R runs."""
     comps: list[list[tuple[int, int, int]]] = []
     above, here, up, row = [], [], 0, 0  # the row above's runs and row's so far: (a, e, component), west to east
     for run in runs:
@@ -43,9 +45,11 @@ def _components(runs) -> list[list[tuple[int, int, int]]]:
         while up < len(above) and above[up][1] < a:  # runs above west of this one touch none east of it either
             up += 1
         if up < len(above) and above[up][0] <= e:
-            comp = above[up][2]
-            if comp[-1][0] == i or up + 1 < len(above) and above[up + 1][0] <= e:
-                raise ValidationError(f"a component has two runs in one row, at run {run}")
+            a0, e0, comp = above[up]
+            if comp[-1][0] == i or up + 1 < len(above) and above[up + 1][0] <= e or a < a0 or e < e0:
+                raise ValidationError(
+                    f"a component is not one run per row with starts and ends weakly increasing, at run {run}"
+                )
             comp.append(run)
         else:
             comp = [run]
@@ -69,104 +73,77 @@ def components(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
 
 
 def _pick(runs, levels=()) -> tuple[Cell, ...]:
-    """max_diag's chain of one run (i, a, e) per row, or, with the sorted
-    `levels` taken, minimizing_diag's; their docstrings give rule and cost."""
-    tails: list[int] = []  # tails[x]: the least last column of a chain of length x + 1 in the rows swept
-    east = []  # the longest chain ending at each row's east end, which is the row's longest
-    for _, a, e in runs:
-        p, q = bisect_left(tails, a), bisect_left(tails, e)
-        east.append(q + 1)
-        tails[p : q + 1] = [a] + [c + 1 for c in tails[p:q]]
-    top = len(tails)
-    score = {k: bisect_right(levels, i + e + 1) for k, (i, _, e) in enumerate(runs) if east[k] == top}
-    least = min(score.values())
-    # heads[x] = -g, g the greatest first column of a chain of length x + 1 to a least-scored row
-    # in the rows swept; the longest such chain from column j of a row north of them is
-    # bisect_left(heads, -j) + 1 when that count is positive
-    heads: list[int] = []
-    ends = [int(score.get(k) == least) for k in range(len(runs))]  # 1 for a least-scored row
-    reads: list = [None] * len(runs)  # per row: (a, e, p, heads[p:q]) as swept
-    for k in range(len(runs) - 1, -1, -1):
-        _, a, e = runs[k]
-        p, q = bisect_left(heads, -e), bisect_left(heads, -a)
-        within = heads[p:q]
-        reads[k] = (a, e, p, within)
-        if p or ends[k]:
-            heads[p : q + 1] = [-e] + [c + 1 for c in within]
-        else:  # no chain from this row's east end, and the row gives none of length 1
-            heads[1 : q + 1] = [c + 1 for c in within]
-    picked, start, west = [], 0, 0  # the next box is in runs[start:], east of west; columns are positive
-    for need in range(top, 0, -1):
-        row = col = 0  # the best box so far, none while col is 0
-        for k in range(start, len(runs)):
-            a, e, p, within = reads[k]
-            if e > west:  # the row's first column east of west
-                j = max(a, west + 1)
-                count = p + bisect_left(within, -j)
-                if (j < col or not col) and (count + 1 if count else ends[k]) == need:
-                    row, col = k, j
-                    if j == west + 1:  # no row further south has a smaller column
-                        break
-        start, west = row + 1, col
-        picked.append(west)
-    chain: list[Cell] = []
-    k = len(runs)
-    for j in reversed(picked):
+    """max_diag's chain of one run (i, a, e) per row, starts and ends weakly
+    increasing southward, or, with the sorted `levels` taken,
+    minimizing_diag's; their docstrings give rule, proof and cost."""
+    cols: list[int] = []  # the greedy's columns, north to south
+    for k, (_, a, e) in enumerate(runs):
+        c = max(a, cols[-1] + 1) if cols else a
+        if c <= e:
+            cols.append(c)
+            s = k  # the greedy's last row so far
+    i, _, e = runs[s]
+    x, k = bisect_right(levels, i + e + 1), len(runs) - 1  # levels[x]: the first level past row s's reach
+    while x < len(levels) and runs[k][0] + runs[k][2] + 1 >= levels[x]:
         k -= 1
-        while not (chain or ends[k]) or not runs[k][1] <= j <= runs[k][2]:
+    chain: list[Cell] = []
+    for j in reversed(cols):  # the lift: k is the southmost row the box may take
+        while runs[k][1] > j:
             k -= 1
         chain.append((runs[k][0], j))
+        k -= 1
     return tuple(reversed(chain))
 
 
 def max_diag(component: tuple[Cell, ...]) -> tuple[Cell, ...]:
     """The westmost-then-southmost diagonal of maximal length: of the
     longest chains strictly increasing in row and column, the one with the
-    smallest column tuple and then the largest row tuple.  A row must hold
-    one run a..e of adjacent columns, as in a top-diagram component
-    (d_top's run lemma), else ValidationError.
+    smallest column tuple and then the largest row tuple.  Each row must
+    hold one run a..e of adjacent columns, starts and ends weakly
+    increasing southward, as in a top-diagram component (d_top's run
+    lemma), else ValidationError.
 
-    Found without listing chains (a k x 2k block has C(2k, k)), row by
-    row.  A pass from the north keeps the least last column of a chain of
-    each length in the rows swept (patience sorting): the longest chain
-    ending at column j of the next row is 1 + the entries west of j.  A
-    pass from the south keeps the greatest first column of a chain of each
-    length: the longest chain from column j is 1 + the entries east of j.
-    Both lists are strictly monotone, so a row's run rewrites one slice of
-    each: the first north entry at or east of a becomes a and each entry c
-    in a..e-1 moves up one length as c + 1 (mirrored from e going south).
-    (1) Along a row the longest chain ending at a cell never decreases
-    eastward (its predecessor is northwest of every cell east of it too),
-    so a row's east end holds the row's longest.
-    (2) Along a row the longest chain from a cell never increases eastward
-    (mirrored), so the walk reads one length per row, at its first column
-    past the last box, off the slice of the south list the row saw, and a
-    row whose first column there is next to the last box's ends the step.
-    The walk takes, for each length from the longest down to 1, the least
-    (column, row) cell of that length strictly southeast of the last box:
-    the smallest column that still starts a chain of the needed length, and
-    in it the smallest row, whose continuations include those of every row
-    south of it.  With the columns fixed, each box moves south, last to
-    first, to the largest row of its column north of the next box: the
-    pointwise, so lexicographic, maximum of the row tuple.  With r rows,
-    longest chain t and S <= r*t list entries inside the runs' spans:
-    O(r log t + S) for the passes, O(t*r*log t) at worst for the walk, O(r)
-    for the lift; no cell is visited.
+    Found without listing chains (a k x 2k block has C(2k, k)), rows
+    numbered 1..r north to south:
+    (1) Greedy.  North to south, give a row the column max(a, g + 1), g the
+    last column given (none at first), when that is at most e.  For every
+    chain (r_1, c_1), ..., (r_t, c_t), the greedy gives boxes (s_1, g_1),
+    ..., (s_t, g_t) with s_x <= r_x and g_x <= c_x.  Row 1 takes a_1 <=
+    a_{r_1} <= c_1.  Past s_x, either the greedy gives a box north of
+    r_{x+1} or row r_{x+1} takes max(a, g_x + 1) <= c_{x+1} <= e; in both
+    cases s_{x+1} <= r_{x+1}, and g_{x+1} <= max(a_{r_{x+1}}, c_x + 1) <=
+    c_{x+1}, as starts never decrease.  So the greedy chain is a longest
+    one, and its columns are pointwise, so lexicographically, the least.
+    (2) Ends.  With s the greedy's last row, a longest chain ends in row k
+    exactly when k >= s: its last row is at or south of s by (1), and for
+    k >= s the greedy's boxes but the last, then (k, e_k), are one, as
+    ends never decrease.
+    (3) Lift.  Last box to first, each box moves to the southmost row of
+    its column north of the next box, the last one to the southmost of
+    rows s..b holding its column (b = r here; minimizing_diag bounds it).
+    Starts never decrease, so that is the last row k in bounds with a_k <=
+    g_x; the greedy's row s_x is in bounds too (the lifted rows are at or
+    south of the greedy's), so k >= s_x and e_k >= e_{s_x} >= g_x: row k
+    holds the box.  Any chain on these columns has its last box at or north
+    of the lifted one, then each box at or north of its lifted row, which
+    is the southmost above the next: the lifted rows are pointwise, so
+    lexicographically, the largest.
+    One pass each way over the r rows, O(r); no cell is visited.
 
     >>> max_diag(((1, 1), (2, 1), (3, 2)))
     ((2, 1), (3, 2))
     """
     runs = _runs(component)
-    if len({i for i, _, _ in runs}) < len(runs):
-        raise ValidationError("a row of the cells holds two runs")
-    return _pick(runs)
+    if any(i == i2 or a > a2 or e > e2 for (i, a, e), (i2, a2, e2) in zip(runs, runs[1:])):
+        raise ValidationError("the cells are not one run per row with starts and ends weakly increasing")
+    return _pick(runs) if runs else ()
 
 
 def _minimizing_diag(comps) -> tuple[tuple[Cell, ...], ...]:
     chains = []
     levels: list[int] = []  # the levels taken so far, sorted, repeats kept
-    for runs in reversed(comps):  # a one-row component's chain is its westmost cell
-        chain = (runs[0][:2],) if len(runs) == 1 else _pick(runs, levels)
+    for runs in reversed(comps):
+        chain = _pick(runs, levels)
         chains.append(chain)
         for i, j in chain:
             insort(levels, i + j)
@@ -178,23 +155,23 @@ def minimizing_diag(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
     that each minimizes the overlap of the anti-diagonal levels below its
     eastmost endpoint with the levels already taken by later components;
     ties go to the westmost-then-southmost chain.  The overlap depends only
-    on the row of the chain's last box, through that row's east end, so
-    the pass from the north finds the rows where a longest chain ends (by
-    max_diag's fact (1), those whose east end does), each is scored once,
-    and the pass from the south and max_diag's walk run on the chains
-    ending in a least-scored row.  Lengths to a set of whole rows keep
-    max_diag's two facts, so every early stop holds; with no levels every
-    such row scores 0, and the chain is max_diag's.  A row's score counts
-    the levels up to its reach i + c' + 1, (i, c') its east end, so the
-    least-scored rows are those with no level taken between the least
-    reach and theirs: a level taken twice changes no choice, and the
-    levels are one sorted list that gains each chain's levels by
-    bisection, repeats kept.  A one-row component's chain is its westmost
-    cell.  A view of the runs routines: O(c log c) to sort the c pluses
-    into runs, O(R) to link them (ValidationError as for components), then
-    per component, as for max_diag, O(r log t + S + t*r*log t), plus
-    O(log L) per scored row and O(t*L) at worst to insert the chain's
-    levels, L levels taken.
+    on the row of the chain's last box: it counts the levels taken up to
+    the row's reach i + e + 1, (i, e) the row's east end.  Reaches increase
+    southward, so the scores never decrease, and by max_diag's (2) the rows
+    where a longest chain ends are those from the greedy's last row s
+    south: the least-scored of them are s..b, b the last row whose reach is
+    below the first level past s's reach (the last row if there is none).
+    The chains allowed are then the longest chains within rows 1..b.  The
+    greedy never looks south of the row it is at, and its boxes are in
+    rows 1..s, so by max_diag's (1) its columns are the least of those
+    chains, and (3) with the last box at or north of b gives the rows.
+    With no levels b is the last row, and the chain is max_diag's.  A level
+    taken twice changes no choice, and the levels are one sorted list that
+    gains each chain's levels by bisection, repeats kept.  A view of the
+    runs routines: O(c log c) to sort the c pluses into runs, O(R) to link
+    them (ValidationError as for components), then per component of r rows
+    and t boxes O(r) as for max_diag, plus O(log L) to find b's level and
+    O(t*L) at worst to insert the chain's levels, L levels taken.
     """
     return _minimizing_diag(_components(_runs(diagram.pluses)))
 

@@ -11,9 +11,11 @@ minimizing_diag(d_top(v, w)))), which pins the chains the zip route
 slides along, then how many components of the top diagrams are not skew
 shapes (one run per row, consecutive rows, starts and ends weakly
 increasing): the exhaustive check on S_8 of the run lemma proved in
-d_top's docstring, which zip's one-run-per-row linking and chain pick
-rest on (a component with two runs in a row would stop the script with
-components' ValidationError).  Exits 1 if the zip degree is above the
+d_top's docstring, which zip's one-run-per-row linking and greedy chain
+pick rest on.  The components come from a breadth-first search over
+d_top's pluses, not from zipdiag.components: zip refuses a component
+that is not a skew shape with a ValidationError, so a pair with one is
+counted and gets no zip record.  Exits 1 if the zip degree is above the
 recurrence's anywhere, which no under-count can explain.
 
 Run from the root of a checkout:
@@ -24,9 +26,10 @@ import hashlib
 import sys
 
 from klreg.perm import bruhat_leq
-from klreg.zipdiag import components, groth_degree_recursive, minimizing_diag, zip_result
+from klreg.skew import d_top
+from klreg.zipdiag import groth_degree_recursive, minimizing_diag, zip_result
 
-from knowndata import all_321_avoiding, is_grassmannian, is_skew_shape
+from knowndata import all_321_avoiding, components_by_search, is_grassmannian, is_skew_shape
 
 
 def main() -> int:
@@ -39,11 +42,14 @@ def main() -> int:
                 continue
             pairs += 1
             by_rec = groth_degree_recursive(v, w)
+            digest.update(repr((v.word, w.word, by_rec)).encode())
+            bad = sum(not is_skew_shape(comp) for comp in components_by_search(d_top(v, w)))
+            not_skew += bad
+            if bad:
+                continue
             res = zip_result(v, w)
             by_zip = res.degree
-            digest.update(repr((v.word, w.word, by_rec)).encode())
             chains.update(repr((v.word, w.word, minimizing_diag(res.d_top))).encode())
-            not_skew += sum(not is_skew_shape(comp) for comp in components(res.d_top))
             if by_zip < by_rec:
                 below += 1
                 below_grassmannian += is_grassmannian(v)

@@ -206,6 +206,28 @@ def is_skew_shape(component) -> bool:
     return all(a <= b and e <= f for (a, e), (b, f) in zip(spans, spans[1:]))
 
 
+def components_by_search(diagram):
+    """The plus set's edge-connected components, as zipdiag.components
+    lists them, by a breadth-first search over the cells from each unseen
+    cell in sorted order, each component sorted row-major: the reference
+    that reads no runs, so it also finds components that are not skew
+    shapes."""
+    unseen = set(diagram.pluses)
+    comps = []
+    for seed in sorted(unseen):
+        if seed not in unseen:
+            continue
+        unseen.remove(seed)
+        comp = [seed]
+        for i, j in comp:  # comp grows while it is read
+            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if nb in unseen:
+                    unseen.remove(nb)
+                    comp.append(nb)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
 # The S_10 pair behind the reading-word / earliest-subword / degree-8 checks.
 V10 = Permutation((4, 6, 1, 2, 8, 9, 3, 5, 10, 7))
 W10 = Permutation((4, 1, 2, 3, 6, 8, 5, 9, 7, 10))

@@ -60,6 +60,7 @@ from knowndata import (
     S7_ZIP_RECORD_SHA256,
     ZIP_UNDERCOUNT,
     all_321_avoiding,
+    components_by_search,
     excited_states,
     is_skew_shape,
     k_saturation_by_moves,
@@ -108,6 +109,7 @@ def test_diagonals_on_two_component_pair():
     assert chains[0] == MIN_DIAG_16_C1
     assert chains[1] == DIAG_16_C2
     assert max_diag(((5, 5),)) == ((5, 5),)
+    assert max_diag(()) == ()
 
 
 def _maximal_chains(component):
@@ -150,28 +152,9 @@ def _max_diag_reference(component):
     return min(_maximal_chains(component), key=_chain_key)
 
 
-def _components_reference(diagram):
-    """components by a breadth-first search over the cells from each
-    unseen cell in sorted order, each component sorted row-major."""
-    unseen = set(diagram.pluses)
-    comps = []
-    for seed in sorted(unseen):
-        if seed not in unseen:
-            continue
-        unseen.remove(seed)
-        comp = [seed]
-        for i, j in comp:  # comp grows while it is read
-            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if nb in unseen:
-                    unseen.remove(nb)
-                    comp.append(nb)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
-
-
 def _minimizing_diag_reference(diagram):
     """minimizing_diag by listing every maximal chain of every component."""
-    comps = _components_reference(diagram)
+    comps = components_by_search(diagram)
     chains = {}
     taken_levels = set()
     for q in range(len(comps) - 1, -1, -1):
@@ -207,22 +190,39 @@ def _random_pair(rng, n):
     return v, w
 
 
-def _one_run_per_row(cells) -> bool:
-    """True iff no row of the cell set holds two runs."""
-    runs = _runs(cells)
-    return len({i for i, _, _ in runs}) == len(runs)
+def _monotone_runs(cells) -> bool:
+    """True iff each row of the cell set is one run of adjacent columns,
+    starts and ends weakly increasing southward: the cell sets max_diag
+    answers, and for a component, a skew shape."""
+    rows = [[j for _, j in row] for _, row in groupby(sorted(cells), key=itemgetter(0))]
+    return all(cols[-1] - cols[0] == len(cols) - 1 for cols in rows) and all(
+        p[0] <= q[0] and p[-1] <= q[-1] for p, q in zip(rows, rows[1:])
+    )
+
+
+def _random_skew_shape(rng, rows, width, first=1) -> list[Cell]:
+    """A random skew shape in rows first..first+rows-1 and columns
+    1..width, row-major: each row's start lies in the span of the row
+    above, and its end is at or east of both."""
+    a = rng.randint(1, width)
+    e = rng.randint(a, width)
+    cells = []
+    for i in range(first, first + rows):
+        cells.extend((i, j) for j in range(a, e + 1))
+        a, e = rng.randint(a, e), rng.randint(e, width)
+    return cells
 
 
 def test_diagonals_match_enumeration_on_random_cell_sets():
     # random subsets of a square, so rows with two or more runs and components
-    # that are not skew shapes are common: those the views refuse
+    # that are not skew shapes are common: those the views refuse; then
+    # unions of random skew shapes, whose components mostly are skew shapes
     rng = random.Random(6)
     whole = split = linked = refused = 0
-    for _ in range(1500):
-        side = rng.randint(1, 7)
-        grid = [(i, j) for i in range(1, side + 1) for j in range(1, side + 1)]
-        cells = tuple(sorted(rng.sample(grid, rng.randint(1, len(grid)))))
-        if _one_run_per_row(cells):
+
+    def check(side, cells):
+        nonlocal whole, split, linked, refused
+        if _monotone_runs(cells):
             assert max_diag(cells) == _max_diag_reference(cells)
             whole += 1
         else:
@@ -230,8 +230,8 @@ def test_diagonals_match_enumeration_on_random_cell_sets():
                 max_diag(cells)
             split += 1
         diagram = PlusDiagram(SkewRegion(((1, side),) * side), frozenset(cells))
-        comps = _components_reference(diagram)
-        if all(_one_run_per_row(comp) for comp in comps):
+        comps = components_by_search(diagram)
+        if all(is_skew_shape(comp) for comp in comps):
             assert components(diagram) == comps
             assert minimizing_diag(diagram) == _minimizing_diag_reference(diagram)
             assert [max_diag(c) for c in comps] == [_max_diag_reference(c) for c in comps]
@@ -242,15 +242,31 @@ def test_diagonals_match_enumeration_on_random_cell_sets():
             with pytest.raises(ValidationError):
                 minimizing_diag(diagram)
             refused += 1
+
+    for _ in range(1500):
+        side = rng.randint(1, 7)
+        grid = [(i, j) for i in range(1, side + 1) for j in range(1, side + 1)]
+        check(side, tuple(sorted(rng.sample(grid, rng.randint(1, len(grid))))))
+    for _ in range(600):
+        side = rng.randint(1, 7)
+        cells = set()
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            rows = rng.randint(1, side)
+            cells.update(_random_skew_shape(rng, rows, side, rng.randint(1, side - rows + 1)))
+        check(side, tuple(sorted(cells)))
     assert whole > 750 and split > 650 and linked > 1100 and refused > 250
 
 
 def _chain_reference(component, levels=()) -> tuple[Cell, ...]:
-    """The chain pick cell by cell (sorted row-major cells): a prefix-maximum
-    list of the longest chain ending west of each column, the rows scored
-    where a longest chain ends, a suffix-maximum list of the longest chain to
-    a least-scored row at or east of each column, then the same walk and
-    lift as the runs routine."""
+    """The chain pick cell by cell (sorted row-major cells), independent of
+    _pick's greedy pass: a prefix-maximum list of the longest chain ending
+    west of each column, the rows scored where a longest chain ends, a
+    suffix-maximum list of the longest chain to a least-scored row at or
+    east of each column, then a walk that takes, for each length from the
+    longest down, the least (column, row) cell starting a chain of that
+    length southeast of the last box, and a lift of each box to the
+    southmost row of its column north of the next, the last one into a
+    least-scored row.  It needs no run per row, so no skew shape."""
     rows = [(i, [j for _, j in cells]) for i, cells in groupby(component, key=itemgetter(0))]
     lo = min(cols[0] for _, cols in rows)
     width = max(cols[-1] for _, cols in rows) - lo + 1
@@ -301,8 +317,8 @@ def _chain_reference(component, levels=()) -> tuple[Cell, ...]:
 
 def test_runs_chain_pick_matches_the_cell_by_cell_pick():
     # with random levels taken, as later components leave them, on the
-    # components of random cell sets; a set with a component of two runs in
-    # a row is refused
+    # components of random cell sets, where a set with a component that is
+    # not a skew shape is refused, then on random skew shapes of up to 40 rows
     rng = random.Random(35)
     linked = refused = multirow = 0
     for _ in range(10_000):
@@ -310,8 +326,8 @@ def test_runs_chain_pick_matches_the_cell_by_cell_pick():
         grid = [(i, j) for i in range(1, side + 1) for j in range(1, side + 1)]
         cells = tuple(sorted(rng.sample(grid, rng.randint(1, len(grid)))))
         levels = sorted(rng.randint(2, 2 * side + 2) for _ in range(rng.randint(0, 2 * side)))
-        comps = _components_reference(PlusDiagram(SkewRegion(((1, side),) * side), frozenset(cells)))
-        if all(_one_run_per_row(comp) for comp in comps):
+        comps = components_by_search(PlusDiagram(SkewRegion(((1, side),) * side), frozenset(cells)))
+        if all(is_skew_shape(comp) for comp in comps):
             picked = [_pick(runs, levels) for runs in _components(_runs(cells))]
             assert picked == [_chain_reference(comp, levels) for comp in comps], (cells, levels)
             linked += 1
@@ -320,6 +336,15 @@ def test_runs_chain_pick_matches_the_cell_by_cell_pick():
             with pytest.raises(ValidationError):
                 _components(_runs(cells))
             refused += 1
+    for _ in range(5000):
+        rows = rng.randint(1, rng.choice((8, 40)))
+        cells = _random_skew_shape(rng, rows, rng.randint(1, 50))
+        reach = max(i + j for i, j in cells) + 1
+        levels = sorted(rng.randint(2, reach + 1) for _ in range(rng.randint(0, 2 * rows)))
+        (runs,) = _components(_runs(cells))
+        assert _pick(runs, levels) == _chain_reference(cells, levels), (cells, levels)
+        linked += 1
+        multirow += rows > 1
     assert linked > 7000 and refused > 2500 and multirow > 6000
 
 
@@ -334,6 +359,12 @@ def test_runs_chain_pick_matches_the_cell_by_cell_pick():
         (((1, 1), (1, 2), (1, 3), (2, 1), (2, 3)), "components minimizing_diag max_diag"),
         # two runs in one row, in two components
         (((1, 1), (1, 3)), "max_diag"),
+        # one run per row, the start moving west
+        (((1, 2), (1, 3), (2, 1), (2, 2), (2, 3)), "components minimizing_diag max_diag"),
+        # one run per row, the end moving west
+        (((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)), "components minimizing_diag max_diag"),
+        # one run per row, the start moving west, in two components
+        (((1, 3), (2, 1)), "max_diag"),
     ],
 )
 def test_views_refuse_two_runs_in_a_row(cells, views):
@@ -344,7 +375,7 @@ def test_views_refuse_two_runs_in_a_row(cells, views):
         "max_diag": lambda: max_diag(cells),
     }
     for view in views.split():
-        with pytest.raises(ValidationError, match="two runs"):
+        with pytest.raises(ValidationError, match="not one run per row with starts and ends weakly increasing"):
             calls[view]()
 
 
@@ -389,7 +420,7 @@ def test_top_diagram_components_are_skew_shapes():
         nonlocal comps, stars
         assert list(runs) == _runs(top.pluses)  # the scan's runs are the plus set's
         stars += _star(top.pluses)
-        found = _components_reference(top)
+        found = components_by_search(top)
         for comp in found:
             assert is_skew_shape(comp), comp
         assert components(top) == found
