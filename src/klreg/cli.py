@@ -11,13 +11,14 @@ variable, a positive integer, overrides the budget of the oracle
 enumerations, of the recurrence and of --export-ideal's minors; --n and
 --samples are non-negative.  Options are spelled in full, as --flag value
 or --flag=value; --help prints this text.  Exit codes: 0 success, 1 oracle
-disagreement, 2 parse or usage error, 3 validation error, 4 budget
-exhausted (what the enumeration counted goes to stderr as one JSON line)
-or memory run out, 5 internal fault (a failed invariant or any other
-crash; the traceback goes to stderr).  sweep always prints its report: a
-sample whose recurrence or oracle runs out of budget is listed under
-"exhausted" with what it counted, and it exits 1 on any disagreement,
-else 4 if any sample ran out, else 0.
+disagreement, 2 parse or usage error or a report that cannot be written,
+3 validation error, 4 budget exhausted (what the enumeration counted goes
+to stderr as one JSON line) or memory run out, 5 internal fault (a failed
+invariant or any other crash; the traceback goes to stderr).  sweep
+always prints its report: a sample whose recurrence or oracle runs out of
+budget or memory is listed under "exhausted" with what it counted (null
+for memory), and it exits 1 on any disagreement, else 4 if any sample ran
+out, else 0.
 """
 
 from __future__ import annotations
@@ -198,8 +199,8 @@ def run_sweep(opts: dict) -> tuple[dict, int]:
         try:
             by_closure = oracle.max_closure_size(v, w, budget=budget)
             by_rec = zipdiag.groth_degree_recursive(v, w, budget=budget)
-        except ResourceError as exc:
-            exhausted.append({"v": list(v.word), "w": list(w.word), "partial": exc.partial})
+        except (ResourceError, MemoryError) as exc:  # a MemoryError has no count
+            exhausted.append({"v": list(v.word), "w": list(w.word), "partial": getattr(exc, "partial", None)})
             continue
         checked += 1
         if not by_zip == by_rec == by_closure:
@@ -269,6 +270,10 @@ def main(argv=None) -> int:
     try:
         run, opts = parse_args(argv)
         report, code = run(opts)
+        try:
+            print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+        except OSError as exc:  # stdout full or closed, e.g. a pipe into head
+            raise ParseError(f"cannot write the report: {exc}") from exc
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -287,7 +292,6 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(json.dumps(report, sort_keys=True, indent=2))
     return code
 
 

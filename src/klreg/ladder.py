@@ -143,30 +143,18 @@ class MinimalityReport:
     col_offset_violations: tuple
 
 
-def _has_matching(spans, skip_row: int, skip_col: int, need: int) -> bool:
-    """Can `need` rows of `spans`, leaving out row index skip_row and column
-    skip_col, be matched to distinct columns of their own intervals?
-
-    spans[k] = (start, end) is row k's column interval (empty if start > end),
-    and both ends weakly increase with k.  Taking the rows in order and
-    giving each its smallest free column is then a maximum matching, and
-    that column is max(start, last + 1) stepped over skip_col.
-    """
-    if need <= 0:
-        return True
-    last = 0
-    for k, (start, end) in enumerate(spans):
-        if k == skip_row:
-            continue
-        col = max(start, last + 1)
-        if col == skip_col:
-            col += 1
+def _least_columns(spans, stop: int) -> list[int]:
+    """max_diag's greedy on spans[k] = (start, end), cut at `stop` columns:
+    north to south, a row takes max(start, last + 1) when that is at most
+    its end."""
+    cols: list[int] = []
+    for start, end in spans:
+        col = max(start, cols[-1] + 1) if cols else start
         if col <= end:
-            need -= 1
-            if not need:
-                return True
-            last = col
-    return False
+            cols.append(col)
+            if len(cols) == stop:
+                break
+    return cols
 
 
 def validate_minimal(ladder: Ladder) -> MinimalityReport:
@@ -177,15 +165,25 @@ def validate_minimal(ladder: Ladder) -> MinimalityReport:
     east edge) is in a monomial of an r-minor of the block when the block
     less the cell's row and column holds r-1 cells in distinct rows and
     columns.  Each ladder row is a column interval whose two ends weakly
-    increase down the rows; cutting to the block and dropping one row and
-    one column keep that, so one greedy pass down the rows finds a maximum
-    matching (`_has_matching`).
-
-    One pass decides a whole row k: if the block less row k holds r cells
-    in distinct rows and columns, dropping any one column removes at most
-    one of them, so every cell of row k is covered.  Only the rows where
-    that pass fails take one pass per cell.  A mark costs O(rows^2) plus
-    O(rows) per cell of those rows, at most O(|block| * rows).
+    increase down the rows, and cutting to the block and dropping a row k
+    keep that.  On such rows:
+    (1) Crossing cells (i, c), (i', c') with i < i' and c > c' can swap
+    columns (a_i <= a_i' <= c' < c <= e_i <= e_i'), so every set of cells in
+    distinct rows and columns has the columns of a chain, strictly
+    increasing in row and column.
+    (2) max_diag's greedy (`_least_columns`) gives the least columns g_1 <
+    ... < g_m of a longest chain, so m is the most such cells, in rows
+    pointwise the northmost; on the block turned half a turn it gives the
+    greatest columns h_1 < ... < h_m, in rows pointwise the southmost.  By
+    (1) the t-th column of every largest set lies in [g_t, h_t].
+    So with m counted on the block less row k, row k is covered in full
+    when m >= r (dropping a column removes at most one cell), not at all
+    when m < r - 1, and, when m = r - 1, except in the columns where g_t =
+    h_t: every largest set uses those, while for g_t < h_t the cells of
+    g_1..g_{t-1} and h_t..h_m are a chain of m cells (the row of g_{t-1} is
+    north of g_t's, at or north of h_t's) that misses column g_t, and g
+    misses every other column.  Each pass stops at r columns and the turned
+    one runs only when m = r - 1: a mark costs O(rows^2) plus its cells.
 
     >>> rep = validate_minimal(Ladder((2, 2), (0, 0), (((1, 0), 1),)))
     >>> rep.passed, rep.uncovered
@@ -196,13 +194,14 @@ def validate_minimal(ladder: Ladder) -> MinimalityReport:
     for (p, r) in ladder.marked:
         spans = [(max(a, p[1] + 1), b) for a, b in region.rows[: p[0]]]
         for k, (start, end) in enumerate(spans):
-            if _has_matching(spans, k, -1, r):
+            rest = spans[:k] + spans[k + 1 :]
+            g = _least_columns(rest, r)
+            if len(g) >= r:
                 covered.update((k + 1, j) for j in range(start, end + 1))
-                continue
-            for j in range(start, end + 1):
-                cell = (k + 1, j)
-                if cell not in covered and _has_matching(spans, k, j, r - 1):
-                    covered.add(cell)
+            elif len(g) == r - 1:
+                turned = _least_columns([(-b, -a) for a, b in reversed(rest)], r)  # -h_m, ..., -h_1
+                fixed = {c for c, d in zip(g, reversed(turned)) if c == -d}
+                covered.update((k + 1, j) for j in range(start, end + 1) if j not in fixed)
     uncovered = tuple(c for c in region.cells() if c not in covered)
 
     row_bad = []

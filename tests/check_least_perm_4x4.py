@@ -8,9 +8,10 @@ sweep must build the same w from the same caps.  On the boards perm_of
 accepts, v must also compress to the board's region; and the minimal ones
 that `_zipped` (the ladder route) still rejects are counted by message,
 the routes of the families it builds on the rest are folded into one
-sha256, and their unforced elbows into a second.  Prints the counts and
-the two digests, and exits non-zero on a different w or a region
-mismatch.
+sha256, and their unforced elbows into a second; a third folds every
+board's `validate_minimal` verdict, (passed, uncovered), in the order the
+boards are listed.  Prints the counts and the three digests, and exits
+non-zero on a different w or a region mismatch.
 
 Run from the root of a checkout:
 `PYTHONPATH=src:tests python tests/check_least_perm_4x4.py`
@@ -40,8 +41,11 @@ def main() -> int:
     counts = Counter({"boards": 0, "region mismatches": 0})
     routes = hashlib.sha256()
     elbows = hashlib.sha256()
+    verdicts = hashlib.sha256()
     for board in all_boards(4, 4, 3, 3):
         counts["boards"] += 1
+        report = ladder.validate_minimal(board)
+        verdicts.update(repr((report.passed, report.uncovered)).encode())
         last.clear()
         try:
             v, _ = ladder.perm_of(board)
@@ -51,7 +55,7 @@ def main() -> int:
         else:
             if compress(v)[0] != board.region:
                 counts["region mismatches"] += 1
-            if ladder.validate_minimal(board).passed:
+            if report.passed:
                 counts["minimal and accepted"] += 1
                 try:
                     family = ladder._zipped(board)[2]
@@ -71,6 +75,7 @@ def main() -> int:
         print(f"{key}: {value}")
     print(f"zipped routes sha256: {routes.hexdigest()}")
     print(f"zipped elbows sha256: {elbows.hexdigest()}")
+    print(f"validate_minimal sha256: {verdicts.hexdigest()}")
     return int(counts["same w"] != counts["boards"] or counts["region mismatches"] > 0)
 
 

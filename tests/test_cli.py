@@ -414,6 +414,24 @@ def test_sweep_disagreement_outranks_an_exhausted_sample(capsys, monkeypatch):
     assert (data["checked"], len(data["disagreements"]), len(data["exhausted"])) == (299, 1, 1)
 
 
+def test_sweep_lists_a_sample_that_runs_out_of_memory(capsys, monkeypatch):
+    # the 2nd of 3 samples runs out of memory in its closure oracle; the report is still printed
+    closure, drawn = oracle.max_closure_size, []
+
+    def second_runs_out(v, w, **kwargs):
+        drawn.append((list(v.word), list(w.word)))
+        if len(drawn) == 2:
+            raise MemoryError
+        return closure(v, w, **kwargs)
+
+    monkeypatch.setattr(oracle, "max_closure_size", second_runs_out)
+    code, out, err = run(capsys, ["sweep", "--n", "6", "--samples", "3", "--seed", "2023"])
+    assert code == 4 and err == ""
+    data = json.loads(out)
+    assert data["checked"] == 2 and data["disagreements"] == []
+    assert data["exhausted"] == [{"v": drawn[1][0], "w": drawn[1][1], "partial": None}]
+
+
 @pytest.mark.parametrize(
     "budget, argv, message",
     [
@@ -482,6 +500,22 @@ def test_entry_point_in_a_fresh_process(capsys):
     code, out, _ = run(capsys, argv)
     proc = _fresh("-m", "klreg.cli", *argv)
     assert (proc.returncode, proc.stdout) == (code, out) == (0, out)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_report_that_cannot_be_written_exits_2():
+    # stdout on a full device: one parse error line, no traceback
+    big = json.dumps(list(range(1, 6001)))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for v in (json.dumps(list(V11.word)), big):  # a report within the output buffer, and one past it
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "klreg.cli", "pair", "--v", v, "--w", v],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("parse error: cannot write the report: ")
 
 
 def test_cli_does_not_import_argparse():

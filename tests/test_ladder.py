@@ -220,7 +220,7 @@ def _square_board(a, r):
 
 def test_validate_minimal_matches_reference_on_random_boards():
     rng = random.Random(20261018)
-    partly = fully = failed = 0
+    partly = fully = failed = split_rows = 0
     for _ in range(3000):
         board = _random_marked_board(rng)
         rep = validate_minimal(board)
@@ -235,12 +235,17 @@ def test_validate_minimal_matches_reference_on_random_boards():
             left = block & set(single_rep.uncovered)
             partly += 0 < len(left) < len(block)
             fully += bool(block) and not left
+            for i in range(1, p[0] + 1):  # only a column with g_t = h_t splits a row
+                row = [c for c in block if c[0] == i]
+                split_rows += 0 < len(left.intersection(row)) < len(row)
     assert partly and fully and failed
+    assert split_rows >= 152, split_rows  # the count at this seed
 
 
 def test_validate_minimal_matches_reference_on_square_boards():
-    # every r up to a = 16, where the rows that fail the whole-row pass
-    # (r close to a) take the pass per cell
+    # every r up to a = 16: at r = a the block less any row holds only r - 1
+    # cells in distinct rows and columns, so every row is decided by the
+    # columns where the greedy's least and greatest columns meet
     for a in range(1, 25):
         for r in range(1, (a if a <= 16 else a // 4) + 1):
             board = _square_board(a, r)
@@ -255,7 +260,7 @@ def test_one_mark_square_boards_match_the_closed_form(tmp_path, capsys):
     # the r-minors of a generic a x a matrix: regularity (r-1)(a-r+1) and
     # a-invariant -(r-1)a (Bruns and Herzog, Manuscripta Math. 1992)
     path = tmp_path / "board.json"
-    sizes = [(a, range(1, a + 1)) for a in range(1, 25)] + [(40, (1, 10, 20, 39)), (60, (2, 15, 59))]
+    sizes = [(a, range(1, a + 1)) for a in range(1, 25)] + [(40, (1, 10, 20, 39, 40)), (60, (2, 15, 59, 60))]
     for a, rs in sizes:
         for r in rs:
             board = _square_board(a, r)
