@@ -11,14 +11,14 @@ variable, a positive integer, overrides the budget of the oracle
 enumerations, of the recurrence and of --export-ideal's minors; --n and
 --samples are non-negative.  Options are spelled in full, as --flag value
 or --flag=value; --help prints this text.  Exit codes: 0 success, 1 oracle
-disagreement, 2 parse or usage error or a report that cannot be written,
-3 validation error, 4 budget exhausted (what the enumeration counted goes
-to stderr as one JSON line) or memory run out, 5 internal fault (a failed
-invariant or any other crash; the traceback goes to stderr).  sweep
-always prints its report: a sample whose recurrence or oracle runs out of
-budget or memory is listed under "exhausted" with what it counted (null
-for memory), and it exits 1 on any disagreement, else 4 if any sample ran
-out, else 0.
+disagreement, 2 parse or usage error or a report or this text that cannot
+be written, 3 validation error, 4 budget exhausted (what the enumeration
+counted goes to stderr as one JSON line) or memory run out, 5 internal
+fault (a failed invariant or any other crash; the traceback goes to
+stderr).  sweep always prints its report: a sample whose recurrence or
+oracle runs out of budget or memory is listed under "exhausted" with what
+it counted (null for memory), and it exits 1 on any disagreement, else 4
+if any sample ran out, else 0.
 """
 
 from __future__ import annotations
@@ -264,16 +264,18 @@ def parse_args(argv) -> tuple:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if "-h" in argv or "--help" in argv:
-        sys.stdout.write(__doc__)
-        return EXIT_OK
     try:
-        run, opts = parse_args(argv)
-        report, code = run(opts)
+        if "-h" in argv or "--help" in argv:
+            what, text, code = "the help", __doc__, EXIT_OK
+        else:
+            run, opts = parse_args(argv)
+            report, code = run(opts)
+            what, text = "the report", json.dumps(report, sort_keys=True, indent=2) + "\n"
         try:
-            print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+            sys.stdout.write(text)
+            sys.stdout.flush()
         except OSError as exc:  # stdout full or closed, e.g. a pipe into head
-            raise ParseError(f"cannot write the report: {exc}") from exc
+            raise ParseError(f"cannot write {what}: {exc}") from exc
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

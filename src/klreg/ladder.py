@@ -404,38 +404,41 @@ def _hugging_family(pairs, cells) -> PathFamily:
     innermost first, always stepping west when a completion through the
     cells still free exists.
 
-    A west/north route from the start box to the goal box never leaves the
-    box between them, and a cell's reach depends only on its west and
-    north neighbours, so one pass over that box, row by row and west to
-    east, finds every free cell with a route to the goal (the goal counts
-    as reached even when it is not free).  A path costs O(box), and the
-    walk along the reached cells O(route)."""
+    Each path is a west-first depth-first search from its start box.  It
+    steps west, else north, onto a box that lies in the box between start
+    and goal (a west/north route never leaves it), is free (in `cells`,
+    not used) and is not dead; the goal counts as open even when it is
+    not free.  A box with no step is popped and marked dead.  A dead box
+    has no route to the goal, since each of its steps was dead, shut or
+    outside when it was popped; a kept step has one, the rest of the
+    route.  So the route steps west exactly where the west box has a
+    completion, an empty route means that the start has none, and a goal
+    reached that is not free is one the walk cannot enter: it wedges.
+    Steps go west or north, so a box on the route is not pushed again,
+    and a popped box is dead: each box is pushed at most once, and a path
+    costs O(route + dead boxes), never more than a scan of its box."""
     used: set = set()
     routes: list = [()] * len(pairs)
     for i in range(len(pairs), 0, -1):
         start = _start_box(pairs[i - 1][0])
-        goal = _goal_box(pairs[i - 1][1])
-        reach = {goal}
-        for r in range(goal[0], start[0] + 1):
-            west = r == goal[0]  # is (r, c - 1) reached?  The goal's row starts east of it
-            for c in range(goal[1] + west, start[1] + 1):
-                cell = (r, c)
-                west = cell in cells and cell not in used and (west or (r - 1, c) in reach)
-                if west:
-                    reach.add(cell)
-        if start not in reach or start not in cells or start in used:
-            raise ValidationError(f"no path from H_{i} to V_{i}; ladder is not minimal?")
-        route = [start]
-        cur = start
-        while cur != goal:
-            for cand in ((cur[0], cur[1] - 1), (cur[0] - 1, cur[1])):  # west first
-                if cand in reach and cand in cells and cand not in used:
+        gr, gc = goal = _goal_box(pairs[i - 1][1])
+        route = [start] if start in cells and start not in used else []
+        dead: set = set()
+        while route and route[-1] != goal:
+            r, c = route[-1]
+            for cand in ((r, c - 1), (r - 1, c)):  # west first
+                if cand == goal or (
+                    cand[0] >= gr and cand[1] >= gc and cand in cells and cand not in used and cand not in dead
+                ):
                     route.append(cand)
-                    cur = cand
                     break
             else:
-                raise ValidationError("southwest-hugging walk wedged; ladder is not minimal?")
-        used |= set(route)
+                dead.add(route.pop())
+        if not route:
+            raise ValidationError(f"no path from H_{i} to V_{i}; ladder is not minimal?")
+        if goal not in cells or goal in used:
+            raise ValidationError("southwest-hugging walk wedged; ladder is not minimal?")
+        used.update(route)
         routes[i - 1] = tuple(route)
     return PathFamily(tuple(routes), tuple(pairs))
 

@@ -518,6 +518,20 @@ def test_a_report_that_cannot_be_written_exits_2():
         assert line.startswith("parse error: cannot write the report: ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_that_cannot_be_written_exits_2():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv in (["--help"], ["pair", "-h"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "klreg.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("parse error: cannot write the help: ")
+
+
 def test_cli_does_not_import_argparse():
     proc = _fresh("-c", "import sys, klreg.cli; print('argparse' in sys.modules)")
     assert (proc.returncode, proc.stdout) == (0, "False\n")

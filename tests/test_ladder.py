@@ -260,7 +260,8 @@ def test_one_mark_square_boards_match_the_closed_form(tmp_path, capsys):
     # the r-minors of a generic a x a matrix: regularity (r-1)(a-r+1) and
     # a-invariant -(r-1)a (Bruns and Herzog, Manuscripta Math. 1992)
     path = tmp_path / "board.json"
-    sizes = [(a, range(1, a + 1)) for a in range(1, 25)] + [(40, (1, 10, 20, 39, 40)), (60, (2, 15, 59, 60))]
+    sizes = [(a, range(1, a + 1)) for a in range(1, 25)]
+    sizes += [(40, (1, 10, 20, 39, 40)), (60, (2, 15, 59, 60)), (100, (25, 50))]
     for a, rs in sizes:
         for r in rs:
             board = _square_board(a, r)
@@ -629,6 +630,73 @@ def test_hugging_walk_matches_the_reference():
         ("zipped", "built"): 9334, ("zipped", "no path"): 1721, ("zipped", wedged): 245,
         ("part", "built"): 8702, ("part", "no path"): 3034, ("part", wedged): 720,
     }
+
+
+def test_hugging_walk_matches_the_reference_on_square_boards():
+    # the bottom and zipped walks of every one-mark square board with a <= 24
+    for a in range(1, 25):
+        for r in range(1, a + 1):
+            board = _square_board(a, r)
+            pairs = boundary_points(board).pairs()
+            region = board.region.cellset
+            for free in (region, region - zipdiag.zip_result(*perm_of(board)).d_zip.pluses):
+                got = ladder_module._hugging_family(pairs, free)
+                assert got == _hugging_family_reference(pairs, free), (a, r)
+
+
+def _backs_out(family, cells):
+    """Does a route of the family step north from a box whose west box was
+    free, inside its path's box, when the path was placed?"""
+    used = set()
+    for route in reversed(family.routes):
+        goal = route[-1]
+        for (r, c), nxt in zip(route, route[1:]):
+            west = (r, c - 1)
+            if nxt != west and c > goal[1] and west in cells and west not in used:
+                return True
+        used.update(route)
+    return False
+
+
+def test_hugging_walk_matches_the_reference_on_parts_of_larger_boards():
+    # random 80% parts of 12 x 12 to 16 x 16 squares, where walks back out
+    # of dead ends, find no path or wedge
+    rng = random.Random(20261020)
+    outcomes = Counter()
+    for a in (12, 14, 16):
+        for r in (2, a // 3, a // 2):
+            board = _square_board(a, r)
+            pairs = boundary_points(board).pairs()
+            for _ in range(40):
+                free = frozenset(c for c in board.region.cells() if rng.random() < 0.8)
+                got = _walk_outcome(ladder_module._hugging_family, pairs, free)
+                assert got == _walk_outcome(_hugging_family_reference, pairs, free), (a, r)
+                if isinstance(got, str):
+                    outcomes[got.split(";")[0].split(" from ")[0]] += 1
+                    continue
+                outcomes["built"] += 1
+                outcomes["backed out"] += _backs_out(got, free)
+    assert outcomes == {"built": 75, "backed out": 66, "no path": 230, "southwest-hugging walk wedged": 55}
+
+
+def test_hugging_walk_backs_out_of_a_dead_end():
+    # from (3, 4) the walk goes west to (3, 1), where neither (3, 0) nor
+    # (2, 1) is free, backs out of (3, 1) and (3, 2), and goes north at (3, 3)
+    cells = {(3, 4), (3, 3), (3, 2), (3, 1), (2, 3), (1, 3), (1, 2), (1, 1)}
+    pairs = (((3.0, 3.5), (0.5, 0.0)),)
+    family = ladder_module._hugging_family(pairs, cells)
+    assert family.routes == (((3, 4), (3, 3), (2, 3), (1, 3), (1, 2), (1, 1)),)
+    assert _backs_out(family, cells)
+    assert family == _hugging_family_reference(pairs, cells)
+
+
+def test_hugging_walk_wedges_at_a_taken_goal():
+    # both paths end in box (1, 2); the inner one, placed first, takes it
+    cells = {(1, 2), (1, 3), (2, 2), (2, 3)}
+    pairs = (((2.0, 2.5), (0.5, 1.0)), ((2.0, 1.5), (0.5, 1.0)))
+    wedged = "southwest-hugging walk wedged; ladder is not minimal?"
+    assert _walk_outcome(ladder_module._hugging_family, pairs, cells) == wedged
+    assert _walk_outcome(_hugging_family_reference, pairs, cells) == wedged
 
 
 def test_walk_builds_a_family_for_every_excited_state():
