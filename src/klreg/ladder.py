@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .errors import InternalError, ValidationError
 from .perm import Cell, Permutation, from_lehmer_code, rank
 from .skew import SkewRegion, d_top
-from .zipdiag import ZipResult, zip_result
+from .zipdiag import ZipResult, _greedy, zip_result
 
 Point = tuple[float, float]
 
@@ -143,20 +143,6 @@ class MinimalityReport:
     col_offset_violations: tuple
 
 
-def _least_columns(spans, stop: int) -> list[int]:
-    """max_diag's greedy on spans[k] = (start, end), cut at `stop` columns:
-    north to south, a row takes max(start, last + 1) when that is at most
-    its end."""
-    cols: list[int] = []
-    for start, end in spans:
-        col = max(start, cols[-1] + 1) if cols else start
-        if col <= end:
-            cols.append(col)
-            if len(cols) == stop:
-                break
-    return cols
-
-
 def validate_minimal(ladder: Ladder) -> MinimalityReport:
     """Check that every cell appears in some generator monomial and that the
     marked-point offsets p(1)-r and p(2)-r strictly increase.
@@ -164,18 +150,18 @@ def validate_minimal(ladder: Ladder) -> MinimalityReport:
     A cell of the block of mark (p, r) (rows 1..p(1), columns p(2)+1 to the
     east edge) is in a monomial of an r-minor of the block when the block
     less the cell's row and column holds r-1 cells in distinct rows and
-    columns.  Each ladder row is a column interval whose two ends weakly
-    increase down the rows, and cutting to the block and dropping a row k
-    keep that.  On such rows:
+    columns.  The mark is on the southwest border, so block row i is the
+    run (i, p(2)+1, b_i) (see ladder_generators), b_i weakly increasing
+    down the rows, and dropping a row k keeps that.  On such rows:
     (1) Crossing cells (i, c), (i', c') with i < i' and c > c' can swap
     columns (a_i <= a_i' <= c' < c <= e_i <= e_i'), so every set of cells in
     distinct rows and columns has the columns of a chain, strictly
     increasing in row and column.
-    (2) max_diag's greedy (`_least_columns`) gives the least columns g_1 <
-    ... < g_m of a longest chain, so m is the most such cells, in rows
-    pointwise the northmost; on the block turned half a turn it gives the
-    greatest columns h_1 < ... < h_m, in rows pointwise the southmost.  By
-    (1) the t-th column of every largest set lies in [g_t, h_t].
+    (2) By max_diag's (1), `_greedy` gives the least columns g_1 < ... <
+    g_m of a longest chain, so m is the most such cells, in rows pointwise
+    the northmost; on the block turned half a turn it gives the greatest
+    columns h_1 < ... < h_m, in rows pointwise the southmost.  By (1) the
+    t-th column of every largest set lies in [g_t, h_t].
     So with m counted on the block less row k, row k is covered in full
     when m >= r (dropping a column removes at most one cell), not at all
     when m < r - 1, and, when m = r - 1, except in the columns where g_t =
@@ -192,16 +178,16 @@ def validate_minimal(ladder: Ladder) -> MinimalityReport:
     region = ladder.region
     covered = set()
     for (p, r) in ladder.marked:
-        spans = [(max(a, p[1] + 1), b) for a, b in region.rows[: p[0]]]
-        for k, (start, end) in enumerate(spans):
-            rest = spans[:k] + spans[k + 1 :]
-            g = _least_columns(rest, r)
-            if len(g) >= r:
-                covered.update((k + 1, j) for j in range(start, end + 1))
+        block = [(i, p[1] + 1, b) for i, (_, b) in enumerate(region.rows[: p[0]], 1)]
+        for k, (i, a, e) in enumerate(block):
+            rest = block[:k] + block[k + 1 :]
+            g = _greedy(rest, r)[0]
+            if len(g) == r:
+                covered.update((i, j) for j in range(a, e + 1))
             elif len(g) == r - 1:
-                turned = _least_columns([(-b, -a) for a, b in reversed(rest)], r)  # -h_m, ..., -h_1
+                turned = _greedy([(-i2, -e2, -a2) for i2, a2, e2 in reversed(rest)], r)[0]  # -h_m, ..., -h_1
                 fixed = {c for c, d in zip(g, reversed(turned)) if c == -d}
-                covered.update((k + 1, j) for j in range(start, end + 1) if j not in fixed)
+                covered.update((i, j) for j in range(a, e + 1) if j not in fixed)
     uncovered = tuple(c for c in region.cells() if c not in covered)
 
     row_bad = []
@@ -320,9 +306,10 @@ class BoundaryPoints:
 
 def boundary_points(ladder: Ladder) -> BoundaryPoints:
     """Half-integer start and end points for the path family, read off the
-    rank jumps between consecutive marks along each border segment.  The
-    two sides' jumps are summed before any point is built, so an unbalanced
-    board is refused whatever its multiplicities."""
+    rank jumps between consecutive marks along each border segment.  Each
+    side's jumps are summed before any point is built, so a board whose sums
+    differ, or exceed the shape's cells (a path needs a cell of its own), is
+    refused whatever its multiplicities."""
     alphas = sw_corners(ladder)
     marks = ladder.marked
     extended = list(marks)
@@ -350,6 +337,9 @@ def boundary_points(ladder: Ladder) -> BoundaryPoints:
     n_h = sum(max(jump, 0) for _, jump in h_jumps)
     if n_v != n_h:
         raise ValidationError(f"unbalanced boundary points: {n_v} vertical, {n_h} horizontal")
+    cells = sum(ladder.width - a + 1 for a, _ in ladder.region.rows)  # |partition_cells(ladder)|
+    if n_v > cells:
+        raise ValidationError(f"{n_v} boundary points on each side, more than the shape's cell count {cells}")
     free = {(p[0] + k - 0.5, float(p[1])) for p, jump in v_jumps for k in range(1, jump + 1)}
     h_points = [(float(p[0]), p[1] - k + 0.5) for p, jump in h_jumps for k in range(1, jump + 1)]
 

@@ -72,16 +72,25 @@ def components(diagram: PlusDiagram) -> tuple[tuple[Cell, ...], ...]:
     )
 
 
-def _pick(runs, levels=()) -> tuple[Cell, ...]:
-    """max_diag's chain of one run (i, a, e) per row, starts and ends weakly
-    increasing southward, or, with the sorted `levels` taken,
-    minimizing_diag's; their docstrings give rule, proof and cost."""
-    cols: list[int] = []  # the greedy's columns, north to south
+def _greedy(runs, stop: int = 0) -> tuple[list[int], int]:
+    """max_diag's greedy (1) on runs (i, a, e), stopped at `stop` columns if
+    stop > 0: the columns taken and the index of the run that took the last."""
+    cols, s = [], -1
     for k, (_, a, e) in enumerate(runs):
         c = max(a, cols[-1] + 1) if cols else a
         if c <= e:
             cols.append(c)
-            s = k  # the greedy's last row so far
+            s = k
+            if len(cols) == stop:
+                break
+    return cols, s
+
+
+def _pick(runs, levels=()) -> tuple[Cell, ...]:
+    """max_diag's chain of one run (i, a, e) per row, starts and ends weakly
+    increasing southward, or, with the sorted `levels` taken,
+    minimizing_diag's; their docstrings give rule, proof and cost."""
+    cols, s = _greedy(runs)
     i, _, e = runs[s]
     x, k = bisect_right(levels, i + e + 1), len(runs) - 1  # levels[x]: the first level past row s's reach
     while x < len(levels) and runs[k][0] + runs[k][2] + 1 >= levels[x]:

@@ -10,8 +10,11 @@ that `_zipped` (the ladder route) still rejects are counted by message,
 the routes of the families it builds on the rest are folded into one
 sha256, and their unforced elbows into a second; a third folds every
 board's `validate_minimal` verdict, (passed, uncovered), in the order the
-boards are listed.  Prints the counts and the three digests, and exits
-non-zero on a different w or a region mismatch.
+boards are listed.  Prints the counts and the three digests, then the
+number of boards that pass `validate_minimal` with a region cell in no
+monomial of a `ladder_generators` generator (the two notions of "covered"
+of ROADMAP item 4(a)), and exits non-zero on a different w or a region
+mismatch.
 
 Run from the root of a checkout:
 `PYTHONPATH=src:tests python tests/check_least_perm_4x4.py`
@@ -23,6 +26,7 @@ from collections import Counter
 
 from klreg import ladder
 from klreg.errors import ValidationError
+from klreg.ideals import ladder_generators
 from klreg.skew import compress
 
 from knowndata import all_boards, rank_envelope_perm
@@ -42,10 +46,14 @@ def main() -> int:
     routes = hashlib.sha256()
     elbows = hashlib.sha256()
     verdicts = hashlib.sha256()
+    uncovered = 0
     for board in all_boards(4, 4, 3, 3):
         counts["boards"] += 1
         report = ladder.validate_minimal(board)
         verdicts.update(repr((report.passed, report.uncovered)).encode())
+        if report.passed:
+            in_generators = {c for g in ladder_generators(board) for m, _ in g.terms for c in m}
+            uncovered += not in_generators.issuperset(board.region.cells())
         last.clear()
         try:
             v, _ = ladder.perm_of(board)
@@ -76,6 +84,7 @@ def main() -> int:
     print(f"zipped routes sha256: {routes.hexdigest()}")
     print(f"zipped elbows sha256: {elbows.hexdigest()}")
     print(f"validate_minimal sha256: {verdicts.hexdigest()}")
+    print(f"minimal with a cell in no generator: {uncovered}")
     return int(counts["same w"] != counts["boards"] or counts["region mismatches"] > 0)
 
 

@@ -502,6 +502,15 @@ def test_entry_point_in_a_fresh_process(capsys):
     assert (proc.returncode, proc.stdout) == (code, out) == (0, out)
 
 
+def test_a_board_with_more_paths_than_cells_exits_3_at_once(tmp_path):
+    # r = 10^9 on a 2 x 2 board: refused before any boundary point is built
+    path = tmp_path / "board.json"
+    path.write_text(json.dumps({"lambda": [2, 2], "mu": [0, 0], "marked": [{"point": [2, 0], "r": 10**9}]}))
+    proc = _fresh("-m", "klreg.cli", "ladder", "--file", str(path))
+    assert proc.returncode == 3
+    assert proc.stderr.endswith("999999999 boundary points on each side, more than the shape's cell count 4\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_a_report_that_cannot_be_written_exits_2():
     # stdout on a full device: one parse error line, no traceback

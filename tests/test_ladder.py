@@ -10,6 +10,7 @@ import pytest
 from klreg import ladder as ladder_module
 from klreg import cli, oracle, zipdiag
 from klreg.errors import InternalError, ValidationError
+from klreg.ideals import ladder_generators
 from klreg.ladder import (
     Ladder,
     MinimalityReport,
@@ -250,6 +251,20 @@ def test_validate_minimal_matches_reference_on_square_boards():
         for r in range(1, (a if a <= 16 else a // 4) + 1):
             board = _square_board(a, r)
             assert validate_minimal(board) == _validate_minimal_reference(board)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 4(a): validate_minimal's matching covers cells no ladder generator has"
+)
+def test_cells_validate_minimal_covers_lie_in_generators():
+    # validate_minimal passes this board with no uncovered cell, but its one
+    # generator, the 2-minor on rows 1, 2 and columns 1, 2, misses cell (2, 3)
+    board = Ladder((3, 3), (1, 0), (((2, 0), 2),))
+    report = validate_minimal(board)
+    assert report.passed
+    covered = set(board.region.cells()) - set(report.uncovered)
+    in_generators = {c for g in ladder_generators(board) for m, _ in g.terms for c in m}
+    assert covered <= in_generators
 
 
 def test_square_board_at_a40():
@@ -550,6 +565,15 @@ def test_unbalanced_boundary_points_are_counted_before_they_are_built():
     # building them
     board = Ladder((2, 2), (0, 0), (((1, 0), 10**9),))
     with pytest.raises(ValidationError, match=r"^unbalanced boundary points: 999999999 vertical, 0 horizontal$"):
+        boundary_points(board)
+
+
+def test_more_boundary_points_than_cells_are_refused_before_they_are_built():
+    # balanced, with a billion points a side on a 4-cell shape: refused at
+    # once, since each path needs a cell of its own
+    board = Ladder((2, 2), (0, 0), (((2, 0), 10**9),))
+    message = r"^999999999 boundary points on each side, more than the shape's cell count 4$"
+    with pytest.raises(ValidationError, match=message):
         boundary_points(board)
 
 

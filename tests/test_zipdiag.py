@@ -62,6 +62,7 @@ from knowndata import (
     all_321_avoiding,
     components_by_search,
     excited_states,
+    inverse_word,
     is_skew_shape,
     k_saturation_by_moves,
     left_mult_s,
@@ -692,6 +693,35 @@ def test_recursive_degree_matches_reference_on_small_groups():
                 if bruhat_leq(w, v):
                     assert groth_degree_recursive(v, w) == _groth_degree_recursive_reference(v, w)
                     pairs += 1
+    assert pairs == 3828
+
+
+def _iota(v: Permutation, w: Permutation) -> tuple[Permutation, Permutation]:
+    """(v^-1, w^-1): the transpose of the matrix."""
+    return Permutation(inverse_word(v)), Permutation(inverse_word(w))
+
+
+def _kappa(v: Permutation, w: Permutation) -> tuple[Permutation, Permutation]:
+    """(w0*v*w0, w0*w*w0): the flip s_i -> s_{n-i} of the Dynkin diagram."""
+    return tuple(Permutation(tuple(u.n + 1 - x for x in reversed(u.word))) for u in (v, w))
+
+
+def test_recurrence_is_invariant_under_inverse_and_flip():
+    # ROADMAP item 14: iota and kappa are involutions that keep a pair
+    # 321-avoiding and comparable (d_top validates each image), and the
+    # recurrence gives one degree on all four images of every pair
+    pairs = 0
+    for n in range(1, 7):
+        avoid = all_321_avoiding(n)
+        for v in avoid:
+            for w in avoid:
+                if bruhat_leq(w, v):
+                    pairs += 1
+                    images = [(v, w), _iota(v, w), _kappa(v, w), _iota(*_kappa(v, w))]
+                    assert _iota(*images[1]) == _kappa(*images[2]) == (v, w)
+                    for image in images:
+                        d_top(*image)
+                    assert len({groth_degree_recursive(*image) for image in images}) == 1, (v, w)
     assert pairs == 3828
 
 
